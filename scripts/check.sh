@@ -45,6 +45,13 @@ else
 fi
 rm -f "$TRACE_FILE"
 
+# Benchmark smoke: configure and build perfbench (Release, through the
+# engines' public API) and run every workload at a small op count, so an
+# engine API change cannot silently break the benchmark.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-perfbench -j "$(nproc)"
+ctest --test-dir build-perfbench -R PreverBenchSmoke --output-on-failure
+
 # Mutation kill matrix: compiles the verification layer with the runtime
 # mutation harness in its own tree and requires >= 95% of the registered
 # mutants to be killed, with every survivor carrying a vetted rationale.

@@ -1,9 +1,5 @@
 #include "core/demarcation_engine.h"
 
-#include "obs/tracing.h"
-
-#include "crypto/sha256.h"
-
 namespace prever::core {
 
 DemarcationEngine::DemarcationEngine(
@@ -13,13 +9,8 @@ DemarcationEngine::DemarcationEngine(
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
-      regulation_forms_(regulations) {
-  internal_verifiers_.reserve(platforms_.size());
-  for (FederatedPlatform* p : platforms_) {
-    internal_verifiers_.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db));
-  }
-}
+      internal_verifiers_(MakePlatformVerifiers(platforms_)),
+      regulation_forms_(regulations) {}
 
 Status DemarcationEngine::ValidateRegulations() const {
   for (const constraint::Constraint& c : regulations_->constraints()) {
@@ -106,39 +97,26 @@ Status DemarcationEngine::CheckAndConsume(
 
 Status DemarcationEngine::SubmitVia(size_t platform_index,
                                     const Update& update) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
-  if (platform_index >= platforms_.size()) {
-    return metrics_.Finish(Status::InvalidArgument("no such platform"));
-  }
-  FederatedPlatform* home = platforms_[platform_index];
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
-  constraint::EvalContext local_ctx{&home->db, &update.fields,
-                                    update.timestamp};
-  Status internal = internal_verifiers_[platform_index]->VerifyAll(local_ctx);
-  if (!internal.ok()) return metrics_.Finish(internal);
-  const auto& regulations = regulations_->constraints();
-  for (size_t r = 0; r < regulations.size(); ++r) {
-    auto forms = regulation_forms_.ForConstraint(r);
-    if (!forms.ok()) return metrics_.Finish(forms.status());
-    for (const auto& form : **forms) {
-      Status checked = CheckAndConsume(r, form, platform_index, update);
-      if (!checked.ok()) return metrics_.Finish(checked);
+  return metrics_.Submit([&]() -> Status {
+    PREVER_ASSIGN_OR_RETURN(FederatedPlatform* home,
+                            PlatformAt(platforms_, platform_index));
+    auto verify = metrics_.Phase(obs::TraceStage::kVerify);
+    constraint::EvalContext local_ctx{&home->db, &update.fields,
+                                      update.timestamp};
+    PREVER_RETURN_IF_ERROR(
+        internal_verifiers_[platform_index]->VerifyAll(local_ctx));
+    for (size_t r = 0; r < regulations_->size(); ++r) {
+      PREVER_ASSIGN_OR_RETURN(const auto* forms,
+                              regulation_forms_.ForConstraint(r));
+      for (const auto& form : *forms) {
+        PREVER_RETURN_IF_ERROR(
+            CheckAndConsume(r, form, platform_index, update));
+      }
     }
-  }
-  verify_span.End();
-  causal_verify.End();
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
-  Status applied = home->db.Apply(update.mutation);
-  if (!applied.ok()) return metrics_.Finish(applied);
-  BinaryWriter w;
-  w.WriteString(home->id);
-  w.WriteBytes(crypto::Sha256::Hash(update.Encode()));
-  Status ordered = ordering_->Append(w.Take(), update.timestamp);
-  return metrics_.Finish(ordered);
+    verify.End();
+    auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
+    return ApplyAndLedgerDigest(*home, update, ordering_);
+  });
 }
 
 }  // namespace prever::core

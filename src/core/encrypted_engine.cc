@@ -2,7 +2,6 @@
 
 #include "crypto/sha256.h"
 #include "mutate/mutation.h"
-#include "obs/tracing.h"
 
 namespace prever::core {
 
@@ -129,15 +128,13 @@ Result<EncryptedEngine::SealedSubmission> EncryptedEngine::Seal(
 }
 
 Status EncryptedEngine::SubmitUpdate(const Update& update) {
-  Result<SealedSubmission> sealed = [&] {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
-    return Seal(update);
-  }();
-  if (!sealed.ok()) {
-    metrics_.OnSubmit();
-    return metrics_.Finish(sealed.status());
-  }
-  return SubmitSealed(*sealed);
+  return metrics_.Submit([&]() -> Status {
+    // Producer-side sealing runs inside the submit scope, as a crypto phase.
+    auto seal = metrics_.Phase(obs::TraceStage::kCrypto);
+    PREVER_ASSIGN_OR_RETURN(SealedSubmission sealed, Seal(update));
+    seal.End();
+    return Admit(sealed, CheckProducerRange(sealed));
+  });
 }
 
 bool EncryptedEngine::VerifyProducerRange(
@@ -146,18 +143,15 @@ bool EncryptedEngine::VerifyProducerRange(
                              submission.sealed.range_proof, value_bits_);
 }
 
-Status EncryptedEngine::SubmitSealed(const SealedSubmission& submission) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+bool EncryptedEngine::CheckProducerRange(const SealedSubmission& submission) {
   // Manager-side check 1: the producer proved its hidden value is in range.
-  bool range_ok;
-  {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
-    PREVER_CAUSAL_SPAN(causal_crypto, obs::TraceStage::kCrypto);
-    range_ok = VerifyProducerRange(submission);
-  }
-  return FinishSealed(submission, range_ok);
+  auto range = metrics_.Phase(obs::TraceStage::kCrypto);
+  return VerifyProducerRange(submission);
+}
+
+Status EncryptedEngine::SubmitSealed(const SealedSubmission& submission) {
+  return metrics_.Submit(
+      [&] { return Admit(submission, CheckProducerRange(submission)); });
 }
 
 Result<std::vector<EncryptedEngine::SealedSubmission>>
@@ -178,7 +172,10 @@ Status EncryptedEngine::SubmitSealedBatch(
   // synchronized) crypto caches, so iterations are independent.
   std::vector<char> range_ok(batch.size(), 0);
   {
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
+    // The one phase sample taken outside a submit scope: the pre-pass is
+    // shared by the whole batch, so it runs before any per-item scope opens
+    // (and its causal span stays silent, having no submit root to join).
+    auto range = metrics_.Phase(obs::TraceStage::kCrypto);
     auto verify_one = [&](size_t i) {
       range_ok[i] = VerifyProducerRange(batch[i]) ? 1 : 0;
     };
@@ -194,12 +191,9 @@ Status EncryptedEngine::SubmitSealedBatch(
   // the batch) and the final Flush waits for quorum on all of them.
   Status first = Status::Ok();
   for (size_t i = 0; i < batch.size(); ++i) {
-    metrics_.OnSubmit();
-    Status s = [&] {
-      PREVER_TRACE_SPAN(metrics_.submit_ns());
-      PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, i);
-      return FinishSealed(batch[i], range_ok[i] != 0, /*async_ledger=*/true);
-    }();
+    Status s = metrics_.Submit(
+        [&] { return Admit(batch[i], range_ok[i] != 0, /*async_ledger=*/true); },
+        /*trace_arg=*/i);
     if (!s.ok() && first.ok()) first = s;
   }
   Status flushed = ordering_->Flush();
@@ -207,21 +201,19 @@ Status EncryptedEngine::SubmitSealedBatch(
   return first;
 }
 
-Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
-                                     bool range_ok, bool async_ledger) {
+Status EncryptedEngine::Admit(const SealedSubmission& submission,
+                              bool range_ok, bool async_ledger) {
   const auto& pedersen = owner_->pedersen();
   const auto& pub = owner_->paillier_pub();
   if (PREVER_MUTATION(ENC_RANGE_PROOF_SKIP, !range_ok, false)) {
-    return metrics_.Finish(
-        Status::IntegrityViolation("producer range proof invalid"));
+    return Status::IntegrityViolation("producer range proof invalid");
   }
 
   // Manager-side check 2: per regulated bound, aggregate homomorphically
   // over the public filter (group, window) INCLUDING the incoming value,
   // then demand an owner attestation tied to our own commitment product.
   const std::vector<SealedRow>& group_rows = rows_[submission.group];
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
+  auto verify = metrics_.Phase(obs::TraceStage::kVerify);
   for (const RegulatedBound& bound : bounds_) {
     PaillierCiphertext total_v = submission.sealed.value_ct;
     PaillierCiphertext total_r = submission.sealed.rand_ct;
@@ -251,7 +243,7 @@ Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
                                        bound.bound, bound.slack_bits)
             : owner_->AttestLowerBound(total_v, total_r, total_cm,
                                        bound.bound, bound.slack_bits);
-    if (!attestation.ok()) return metrics_.Finish(attestation.status());
+    PREVER_RETURN_IF_ERROR(attestation.status());
     bool proof_ok =
         bound.direction == constraint::BoundDirection::kUpper
             ? crypto::VerifyUpperBound(pedersen, total_cm, *attestation,
@@ -259,17 +251,14 @@ Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
             : crypto::VerifyLowerBound(pedersen, total_cm, *attestation,
                                        BigInt(bound.bound), bound.slack_bits);
     if (PREVER_MUTATION(ENC_ATTEST_ACCEPT, !proof_ok, false)) {
-      return metrics_.Finish(
-          Status::IntegrityViolation("owner bound attestation invalid"));
+      return Status::IntegrityViolation("owner bound attestation invalid");
     }
   }
-  verify_span.End();
-  causal_verify.End();
+  verify.End();
 
   // Step 3: store the sealed row and ledger a content commitment. The
   // ledger entry binds id/group/time + ciphertext digests, never plaintext.
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
+  auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
   rows_[submission.group].push_back(
       SealedRow{submission.group, submission.timestamp, submission.sealed});
   BinaryWriter w;
@@ -279,11 +268,9 @@ Status EncryptedEngine::FinishSealed(const SealedSubmission& submission,
   w.WriteString(submission.group);
   w.WriteBytes(crypto::Sha256::Hash(submission.sealed.value_ct.c.ToBytes()));
   w.WriteBytes(crypto::Sha256::Hash(submission.sealed.commitment.c.ToBytes()));
-  Status ordered =
-      async_ledger
-          ? ordering_->SubmitAsync(w.Take(), submission.timestamp).status()
-          : ordering_->Append(w.Take(), submission.timestamp);
-  return metrics_.Finish(ordered);
+  return async_ledger
+             ? ordering_->SubmitAsync(w.Take(), submission.timestamp).status()
+             : ordering_->Append(w.Take(), submission.timestamp);
 }
 
 size_t EncryptedEngine::NumRows(const std::string& group) const {

@@ -159,12 +159,14 @@ class EncryptedEngine : public UpdateEngine {
  private:
   /// Range-proof check shared by the serial and batch paths (thread-safe).
   bool VerifyProducerRange(const SealedSubmission& submission) const;
-  /// Everything after the range check: per-bound attestations + store +
-  /// ledger. Calls metrics_.Finish on every path. With `async_ledger` the
-  /// ledger append goes through the ordering pipeline's window (the caller
-  /// must Flush); otherwise it blocks until quorum-committed.
-  Status FinishSealed(const SealedSubmission& submission, bool range_ok,
-                      bool async_ledger = false);
+  /// VerifyProducerRange as a crypto phase of the current submit.
+  bool CheckProducerRange(const SealedSubmission& submission);
+  /// Submit body after the range check: per-bound attestations + store +
+  /// ledger. With `async_ledger` the ledger append goes through the
+  /// ordering pipeline's window (the caller must Flush); otherwise it blocks
+  /// until quorum-committed.
+  Status Admit(const SealedSubmission& submission, bool range_ok,
+               bool async_ledger = false);
 
   DataOwner* owner_;
   OrderingService* ordering_;

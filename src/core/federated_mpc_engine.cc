@@ -1,7 +1,5 @@
 #include "core/federated_mpc_engine.h"
 
-#include "obs/tracing.h"
-
 #include "crypto/sha256.h"
 
 namespace prever::core {
@@ -9,6 +7,35 @@ namespace prever::core {
 namespace {
 constexpr size_t kComparisonBits = 32;
 }  // namespace
+
+Result<FederatedPlatform*> PlatformAt(
+    const std::vector<FederatedPlatform*>& platforms, size_t index) {
+  if (index >= platforms.size()) {
+    return Status::InvalidArgument("no such platform");
+  }
+  return platforms[index];
+}
+
+std::vector<std::unique_ptr<constraint::CompiledVerifier>>
+MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms,
+                      constraint::ProgramCache* programs) {
+  std::vector<std::unique_ptr<constraint::CompiledVerifier>> verifiers;
+  verifiers.reserve(platforms.size());
+  for (FederatedPlatform* p : platforms) {
+    verifiers.push_back(std::make_unique<constraint::CompiledVerifier>(
+        &p->internal_constraints, &p->db, programs));
+  }
+  return verifiers;
+}
+
+Status ApplyAndLedgerDigest(FederatedPlatform& home, const Update& update,
+                            OrderingService* ordering) {
+  PREVER_RETURN_IF_ERROR(home.db.Apply(update.mutation));
+  BinaryWriter w;
+  w.WriteString(home.id);
+  w.WriteBytes(crypto::Sha256::Hash(update.Encode()));
+  return ordering->Append(w.Take(), update.timestamp);
+}
 
 FederatedMpcEngine::FederatedMpcEngine(
     std::vector<FederatedPlatform*> platforms,
@@ -18,14 +45,9 @@ FederatedMpcEngine::FederatedMpcEngine(
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
+      platform_verifiers_(MakePlatformVerifiers(platforms_, programs)),
       regulation_forms_(regulations),
-      dealer_rng_(dealer_seed) {
-  platform_verifiers_.reserve(platforms_.size());
-  for (FederatedPlatform* p : platforms_) {
-    platform_verifiers_.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db, programs));
-  }
-}
+      dealer_rng_(dealer_seed) {}
 
 Status FederatedMpcEngine::ValidateRegulations() const {
   for (const constraint::Constraint& c : regulations_->constraints()) {
@@ -111,41 +133,24 @@ Status FederatedMpcEngine::CheckRegulation(size_t index, size_t platform_index,
 
 Status FederatedMpcEngine::SubmitVia(size_t platform_index,
                                      const Update& update) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
-  if (platform_index >= platforms_.size()) {
-    return metrics_.Finish(Status::InvalidArgument("no such platform"));
-  }
-  FederatedPlatform* home = platforms_[platform_index];
-
-  obs::ScopedSpan verify_span(metrics_.verify_ns());
-  obs::TraceSpan causal_verify(obs::TraceStage::kVerify);
-  // Local internal constraints first (cheap, no cross-platform traffic).
-  constraint::EvalContext local_ctx{&home->db, &update.fields,
-                                    update.timestamp};
-  Status internal = platform_verifiers_[platform_index]->VerifyAll(local_ctx);
-  if (!internal.ok()) return metrics_.Finish(internal);
-
-  // Global regulations via MPC across all platforms.
-  for (size_t r = 0; r < regulations_->size(); ++r) {
-    Status checked = CheckRegulation(r, platform_index, update);
-    if (!checked.ok()) return metrics_.Finish(checked);
-  }
-  verify_span.End();
-  causal_verify.End();
-
-  // Apply locally; order a content DIGEST globally (other platforms must
-  // not see the private update body — they audit existence and order only).
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
-  Status applied = home->db.Apply(update.mutation);
-  if (!applied.ok()) return metrics_.Finish(applied);
-  BinaryWriter w;
-  w.WriteString(home->id);
-  w.WriteBytes(crypto::Sha256::Hash(update.Encode()));
-  Status ordered = ordering_->Append(w.Take(), update.timestamp);
-  return metrics_.Finish(ordered);
+  return metrics_.Submit([&]() -> Status {
+    PREVER_ASSIGN_OR_RETURN(FederatedPlatform* home,
+                            PlatformAt(platforms_, platform_index));
+    auto verify = metrics_.Phase(obs::TraceStage::kVerify);
+    // Local internal constraints first (cheap, no cross-platform traffic).
+    constraint::EvalContext local_ctx{&home->db, &update.fields,
+                                      update.timestamp};
+    PREVER_RETURN_IF_ERROR(
+        platform_verifiers_[platform_index]->VerifyAll(local_ctx));
+    // Global regulations via MPC across all platforms.
+    for (size_t r = 0; r < regulations_->size(); ++r) {
+      PREVER_RETURN_IF_ERROR(CheckRegulation(r, platform_index, update));
+    }
+    verify.End();
+    // Apply locally; order a content DIGEST globally.
+    auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
+    return ApplyAndLedgerDigest(*home, update, ordering_);
+  });
 }
 
 }  // namespace prever::core

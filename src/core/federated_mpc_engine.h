@@ -26,6 +26,23 @@ struct FederatedPlatform {
   constraint::ConstraintCatalog internal_constraints;
 };
 
+/// The platform a SubmitVia names, or InvalidArgument("no such platform").
+Result<FederatedPlatform*> PlatformAt(
+    const std::vector<FederatedPlatform*>& platforms, size_t index);
+
+/// One compiled verifier per platform over its internal constraints and
+/// private database. `programs` (optional) shares compiled bytecode across
+/// engines.
+std::vector<std::unique_ptr<constraint::CompiledVerifier>>
+MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms,
+                      constraint::ProgramCache* programs = nullptr);
+
+/// Step 3 of the digest-ledgering RC2 engines: applies `update` to the home
+/// platform's database, then orders `{home id, SHA-256(update)}` — the other
+/// platforms audit existence and order, never the private update body.
+Status ApplyAndLedgerDigest(FederatedPlatform& home, const Update& update,
+                            OrderingService* ordering);
+
 /// RC2, decentralized path: multiple mutually distrustful data managers
 /// collectively verify a distributed regulation — e.g. FLSA's "total hours
 /// across ALL platforms <= 40/week" — via secure multi-party computation,

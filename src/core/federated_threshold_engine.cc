@@ -1,9 +1,5 @@
 #include "core/federated_threshold_engine.h"
 
-#include "obs/tracing.h"
-
-#include "crypto/sha256.h"
-
 namespace prever::core {
 
 namespace {
@@ -20,15 +16,10 @@ FederatedThresholdEngine::FederatedThresholdEngine(
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
+      platform_verifiers_(MakePlatformVerifiers(platforms_, programs)),
       regulation_forms_(regulations),
       drbg_(seed),
-      keys_(params, platforms_.size(), drbg_) {
-  platform_verifiers_.reserve(platforms_.size());
-  for (FederatedPlatform* p : platforms_) {
-    platform_verifiers_.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db, programs));
-  }
-}
+      keys_(params, platforms_.size(), drbg_) {}
 
 Status FederatedThresholdEngine::CheckRegulation(size_t index,
                                                  size_t platform_index,
@@ -96,60 +87,24 @@ Status FederatedThresholdEngine::CheckRegulation(size_t index,
 
 Status FederatedThresholdEngine::SubmitVia(size_t platform_index,
                                            const Update& update) {
-  return SubmitViaInternal(platform_index, update, /*async_ledger=*/false);
-}
-
-Status FederatedThresholdEngine::SubmitBatchVia(
-    size_t platform_index, const std::vector<Update>& updates) {
-  Status first = Status::Ok();
-  for (const Update& update : updates) {
-    Status s = SubmitViaInternal(platform_index, update, /*async_ledger=*/true);
-    if (!s.ok() && first.ok()) first = s;
-  }
-  Status flushed = ordering_->Flush();
-  if (!flushed.ok() && first.ok()) first = flushed;
-  return first;
-}
-
-Status FederatedThresholdEngine::SubmitViaInternal(size_t platform_index,
-                                                   const Update& update,
-                                                   bool async_ledger) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
-  if (platform_index >= platforms_.size()) {
-    return metrics_.Finish(Status::InvalidArgument("no such platform"));
-  }
-  FederatedPlatform* home = platforms_[platform_index];
-  {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
+  return metrics_.Submit([&]() -> Status {
+    PREVER_ASSIGN_OR_RETURN(FederatedPlatform* home,
+                            PlatformAt(platforms_, platform_index));
+    auto verify = metrics_.Phase(obs::TraceStage::kVerify);
     constraint::EvalContext local_ctx{&home->db, &update.fields,
                                       update.timestamp};
-    Status internal = platform_verifiers_[platform_index]->VerifyAll(local_ctx);
-    if (!internal.ok()) return metrics_.Finish(internal);
-  }
-  {
+    PREVER_RETURN_IF_ERROR(
+        platform_verifiers_[platform_index]->VerifyAll(local_ctx));
+    verify.End();
     // The regulation check is dominated by threshold ElGamal work.
-    PREVER_TRACE_SPAN(metrics_.crypto_ns());
-    PREVER_CAUSAL_SPAN(causal_crypto, obs::TraceStage::kCrypto);
+    auto elgamal = metrics_.Phase(obs::TraceStage::kCrypto);
     for (size_t r = 0; r < regulations_->size(); ++r) {
-      Status checked = CheckRegulation(r, platform_index, update);
-      if (!checked.ok()) return metrics_.Finish(checked);
+      PREVER_RETURN_IF_ERROR(CheckRegulation(r, platform_index, update));
     }
-  }
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
-  Status applied = home->db.Apply(update.mutation);
-  if (!applied.ok()) return metrics_.Finish(applied);
-  BinaryWriter w;
-  w.WriteString(home->id);
-  w.WriteBytes(crypto::Sha256::Hash(update.Encode()));
-  Status ordered =
-      async_ledger
-          ? ordering_->SubmitAsync(w.Take(), update.timestamp).status()
-          : ordering_->Append(w.Take(), update.timestamp);
-  return metrics_.Finish(ordered);
+    elgamal.End();
+    auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
+    return ApplyAndLedgerDigest(*home, update, ordering_);
+  });
 }
 
 }  // namespace prever::core

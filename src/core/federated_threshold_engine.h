@@ -46,13 +46,6 @@ class FederatedThresholdEngine : public UpdateEngine {
     return SubmitVia(0, update);
   }
 
-  /// Batch submission through one platform: updates are judged individually
-  /// (first non-OK status returned, no abort), ledger appends ride the
-  /// ordering pipeline's async window, and one Flush at the end waits for
-  /// quorum on the whole batch.
-  Status SubmitBatchVia(size_t platform_index,
-                        const std::vector<Update>& updates);
-
   EngineStats stats() const override { return metrics_.Snapshot(); }
   const char* name() const override { return "federated-threshold-rc2"; }
 
@@ -70,8 +63,6 @@ class FederatedThresholdEngine : public UpdateEngine {
   /// Checks regulation `index` of the catalog (forms precomputed).
   Status CheckRegulation(size_t index, size_t platform_index,
                          const Update& update);
-  Status SubmitViaInternal(size_t platform_index, const Update& update,
-                           bool async_ledger);
 
   std::vector<FederatedPlatform*> platforms_;
   const constraint::ConstraintCatalog* regulations_;

@@ -44,14 +44,6 @@ class FederatedTokenEngine : public UpdateEngine {
     return SubmitVia(0, update);
   }
 
-  /// Batch submission through one platform: every update is judged
-  /// individually (a rejected update does not abort the batch; the first
-  /// non-OK status is returned), and the spent-token ledger appends ride the
-  /// ordering pipeline's async window with a single Flush at the end —
-  /// group commit across the whole batch.
-  Status SubmitBatchVia(size_t platform_index,
-                        const std::vector<Update>& updates);
-
   EngineStats stats() const override { return metrics_.Snapshot(); }
   const char* name() const override { return "federated-token-rc2"; }
 
@@ -69,11 +61,6 @@ class FederatedTokenEngine : public UpdateEngine {
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// Shared implementation: with `async_ledger` the spent-serial appends go
-  /// through SubmitAsync and the caller is responsible for Flush.
-  Status SubmitViaInternal(size_t platform_index, const Update& update,
-                           bool async_ledger);
-
   std::vector<FederatedPlatform*> platforms_;
   token::TokenAuthority* authority_;
   OrderingService* ordering_;

@@ -1,37 +1,25 @@
 #include "core/plaintext_engine.h"
 
-#include "obs/tracing.h"
-
 namespace prever::core {
 
 PlaintextEngine::PlaintextEngine(storage::Database* db,
                                  const constraint::ConstraintCatalog* catalog,
                                  OrderingService* ordering)
-    : db_(db), catalog_(catalog), ordering_(ordering), verifier_(catalog, db) {}
+    : db_(db), ordering_(ordering), verifier_(catalog, db) {}
 
 Status PlaintextEngine::SubmitUpdate(const Update& update) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  // Trace root: every causal span this transaction produces — phase spans
-  // here, queue-wait/consensus/ledger spans downstream — descends from it.
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
-  // Step 2 (Fig. 2): verify against every constraint and regulation.
-  constraint::EvalContext ctx{db_, &update.fields, update.timestamp};
-  Status verified;
-  {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
-    verified = verifier_.VerifyAll(ctx);
-  }
-  if (!verified.ok()) return metrics_.Finish(verified);
-  // Step 3: incorporate into the database and record on the immutable
-  // integrity layer (RC4).
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
-  Status applied = db_->Apply(update.mutation);
-  if (!applied.ok()) return metrics_.Finish(applied);
-  Status ordered = ordering_->Append(update.Encode(), update.timestamp);
-  return metrics_.Finish(ordered);
+  return metrics_.Submit([&]() -> Status {
+    // Step 2 (Fig. 2): verify against every constraint and regulation.
+    constraint::EvalContext ctx{db_, &update.fields, update.timestamp};
+    auto verify = metrics_.Phase(obs::TraceStage::kVerify);
+    PREVER_RETURN_IF_ERROR(verifier_.VerifyAll(ctx));
+    verify.End();
+    // Step 3: incorporate into the database and record on the immutable
+    // integrity layer (RC4).
+    auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
+    PREVER_RETURN_IF_ERROR(db_->Apply(update.mutation));
+    return ordering_->Append(update.Encode(), update.timestamp);
+  });
 }
 
 }  // namespace prever::core

@@ -33,7 +33,6 @@ class PlaintextEngine : public UpdateEngine {
 
  private:
   storage::Database* db_;
-  const constraint::ConstraintCatalog* catalog_;
   OrderingService* ordering_;
   constraint::CompiledVerifier verifier_;
   EngineMetrics metrics_{"plaintext"};

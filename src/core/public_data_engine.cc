@@ -1,7 +1,5 @@
 #include "core/public_data_engine.h"
 
-#include "obs/tracing.h"
-
 namespace prever::core {
 
 using crypto::BigInt;
@@ -11,7 +9,6 @@ PublicDataEngine::PublicDataEngine(
     std::vector<AttestationRequirement> requirements,
     OrderingService* ordering, const crypto::PedersenParams& pedersen)
     : db_(db),
-      public_catalog_(public_catalog),
       requirements_(std::move(requirements)),
       ordering_(ordering),
       pedersen_(&pedersen),
@@ -46,22 +43,18 @@ Result<PrivateAttestation> PublicDataEngine::Attest(
 }
 
 Status PublicDataEngine::Submit(const Submission& submission) {
-  metrics_.OnSubmit();
-  PREVER_TRACE_SPAN(metrics_.submit_ns());
-  PREVER_CAUSAL_ROOT_SPAN(causal_root, obs::TraceStage::kSubmit, 0);
+  return metrics_.Submit([&] { return Admit(submission); });
+}
+
+Status PublicDataEngine::Admit(const Submission& submission) {
   // (a) Public constraints over public data + public update fields.
   constraint::EvalContext ctx{db_, &submission.update.fields,
                               submission.update.timestamp};
-  Status public_ok;
-  {
-    PREVER_TRACE_SPAN(metrics_.verify_ns());
-    PREVER_CAUSAL_SPAN(causal_verify, obs::TraceStage::kVerify);
-    public_ok = verifier_.VerifyAll(ctx);
-  }
-  if (!public_ok.ok()) return metrics_.Finish(public_ok);
+  auto verify = metrics_.Phase(obs::TraceStage::kVerify);
+  PREVER_RETURN_IF_ERROR(verifier_.VerifyAll(ctx));
+  verify.End();
   // (b) One valid attestation per private requirement.
-  obs::ScopedSpan crypto_span(metrics_.crypto_ns());
-  obs::TraceSpan causal_crypto(obs::TraceStage::kCrypto);
+  auto attest = metrics_.Phase(obs::TraceStage::kCrypto);
   for (const AttestationRequirement& req : requirements_) {
     const PrivateAttestation* found = nullptr;
     for (const PrivateAttestation& att : submission.attestations) {
@@ -71,8 +64,8 @@ Status PublicDataEngine::Submit(const Submission& submission) {
       }
     }
     if (found == nullptr) {
-      return metrics_.Finish(Status::ConstraintViolation(
-          "missing attestation for '" + req.field + "'"));
+      return Status::ConstraintViolation("missing attestation for '" +
+                                         req.field + "'");
     }
     bool proof_ok =
         req.direction == constraint::BoundDirection::kLower
@@ -83,18 +76,15 @@ Status PublicDataEngine::Submit(const Submission& submission) {
                                        found->proof, BigInt(req.bound),
                                        req.slack_bits);
     if (!proof_ok) {
-      return metrics_.Finish(Status::ConstraintViolation(
-          "attestation proof for '" + req.field + "' does not verify"));
+      return Status::ConstraintViolation("attestation proof for '" +
+                                         req.field + "' does not verify");
     }
   }
-  crypto_span.End();
-  causal_crypto.End();
+  attest.End();
   // Apply to the public database and ledger the (public) update together
   // with the attestation commitments, so auditors can re-verify later.
-  PREVER_TRACE_SPAN(metrics_.ledger_ns());
-  PREVER_CAUSAL_SPAN(causal_ledger, obs::TraceStage::kLedgerPhase);
-  Status applied = db_->Apply(submission.update.mutation);
-  if (!applied.ok()) return metrics_.Finish(applied);
+  auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
+  PREVER_RETURN_IF_ERROR(db_->Apply(submission.update.mutation));
   BinaryWriter w;
   w.WriteBytes(submission.update.Encode());
   w.WriteU32(static_cast<uint32_t>(submission.attestations.size()));
@@ -102,19 +92,19 @@ Status PublicDataEngine::Submit(const Submission& submission) {
     w.WriteString(att.field);
     w.WriteBytes(att.commitment.c.ToBytes());
   }
-  Status ordered = ordering_->Append(w.Take(), submission.update.timestamp);
-  return metrics_.Finish(ordered);
+  return ordering_->Append(w.Take(), submission.update.timestamp);
 }
 
 Status PublicDataEngine::SubmitUpdate(const Update& update) {
-  if (!requirements_.empty()) {
-    metrics_.OnSubmit();
-    return metrics_.Finish(Status::InvalidArgument(
-        "engine has private requirements; use Submit with attestations"));
-  }
-  Submission s;
-  s.update = update;
-  return Submit(s);
+  return metrics_.Submit([&]() -> Status {
+    if (!requirements_.empty()) {
+      return Status::InvalidArgument(
+          "engine has private requirements; use Submit with attestations");
+    }
+    Submission s;
+    s.update = update;
+    return Admit(s);
+  });
 }
 
 Result<PublicDataEngine::PirSnapshot> PublicDataEngine::BuildPirSnapshot(

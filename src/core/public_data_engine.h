@@ -87,8 +87,10 @@ class PublicDataEngine : public UpdateEngine {
   }
 
  private:
+  /// Submit's body: verify (a) + (b), then apply + ledger.
+  Status Admit(const Submission& submission);
+
   storage::Database* db_;
-  const constraint::ConstraintCatalog* public_catalog_;
   std::vector<AttestationRequirement> requirements_;
   OrderingService* ordering_;
   const crypto::PedersenParams* pedersen_;

@@ -57,7 +57,7 @@ class SimNetwork {
 
   size_t num_nodes() const { return handlers_.size(); }
   SimTime Now() const { return clock_.Now(); }
-  /// The simulated clock, for SimScopedSpan tracing against sim time.
+  /// The simulated clock.
   const SimClock& clock() const { return clock_; }
 
   /// Queues a message for delivery (subject to drops/partitions).

@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cstdint>
 
-#include "common/sim_clock.h"
 #include "obs/metrics.h"
 
 namespace prever::obs {
@@ -67,31 +66,6 @@ class ScopedSpan {
   uint64_t start_;
 };
 
-/// RAII span against simulated time: records elapsed SimTime microseconds.
-/// Useful inside discrete-event runs where wall time is meaningless — e.g.
-/// commit latency of a consensus round driven by SimNetwork.
-class SimScopedSpan {
- public:
-  SimScopedSpan(Histogram* hist, const SimClock* clock)
-      : hist_(hist), clock_(clock),
-        start_(clock != nullptr ? clock->Now() : 0) {}
-  ~SimScopedSpan() { End(); }
-
-  void End() {
-    if (hist_ != nullptr && clock_ != nullptr) {
-      hist_->Record(clock_->Now() - start_);
-    }
-    hist_ = nullptr;
-  }
-  SimScopedSpan(const SimScopedSpan&) = delete;
-  SimScopedSpan& operator=(const SimScopedSpan&) = delete;
-
- private:
-  Histogram* hist_;
-  const SimClock* clock_;
-  uint64_t start_;
-};
-
 }  // namespace prever::obs
 
 #define PREVER_TRACE_CONCAT_IMPL_(a, b) a##b
@@ -100,11 +74,5 @@ class SimScopedSpan {
 /// Times the rest of the enclosing scope into `hist_ptr` (wall clock, ns).
 #define PREVER_TRACE_SPAN(hist_ptr) \
   ::prever::obs::ScopedSpan PREVER_TRACE_CONCAT_(_span_, __LINE__)(hist_ptr)
-
-/// Times the rest of the enclosing scope into `hist_ptr` (sim time, us).
-#define PREVER_TRACE_SIM_SPAN(hist_ptr, clock_ptr)                  \
-  ::prever::obs::SimScopedSpan PREVER_TRACE_CONCAT_(_simspan_,      \
-                                                    __LINE__)(hist_ptr, \
-                                                              clock_ptr)
 
 #endif  // PREVER_OBS_TRACE_H_

@@ -228,8 +228,6 @@ class TraceSpan {
   explicit TraceSpan(TraceStage stage, uint64_t arg = 0, bool root = false);
   ~TraceSpan() { End(); }
   void End();
-
-  const TraceContext& context() const { return ctx_; }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
@@ -290,7 +288,6 @@ class TraceSpan {
  public:
   explicit TraceSpan(TraceStage, uint64_t = 0, bool = false) {}
   void End() {}
-  const TraceContext& context() const { return Tracer::CurrentContext(); }
 };
 
 // Proof of the compile-out contract: the stubs carry no state.
@@ -307,8 +304,6 @@ static_assert(sizeof(ScopedTraceContext) <= 1,
 /// documented zero-overhead contract shared with the histogram spans).
 #define PREVER_CAUSAL_SPAN(name, stage) \
   ::prever::obs::TraceSpan name(stage)
-#define PREVER_CAUSAL_ROOT_SPAN(name, stage, arg) \
-  ::prever::obs::TraceSpan name(stage, arg, /*root=*/true)
 #define PREVER_CAUSAL_INSTANT(stage, arg)        \
   ::prever::obs::Tracer::Get().Instant(          \
       ::prever::obs::Tracer::CurrentContext(), stage, arg)

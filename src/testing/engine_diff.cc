@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <map>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "constraint/constraint.h"
 #include "constraint/program_cache.h"
+#include "core/federated_mpc_engine.h"
 #include "core/federated_threshold_engine.h"
 #include "core/federated_token_engine.h"
 #include "core/ordering.h"
@@ -90,15 +92,19 @@ std::string EngineDiffReport::Summary() const {
                   "\n  replay: PREVER_SIM_SEED=" + std::to_string(seed) +
                   " ./tests/sim_engine_diff_test\n";
   // Process-lifetime engine counters from the default registry: which
-  // engine family diverged is usually visible from the accept/reject mix.
+  // engine family diverged is usually visible from the accept/reject mix,
+  // and the rejection stages say where in the pipeline updates were turned
+  // away.
   std::string metrics = obs::Registry::Default().RenderText();
   std::string engine_lines;
   size_t start = 0;
   while (start < metrics.size()) {
     size_t end = metrics.find('\n', start);
     if (end == std::string::npos) end = metrics.size();
-    if (metrics.compare(start, 27, "prever_engine_updates_total") == 0) {
-      engine_lines += "    " + metrics.substr(start, end - start) + "\n";
+    std::string_view line(metrics.data() + start, end - start);
+    if (line.starts_with("prever_engine_updates_total") ||
+        line.starts_with("prever_engine_rejections_total")) {
+      engine_lines += "    " + std::string(line) + "\n";
     }
     start = end + 1;
   }

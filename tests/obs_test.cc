@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/sim_clock.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/registry.h"
@@ -342,19 +341,6 @@ TEST(TraceTest, MacroRecordsScopeDuration) {
     PREVER_TRACE_SPAN(&h);
   }
   EXPECT_EQ(h.snapshot().count, 2u);
-}
-
-TEST(TraceTest, SimSpanRecordsSimulatedMicroseconds) {
-  Histogram h;
-  SimClock clock;
-  {
-    SimScopedSpan span(&h, &clock);
-    clock.Advance(250);
-  }
-  HistogramSnapshot s = h.snapshot();
-  EXPECT_EQ(s.count, 1u);
-  EXPECT_EQ(s.min, 250u);
-  EXPECT_EQ(s.max, 250u);
 }
 
 // ------------------------------------------------------------------- json

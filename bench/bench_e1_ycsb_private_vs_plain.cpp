@@ -58,6 +58,17 @@ void BM_Plaintext(benchmark::State& state) {
   state.counters["ops/s"] =
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
+  // Verifier counters: upserts invalidate the aggregate cache, so rebuilds
+  // rather than deltas explain this engine's verify cost.
+  auto stats = engine.verifier().stats();
+  state.counters["agg_rebuilds"] = static_cast<double>(stats.agg.cache_builds);
+  state.counters["agg_delta_applies"] =
+      static_cast<double>(stats.agg.delta_applies);
+  state.counters["agg_invalidations"] =
+      static_cast<double>(stats.agg.invalidations);
+  state.counters["agg_scan_evals"] = static_cast<double>(stats.agg.scan_evals);
+  state.counters["fast_path_verifies"] =
+      static_cast<double>(stats.fast_path_verifies);
 }
 BENCHMARK(BM_Plaintext)->Unit(benchmark::kMicrosecond);
 

@@ -116,6 +116,7 @@ void BM_CompiledVerifyCommit(benchmark::State& state) {
       static_cast<double>(stats.agg.cache_builds);
   state.counters["agg_delta_applies"] =
       static_cast<double>(stats.agg.delta_applies);
+  state.counters["agg_scan_evals"] = static_cast<double>(stats.agg.scan_evals);
   state.counters["compiled"] =
       static_cast<double>(stats.compiled_constraints);
 }

@@ -251,7 +251,7 @@ rm -f "$overhead_json"
 # take the compiled route (compiled > 0, nothing silently falling back to
 # the interpreter) and the aggregate cache must ride its O(1) delta path —
 # exactly one full rebuild no matter how many iterations committed, every
-# subsequent verify a cache hit.
+# subsequent verify a cache hit, and no evaluation on the row-scan path.
 verify_json="$(mktemp)"
 if "$BENCH_DIR/bench_e3_constraint_verification" \
       --benchmark_filter='BM_CompiledVerifyCommit/100$' \
@@ -265,9 +265,11 @@ cases = [b for b in doc.get("benchmarks", [])
 assert cases, "compiled verify case did not run"
 b = cases[0]
 for key in ("verifies/s", "agg_cache_hits", "agg_rebuilds",
-            "agg_delta_applies", "compiled"):
+            "agg_delta_applies", "agg_scan_evals", "compiled"):
     assert key in b, f"missing counter {key}"
 assert b["compiled"] > 0, "constraint fell back to the interpreter"
+assert b["agg_scan_evals"] == 0, \
+    f"{b['agg_scan_evals']:.0f} scan evaluations: cacheable shape scanned"
 assert b["agg_rebuilds"] <= 2, \
     f"{b['agg_rebuilds']:.0f} rebuilds: cache is rescanning, not delta-ing"
 assert b["agg_delta_applies"] >= b["iterations"] - 2, \
@@ -283,6 +285,37 @@ else
   fail=1
 fi
 rm -f "$verify_json"
+
+# E1 plaintext verifier counters: BM_Plaintext must export the compiled
+# verifier's cache counters, so its verify cost can be read as rebuilds vs
+# deltas vs scans from exported data alone.
+e1_json="$(mktemp)"
+if "$BENCH_DIR/bench_e1_ycsb_private_vs_plain" \
+      --benchmark_filter='BM_Plaintext$' \
+      --benchmark_min_time=0.01s \
+      --benchmark_out="$e1_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$e1_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+cases = [b for b in doc.get("benchmarks", [])
+         if b.get("run_type") != "aggregate"]
+assert cases, "plaintext case did not run"
+b = cases[0]
+keys = ("agg_rebuilds", "agg_delta_applies", "agg_invalidations",
+        "agg_scan_evals", "fast_path_verifies")
+for key in keys:
+    assert key in b, f"missing counter {key}"
+assert b["agg_rebuilds"] > 0, "verifier never built its aggregate cache"
+print(" ".join(f"{k}={b[k]:.0f}" for k in keys) +
+      f" over {b['iterations']} updates")
+EOF
+then
+  echo "bench_smoke: OK plaintext verifier counters"
+else
+  echo "bench_smoke: FAIL plaintext verifier counters" >&2
+  fail=1
+fi
+rm -f "$e1_json"
 
 # BENCH_consensus.json (written by bench_perf.sh) must stay parseable, and
 # every pipelined case in it must carry throughput + latency + the derived

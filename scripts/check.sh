@@ -17,8 +17,9 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 "$BUILD_DIR"/tests/crypto_diff_test
 # Same rule for the compiled-constraint differential fuzz: the bytecode
 # evaluator and the incremental aggregate cache must match the interpreter
-# over the seeded sweep (window boundaries, absent fields, int64 overflow)
-# with ASan+UBSan watching both paths.
+# over the seeded sweep (window boundaries, absent fields, int64 overflow,
+# non-cacheable shapes on the scalar scan) with ASan+UBSan watching both
+# paths.
 "$BUILD_DIR"/tests/constraint_compiled_diff_test
 # Recovery smoke: the checkpoint/journal unit tests and the randomized
 # crash-point sweep run explicitly under ASan+UBSan. The recovery layer is

@@ -281,8 +281,7 @@ Status AggregateCache::BuildSpec(SpecCache& sc, const AggregateSpec& spec,
 }
 
 Result<Value> AggregateCache::Evaluate(const AggregateSpec& spec,
-                                       const EvalContext& ctx,
-                                       storage::ColumnBatchCache* batches) {
+                                       const EvalContext& ctx) {
   if (ctx.db == nullptr) {
     return Status::InvalidArgument("no database bound for aggregate");
   }
@@ -292,7 +291,7 @@ Result<Value> AggregateCache::Evaluate(const AggregateSpec& spec,
   if (!sc.bound_ok) return sc.bind_status;
   auto scan = [&]() {
     ++stats_.scan_evals;
-    return EvaluateSpecByScan(sc.bound, ctx, batches);
+    return EvaluateSpecByScan(sc.bound, ctx);
   };
   if (!sc.cacheable) return scan();
 

@@ -28,8 +28,8 @@ namespace prever::constraint {
 /// Deltas arrive through Database commit observers: inserts fold into the
 /// group state directly; updates/upserts/deletes epoch-invalidate every
 /// spec on that table (lazy rebuild on next query). Anything outside the
-/// cacheable class evaluates per query through the vectorized columnar
-/// scan, with the scalar row loop as the exact-semantics fallback.
+/// cacheable class evaluates per query through EvaluateSpecByScan, the
+/// scalar row loop with the interpreter's exact semantics.
 ///
 /// Lifetime: state is keyed by AggregateSpec address and OnCommitted
 /// dereferences those keys, so every spec ever passed to Evaluate /
@@ -53,8 +53,7 @@ class AggregateCache {
   /// Evaluates `spec` with full maintenance rights: binds on first use,
   /// (re)builds the group states when stale, advances window cursors.
   Result<storage::Value> Evaluate(const AggregateSpec& spec,
-                                  const EvalContext& ctx,
-                                  storage::ColumnBatchCache* batches);
+                                  const EvalContext& ctx);
 
   /// Read-only fast path (safe under a shared lock): succeeds only when the
   /// spec is bound, built, in sync with the table, and — for windowed

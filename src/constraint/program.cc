@@ -1,6 +1,5 @@
 #include "constraint/program.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "mutate/mutation.h"
@@ -9,7 +8,6 @@ namespace prever::constraint {
 
 namespace {
 
-using storage::ColumnBatch;
 using storage::Row;
 using storage::Value;
 using storage::ValueType;
@@ -44,8 +42,7 @@ int64_t WrapMod(int64_t a, int64_t b) {
   return a % b;
 }
 
-/// The comparison verdict for a three-way cmp, shared by the scalar and the
-/// vectorized kernels (and by the aggregate cache's group-selector match).
+/// The comparison verdict for a three-way cmp.
 bool CmpVerdict(OpCode op, int cmp) {
   switch (op) {
     case OpCode::kCmpEq:
@@ -89,9 +86,8 @@ Result<int> CompareRegs(OpCode op, const RegVal& a, const RegVal& b) {
 
 class Compiler {
  public:
-  Compiler(bool row_mode, bool eager_logic,
-           std::vector<std::unique_ptr<AggregateSpec>>* aggs)
-      : row_mode_(row_mode), eager_logic_(eager_logic), aggs_(aggs) {}
+  Compiler(bool row_mode, std::vector<std::unique_ptr<AggregateSpec>>* aggs)
+      : row_mode_(row_mode), aggs_(aggs) {}
 
   bool ok() const { return ok_; }
 
@@ -179,14 +175,6 @@ class Compiler {
 
   uint16_t CompileBinary(const Expr& e) {
     if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
-      if (eager_logic_) {
-        uint16_t ra = CompileExpr(*e.lhs);
-        uint16_t rb = CompileExpr(*e.rhs);
-        uint16_t dst = NewReg();
-        Emit({e.binary_op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr, dst,
-              ra, rb, 0});
-        return dst;
-      }
       // Short-circuit lowering: the lhs register doubles as the result.
       uint16_t ra = CompileExpr(*e.lhs);
       size_t jump_at = prog_.insns.size();
@@ -227,7 +215,6 @@ class Compiler {
   uint16_t CompileAggregate(const Expr& e);
 
   bool row_mode_;
-  bool eager_logic_;
   std::vector<std::unique_ptr<AggregateSpec>>* aggs_;
   Program prog_;
   uint16_t next_reg_ = 0;
@@ -236,8 +223,8 @@ class Compiler {
 };
 
 /// Compiles a row-mode predicate program; null result means unsupported.
-std::unique_ptr<Program> CompileRowProgram(const Expr& expr, bool eager) {
-  Compiler c(/*row_mode=*/true, eager, /*aggs=*/nullptr);
+std::unique_ptr<Program> CompileRowProgram(const Expr& expr) {
+  Compiler c(/*row_mode=*/true, /*aggs=*/nullptr);
   uint16_t result = c.CompileExpr(expr);
   if (!c.ok()) return nullptr;
   Program prog = c.Take();
@@ -316,7 +303,7 @@ void ClassifyWhere(const Expr& where, AggregateSpec* spec) {
       residual = Expr::Binary(BinaryOp::kAnd, std::move(residual),
                               row_only[i]->Clone());
     }
-    spec->row_pred = CompileRowProgram(*residual, /*eager=*/false);
+    spec->row_pred = CompileRowProgram(*residual);
     if (!spec->row_pred) return;
   }
   spec->cache_candidate = true;
@@ -337,9 +324,8 @@ uint16_t Compiler::CompileAggregate(const Expr& e) {
   spec->window = e.window;
   spec->expr = &e;
   if (e.where) {
-    spec->where = CompileRowProgram(*e.where, /*eager=*/false);
-    spec->where_eager = CompileRowProgram(*e.where, /*eager=*/true);
-    if (!spec->where || !spec->where_eager) {
+    spec->where = CompileRowProgram(*e.where);
+    if (!spec->where) {
       ok_ = false;
       return 0;
     }
@@ -385,7 +371,7 @@ Program Program::Bind(const storage::Schema& schema) const {
 
 CompiledConstraint CompileConstraint(const Expr& expr) {
   CompiledConstraint out;
-  Compiler c(/*row_mode=*/false, /*eager_logic=*/false, &out.aggs);
+  Compiler c(/*row_mode=*/false, &out.aggs);
   uint16_t result = c.CompileExpr(expr);
   if (!c.ok()) {
     out.aggs.clear();
@@ -538,17 +524,6 @@ Result<RegVal> RunScalar(const Program& program, const EvalContext& ctx,
         regs[insn.dst] = RegVal::Num(r);
         break;
       }
-      case OpCode::kAnd:
-      case OpCode::kOr: {
-        const RegVal& a = regs[insn.a];
-        const RegVal& b = regs[insn.b];
-        if (a.tag != RegVal::Tag::kBool || b.tag != RegVal::Tag::kBool) {
-          return Status::InvalidArgument("expected a boolean operand");
-        }
-        regs[insn.dst] = RegVal::Bool(insn.op == OpCode::kAnd ? (a.b && b.b)
-                                                              : (a.b || b.b));
-        break;
-      }
       case OpCode::kAggregate: {
         if (agg_fn == nullptr) {
           return Status::Internal("aggregate op without a resolver");
@@ -563,316 +538,6 @@ Result<RegVal> RunScalar(const Program& program, const EvalContext& ctx,
     ++pc;
   }
   return Status::Internal("compiled program fell off the end");
-}
-
-// ------------------------------------------------------------- Batch run
-
-namespace {
-
-/// One register of the vectorized evaluator: a uniform scalar (constants,
-/// update fields) or a column of values. Column loads borrow the batch's
-/// vectors; computed results own theirs. Because column types are uniform,
-/// type checks happen once per instruction, never per row.
-struct BReg {
-  RegVal::Tag tag = RegVal::Tag::kNum;
-  bool uniform = true;
-  RegVal u;
-  std::vector<int64_t> nums;
-  std::vector<uint8_t> bools;
-  const std::vector<int64_t>* nums_src = nullptr;
-  const std::vector<uint8_t>* bools_src = nullptr;
-  const std::vector<std::string>* strs_src = nullptr;
-
-  const int64_t* NumPtr(size_t* stride) const {
-    if (uniform) {
-      *stride = 0;
-      return &u.num;
-    }
-    *stride = 1;
-    return nums_src ? nums_src->data() : nums.data();
-  }
-  const uint8_t* BoolPtr(size_t* stride, uint8_t* scratch) const {
-    if (uniform) {
-      *stride = 0;
-      *scratch = u.b ? 1 : 0;
-      return scratch;
-    }
-    *stride = 1;
-    return bools_src ? bools_src->data() : bools.data();
-  }
-  const std::string& StrAt(size_t i) const {
-    return uniform ? *u.str : (*strs_src)[i];
-  }
-};
-
-}  // namespace
-
-bool RunBatchMask(const Program& program, const ColumnBatch& batch,
-                  const EvalContext& ctx, std::vector<uint8_t>* mask) {
-  const size_t n = batch.num_rows();
-  std::vector<BReg> regs(program.num_regs);
-  for (const Insn& insn : program.insns) {
-    switch (insn.op) {
-      case OpCode::kLoadConst: {
-        auto v = RegVal::FromValue(program.consts[insn.a]);
-        if (!v.ok()) return false;
-        regs[insn.dst] = BReg{};
-        regs[insn.dst].tag = v->tag;
-        regs[insn.dst].u = *v;
-        break;
-      }
-      case OpCode::kLoadUpdate: {
-        if (ctx.update == nullptr) return false;
-        auto it = ctx.update->find(program.names[insn.a]);
-        if (it == ctx.update->end()) return false;
-        auto v = RegVal::FromValue(it->second);
-        if (!v.ok()) return false;
-        regs[insn.dst] = BReg{};
-        regs[insn.dst].tag = v->tag;
-        regs[insn.dst].u = *v;
-        break;
-      }
-      case OpCode::kLoadRow: {
-        const ColumnBatch::ColumnData& col = batch.column(insn.a);
-        BReg r;
-        r.uniform = false;
-        switch (col.type) {
-          case ValueType::kInt64:
-          case ValueType::kTimestamp:
-            r.tag = RegVal::Tag::kNum;
-            r.nums_src = &col.nums;
-            break;
-          case ValueType::kBool:
-            r.tag = RegVal::Tag::kBool;
-            r.bools_src = &col.bools;
-            break;
-          case ValueType::kString:
-            r.tag = RegVal::Tag::kStr;
-            r.strs_src = &col.strs;
-            break;
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kNot: {
-        BReg& a = regs[insn.a];
-        if (a.tag != RegVal::Tag::kBool) return false;
-        BReg r;
-        r.tag = RegVal::Tag::kBool;
-        if (a.uniform) {
-          r.u = RegVal::Bool(!a.u.b);
-        } else {
-          r.uniform = false;
-          size_t sa;
-          uint8_t scratch;
-          const uint8_t* pa = a.BoolPtr(&sa, &scratch);
-          r.bools.resize(n);
-          for (size_t i = 0; i < n; ++i) r.bools[i] = pa[i * sa] ? 0 : 1;
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kNeg: {
-        BReg& a = regs[insn.a];
-        if (a.tag != RegVal::Tag::kNum) return false;
-        BReg r;
-        r.tag = RegVal::Tag::kNum;
-        if (a.uniform) {
-          r.u = RegVal::Num(WrapNeg(a.u.num));
-        } else {
-          r.uniform = false;
-          size_t sa;
-          const int64_t* pa = a.NumPtr(&sa);
-          r.nums.resize(n);
-          for (size_t i = 0; i < n; ++i) r.nums[i] = WrapNeg(pa[i * sa]);
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kCoerceBool: {
-        if (regs[insn.a].tag != RegVal::Tag::kBool) return false;
-        if (insn.dst != insn.a) regs[insn.dst] = regs[insn.a];
-        break;
-      }
-      case OpCode::kCmpEq:
-      case OpCode::kCmpNe:
-      case OpCode::kCmpLt:
-      case OpCode::kCmpLe:
-      case OpCode::kCmpGt:
-      case OpCode::kCmpGe: {
-        BReg& a = regs[insn.a];
-        BReg& b = regs[insn.b];
-        BReg r;
-        r.tag = RegVal::Tag::kBool;
-        if (a.uniform && b.uniform) {
-          auto cmp = CompareRegs(insn.op, a.u, b.u);
-          if (!cmp.ok()) return false;
-          r.u = RegVal::Bool(CmpVerdict(insn.op, *cmp));
-        } else if (a.tag == RegVal::Tag::kStr && b.tag == RegVal::Tag::kStr) {
-          r.uniform = false;
-          r.bools.resize(n);
-          for (size_t i = 0; i < n; ++i) {
-            const std::string& sa = a.StrAt(i);
-            const std::string& sb = b.StrAt(i);
-            int cmp = sa < sb ? -1 : (sa == sb ? 0 : 1);
-            r.bools[i] = CmpVerdict(insn.op, cmp) ? 1 : 0;
-          }
-        } else if (a.tag == RegVal::Tag::kBool && b.tag == RegVal::Tag::kBool) {
-          if (insn.op != OpCode::kCmpEq && insn.op != OpCode::kCmpNe) {
-            return false;
-          }
-          r.uniform = false;
-          size_t sa, sb;
-          uint8_t wa, wb;
-          const uint8_t* pa = a.BoolPtr(&sa, &wa);
-          const uint8_t* pb = b.BoolPtr(&sb, &wb);
-          r.bools.resize(n);
-          for (size_t i = 0; i < n; ++i) {
-            int cmp = pa[i * sa] == pb[i * sb] ? 0 : 1;
-            r.bools[i] = CmpVerdict(insn.op, cmp) ? 1 : 0;
-          }
-        } else if (a.tag == RegVal::Tag::kNum && b.tag == RegVal::Tag::kNum) {
-          r.uniform = false;
-          size_t sa, sb;
-          const int64_t* pa = a.NumPtr(&sa);
-          const int64_t* pb = b.NumPtr(&sb);
-          r.bools.resize(n);
-          for (size_t i = 0; i < n; ++i) {
-            int64_t x = pa[i * sa];
-            int64_t y = pb[i * sb];
-            int cmp = x < y ? -1 : (x == y ? 0 : 1);
-            r.bools[i] = CmpVerdict(insn.op, cmp) ? 1 : 0;
-          }
-        } else {
-          return false;  // Mixed types: the scalar path owns the error.
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kAdd:
-      case OpCode::kSub:
-      case OpCode::kMul: {
-        BReg& a = regs[insn.a];
-        BReg& b = regs[insn.b];
-        if (a.tag != RegVal::Tag::kNum || b.tag != RegVal::Tag::kNum) {
-          return false;
-        }
-        BReg r;
-        r.tag = RegVal::Tag::kNum;
-        if (a.uniform && b.uniform) {
-          int64_t v = insn.op == OpCode::kAdd   ? WrapAdd(a.u.num, b.u.num)
-                      : insn.op == OpCode::kSub ? WrapSub(a.u.num, b.u.num)
-                                                : WrapMul(a.u.num, b.u.num);
-          r.u = RegVal::Num(v);
-        } else {
-          r.uniform = false;
-          size_t sa, sb;
-          const int64_t* pa = a.NumPtr(&sa);
-          const int64_t* pb = b.NumPtr(&sb);
-          r.nums.resize(n);
-          switch (insn.op) {
-            case OpCode::kAdd:
-              for (size_t i = 0; i < n; ++i)
-                r.nums[i] = WrapAdd(pa[i * sa], pb[i * sb]);
-              break;
-            case OpCode::kSub:
-              for (size_t i = 0; i < n; ++i)
-                r.nums[i] = WrapSub(pa[i * sa], pb[i * sb]);
-              break;
-            default:
-              for (size_t i = 0; i < n; ++i)
-                r.nums[i] = WrapMul(pa[i * sa], pb[i * sb]);
-              break;
-          }
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kDiv:
-      case OpCode::kMod: {
-        BReg& a = regs[insn.a];
-        BReg& b = regs[insn.b];
-        if (a.tag != RegVal::Tag::kNum || b.tag != RegVal::Tag::kNum) {
-          return false;
-        }
-        BReg r;
-        r.tag = RegVal::Tag::kNum;
-        size_t sa, sb;
-        const int64_t* pa = a.NumPtr(&sa);
-        const int64_t* pb = b.NumPtr(&sb);
-        if (a.uniform && b.uniform) {
-          if (b.u.num == 0) return false;  // Scalar path owns the error.
-          r.u = RegVal::Num(insn.op == OpCode::kDiv
-                                ? WrapDiv(a.u.num, b.u.num)
-                                : WrapMod(a.u.num, b.u.num));
-        } else {
-          r.uniform = false;
-          r.nums.resize(n);
-          for (size_t i = 0; i < n; ++i) {
-            int64_t d = pb[i * sb];
-            // A zero divisor anywhere in the batch may or may not be an
-            // interpreter error depending on scan order and short-circuit
-            // guards — only the scalar loop can tell, so defer to it.
-            if (d == 0) return false;
-            r.nums[i] = insn.op == OpCode::kDiv ? WrapDiv(pa[i * sa], d)
-                                                : WrapMod(pa[i * sa], d);
-          }
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kAnd:
-      case OpCode::kOr: {
-        BReg& a = regs[insn.a];
-        BReg& b = regs[insn.b];
-        if (a.tag != RegVal::Tag::kBool || b.tag != RegVal::Tag::kBool) {
-          return false;
-        }
-        BReg r;
-        r.tag = RegVal::Tag::kBool;
-        if (a.uniform && b.uniform) {
-          r.u = RegVal::Bool(insn.op == OpCode::kAnd ? (a.u.b && b.u.b)
-                                                     : (a.u.b || b.u.b));
-        } else {
-          r.uniform = false;
-          size_t sa, sb;
-          uint8_t wa, wb;
-          const uint8_t* pa = a.BoolPtr(&sa, &wa);
-          const uint8_t* pb = b.BoolPtr(&sb, &wb);
-          r.bools.resize(n);
-          if (insn.op == OpCode::kAnd) {
-            for (size_t i = 0; i < n; ++i)
-              r.bools[i] = (pa[i * sa] & pb[i * sb]) ? 1 : 0;
-          } else {
-            for (size_t i = 0; i < n; ++i)
-              r.bools[i] = (pa[i * sa] | pb[i * sb]) ? 1 : 0;
-          }
-        }
-        regs[insn.dst] = std::move(r);
-        break;
-      }
-      case OpCode::kReturn: {
-        BReg& r = regs[insn.a];
-        if (r.tag != RegVal::Tag::kBool) return false;
-        mask->assign(n, 0);
-        if (r.uniform) {
-          if (r.u.b) mask->assign(n, 1);
-        } else {
-          size_t sr;
-          uint8_t wr;
-          const uint8_t* pr = r.BoolPtr(&sr, &wr);
-          for (size_t i = 0; i < n; ++i) (*mask)[i] = pr[i * sr] ? 1 : 0;
-        }
-        return true;
-      }
-      case OpCode::kLoadName:
-      case OpCode::kJumpIfFalse:
-      case OpCode::kJumpIfTrue:
-      case OpCode::kAggregate:
-        return false;  // Not representable in the vectorized variant.
-    }
-  }
-  return false;
 }
 
 // --------------------------------------------------------------- Folding
@@ -951,7 +616,6 @@ Result<BoundSpec> BindSpec(const AggregateSpec& spec,
   }
   if (spec.where) {
     out.where_scalar = spec.where->Bind(schema);
-    out.where_eager = spec.where_eager->Bind(schema);
   }
   if (spec.row_pred) {
     out.row_pred = spec.row_pred->Bind(schema);
@@ -998,7 +662,7 @@ Result<Value> ScalarSpecScan(const BoundSpec& bound, const EvalContext& ctx,
         scan_error = Status::InvalidArgument("WHERE predicate is not boolean");
         return false;
       }
-      if (!pred->b) return true;
+      if (PREVER_MUTATION(PROG_SCAN_WHERE_SKIP, !pred->b, false)) return true;
     }
     if (spec.exists) {
       fold.Add(0);
@@ -1023,50 +687,12 @@ Result<Value> ScalarSpecScan(const BoundSpec& bound, const EvalContext& ctx,
 }  // namespace
 
 Result<Value> EvaluateSpecByScan(const BoundSpec& bound,
-                                 const EvalContext& ctx,
-                                 storage::ColumnBatchCache* batches) {
-  const AggregateSpec& spec = *bound.spec;
+                                 const EvalContext& ctx) {
   if (ctx.db == nullptr) {
     return Status::InvalidArgument("no database bound for aggregate");
   }
   PREVER_ASSIGN_OR_RETURN(const storage::Table* table,
-                          ctx.db->GetTable(spec.table));
-
-  const bool needs_value = !spec.exists && spec.agg != AggregateKind::kCount;
-  const bool numeric_col = bound.column_type == ValueType::kInt64 ||
-                           bound.column_type == ValueType::kTimestamp;
-  if (batches != nullptr && (!needs_value || numeric_col)) {
-    auto batch_or = batches->Get(*ctx.db, spec.table);
-    if (batch_or.ok()) {
-      const ColumnBatch& batch = **batch_or;
-      const size_t n = batch.num_rows();
-      std::vector<uint8_t> mask;
-      bool have_mask = true;
-      if (spec.where) {
-        have_mask = RunBatchMask(bound.where_eager, batch, ctx, &mask);
-      } else {
-        mask.assign(n, 1);
-      }
-      if (have_mask) {
-        const SimTime start = WindowStart(spec.window, ctx.now);
-        const std::vector<int64_t>* ts =
-            spec.window != 0 ? &batch.column(bound.ts_idx).nums : nullptr;
-        const std::vector<int64_t>* vals =
-            needs_value ? &batch.column(bound.column_idx).nums : nullptr;
-        FoldState fold;
-        for (size_t i = 0; i < n; ++i) {
-          if (!mask[i]) continue;
-          if (ts != nullptr &&
-              !InWindow(static_cast<SimTime>((*ts)[i]), start, ctx.now)) {
-            continue;
-          }
-          fold.Add(vals ? (*vals)[i] : 0);
-          if (spec.exists) break;
-        }
-        return fold.Finish(spec);
-      }
-    }
-  }
+                          ctx.db->GetTable(bound.spec->table));
   return ScalarSpecScan(bound, ctx, *table);
 }
 

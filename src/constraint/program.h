@@ -10,7 +10,6 @@
 #include "common/status.h"
 #include "constraint/ast.h"
 #include "constraint/eval.h"
-#include "storage/column_batch.h"
 
 namespace prever::constraint {
 
@@ -19,7 +18,7 @@ namespace prever::constraint {
 /// linear instruction stream over a small register file; short-circuit
 /// AND/OR lower to forward jumps; aggregates become references into a side
 /// table of AggregateSpec entries evaluated through the AggregateCache (or
-/// a vectorized columnar scan when the shape is not cacheable).
+/// a scalar row scan when the shape is not cacheable).
 ///
 /// The compiler is deliberately partial: FORALL, `outer.`-correlated
 /// predicates, and aggregates nested inside aggregate predicates stay on
@@ -38,7 +37,6 @@ enum class OpCode : uint8_t {
   kCmpEq, kCmpNe, kCmpLt, kCmpLe, kCmpGt, kCmpGe,  ///< dst = a <op> b
   kAdd, kSub, kMul,  ///< dst = a <op> b (wrapping int64)
   kDiv, kMod,        ///< dst = a <op> b; error on zero divisor
-  kAnd, kOr,    ///< eager logical ops (vectorized variant only)
   kAggregate,   ///< dst = value of aggregate spec a (top-level mode)
   kReturn,      ///< result = reg[a]
 };
@@ -93,8 +91,6 @@ struct AggregateSpec {
   SimTime window = 0;
   /// Full WHERE predicate in row mode (scalar, short-circuit); null if none.
   std::unique_ptr<Program> where;
-  /// Eager (jump-free) variant of `where` for vectorized evaluation.
-  std::unique_ptr<Program> where_eager;
   /// Original AST node (borrowed from the owning constraint).
   const Expr* expr = nullptr;
 
@@ -138,16 +134,8 @@ using AggFn = std::function<Result<storage::Value>(size_t spec_index)>;
 Result<RegVal> RunScalar(const Program& program, const EvalContext& ctx,
                          const RowView* row, const AggFn* agg_fn);
 
-/// Executes an eager row-mode program over a columnar batch, producing one
-/// predicate bit per row. Returns false when the batch path cannot promise
-/// interpreter-identical results (type errors, zero divisors, unsupported
-/// ops) — the caller must fall back to the scalar row loop, which
-/// reproduces the interpreter's row order and error behavior exactly.
-bool RunBatchMask(const Program& program, const storage::ColumnBatch& batch,
-                  const EvalContext& ctx, std::vector<uint8_t>* mask);
-
-/// Running aggregate accumulator shared by the scalar scan, the vectorized
-/// fold, and the incremental cache — one definition of SUM/COUNT/MIN/MAX
+/// Running aggregate accumulator shared by the scalar scan and the
+/// incremental cache — one definition of SUM/COUNT/MIN/MAX
 /// (wrapping sum, so cache eviction subtraction is an exact inverse).
 struct FoldState {
   int64_t count = 0;
@@ -173,7 +161,6 @@ bool InWindow(SimTime ts, SimTime start, SimTime now);
 struct BoundSpec {
   const AggregateSpec* spec = nullptr;
   Program where_scalar;  ///< Bound copy; empty when the spec has no WHERE.
-  Program where_eager;
   size_t column_idx = 0;
   storage::ValueType column_type = storage::ValueType::kInt64;
   size_t ts_idx = 0;  ///< Valid when spec->window != 0.
@@ -186,13 +173,12 @@ struct BoundSpec {
 Result<BoundSpec> BindSpec(const AggregateSpec& spec,
                            const storage::Schema& schema);
 
-/// Evaluates one aggregate spec by scanning the table — the non-cached
-/// path. Tries the vectorized batch evaluator first when `batches` is
-/// given, falling back to a scalar row loop with interpreter-identical
-/// semantics (scan order, early EXISTS stop, first-error reporting).
+/// Evaluates one aggregate spec by scanning the table — the path for
+/// shapes outside the cacheable class. A scalar row loop with
+/// interpreter-identical semantics (scan order, window filter before WHERE,
+/// early EXISTS stop, first-error reporting).
 Result<storage::Value> EvaluateSpecByScan(const BoundSpec& bound,
-                                          const EvalContext& ctx,
-                                          storage::ColumnBatchCache* batches);
+                                          const EvalContext& ctx);
 
 }  // namespace prever::constraint
 

@@ -61,9 +61,31 @@ void CompiledVerifier::RefreshLocked() {
 
 namespace {
 
-Status Violation(const Constraint& c) {
-  return Status::ConstraintViolation("update violates constraint '" + c.name +
-                                     "': " + c.expr->ToString());
+/// Checks one constraint with aggregates resolved by `agg_fn`: the
+/// bytecode when `compiled` is ok, the interpreter otherwise — and also
+/// when the bytecode result is not a bool, because the interpreter owns the
+/// exact "value is not bool, is <type>" message (a RegVal number cannot
+/// tell int64 from timestamp). An `agg_fn` error (including the shared
+/// path's cache-miss signal) is returned as the bytecode's error.
+Status CheckConstraint(const Constraint& c, const CompiledConstraint& compiled,
+                       const EvalContext& ctx, const AggFn& agg_fn) {
+  bool ok;
+  if (!compiled.ok) {
+    PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*c.expr, ctx));
+  } else {
+    PREVER_ASSIGN_OR_RETURN(RegVal r,
+                            RunScalar(compiled.top, ctx, nullptr, &agg_fn));
+    if (r.tag != RegVal::Tag::kBool) {
+      PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*c.expr, ctx));
+    } else {
+      ok = r.b;
+    }
+  }
+  if (PREVER_MUTATION(CATALOG_IGNORE_VIOLATION, !ok, false)) {
+    return Status::ConstraintViolation("update violates constraint '" +
+                                       c.name + "': " + c.expr->ToString());
+  }
+  return Status::Ok();
 }
 
 }  // namespace
@@ -75,74 +97,24 @@ bool CompiledVerifier::TryVerifyAllShared(const EvalContext& ctx,
     return false;
   }
   for (const Entry& e : entries_) {
-    bool ok;
-    if (!e.compiled->ok) {
-      auto r = EvaluateBool(*e.constraint->expr, ctx);
-      if (!r.ok()) {
-        *out = r.status();
-        return true;
+    bool miss = false;
+    AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
+      Result<storage::Value> v = Status::Internal("agg cache miss");
+      if (!agg_cache_.TryReadEvaluate(*e.compiled->aggs[i], ctx, &v)) {
+        miss = true;
+        return Status::Internal("agg cache miss");
       }
-      ok = *r;
-    } else {
-      bool miss = false;
-      AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
-        Result<storage::Value> v = Status::Internal("agg cache miss");
-        if (!agg_cache_.TryReadEvaluate(*e.compiled->aggs[i], ctx, &v)) {
-          miss = true;
-          return Status::Internal("agg cache miss");
-        }
-        return v;
-      };
-      auto r = RunScalar(e.compiled->top, ctx, nullptr, &agg_fn);
-      if (miss) return false;  // Cache needs maintenance: retry exclusive.
-      if (!r.ok()) {
-        *out = r.status();
-        return true;
-      }
-      if (r->tag != RegVal::Tag::kBool) {
-        // The interpreter owns the exact "value is not bool, is <type>"
-        // message (a RegVal number cannot tell int64 from timestamp).
-        auto rb = EvaluateBool(*e.constraint->expr, ctx);
-        if (!rb.ok()) {
-          *out = rb.status();
-          return true;
-        }
-        ok = *rb;
-      } else {
-        ok = r->b;
-      }
-    }
-    if (PREVER_MUTATION(CATALOG_IGNORE_VIOLATION, !ok, false)) {
-      *out = Violation(*e.constraint);
+      return v;
+    };
+    Status s = CheckConstraint(*e.constraint, *e.compiled, ctx, agg_fn);
+    if (miss) return false;  // Cache needs maintenance: retry exclusive.
+    if (!s.ok()) {
+      *out = s;
       return true;
     }
   }
   *out = Status::Ok();
   return true;
-}
-
-Status CompiledVerifier::CheckOneLocked(const Entry& entry,
-                                        const EvalContext& ctx) {
-  bool ok;
-  if (!entry.compiled->ok) {
-    PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*entry.constraint->expr, ctx));
-  } else {
-    const CompiledConstraint& cc = *entry.compiled;
-    AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
-      return agg_cache_.Evaluate(*cc.aggs[i], ctx, &batches_);
-    };
-    auto r = RunScalar(cc.top, ctx, nullptr, &agg_fn);
-    if (!r.ok()) return r.status();
-    if (r->tag != RegVal::Tag::kBool) {
-      PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*entry.constraint->expr, ctx));
-    } else {
-      ok = r->b;
-    }
-  }
-  if (PREVER_MUTATION(CATALOG_IGNORE_VIOLATION, !ok, false)) {
-    return Violation(*entry.constraint);
-  }
-  return Status::Ok();
 }
 
 Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
@@ -161,7 +133,11 @@ Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
   RefreshLocked();
   ++stats_.slow_path_verifies;
   for (const Entry& e : entries_) {
-    PREVER_RETURN_IF_ERROR(CheckOneLocked(e, ctx));
+    AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
+      return agg_cache_.Evaluate(*e.compiled->aggs[i], ctx);
+    };
+    PREVER_RETURN_IF_ERROR(
+        CheckConstraint(*e.constraint, *e.compiled, ctx, agg_fn));
   }
   return Status::Ok();
 }
@@ -198,7 +174,7 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
   }
   if (!up->usable) return constraint::EvaluateAggregate(agg, ctx);
   PREVER_CAUSAL_SPAN(causal_eval, obs::TraceStage::kVerifyEval);
-  auto v = agg_cache_.Evaluate(*up->compiled->aggs[0], ctx, &batches_);
+  auto v = agg_cache_.Evaluate(*up->compiled->aggs[0], ctx);
   if (!v.ok()) return v.status();
   return v->AsInt64();
 }
@@ -206,7 +182,6 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
 void CompiledVerifier::InvalidateCaches() {
   std::unique_lock lock(mu_);
   agg_cache_.InvalidateAll();
-  batches_.Clear();
 }
 
 CompiledVerifier::Stats CompiledVerifier::stats() const {

@@ -11,7 +11,6 @@
 #include "constraint/constraint.h"
 #include "constraint/program.h"
 #include "constraint/program_cache.h"
-#include "storage/column_batch.h"
 #include "storage/database.h"
 
 namespace prever::constraint {
@@ -94,8 +93,6 @@ class CompiledVerifier {
   /// exclusively. Invalidates every AggregateSpec pointer, so the aggregate
   /// cache is reset alongside.
   void RefreshLocked();
-  /// One constraint under the exclusive lock (full maintenance rights).
-  Status CheckOneLocked(const Entry& entry, const EvalContext& ctx);
   /// Read-only fast path; returns false when maintenance is needed.
   bool TryVerifyAllShared(const EvalContext& ctx, Status* out) const;
 
@@ -110,7 +107,6 @@ class CompiledVerifier {
   std::vector<Entry> entries_;
   std::map<const Expr*, std::unique_ptr<AdhocAgg>> adhoc_;
   AggregateCache agg_cache_;
-  storage::ColumnBatchCache batches_;
   Stats stats_;
   mutable std::atomic<uint64_t> fast_path_verifies_{0};
 };

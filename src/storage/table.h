@@ -42,9 +42,9 @@ class Table {
   /// Full scan in key order. Return false from the visitor to stop early.
   void Scan(const std::function<bool(const Row&)>& visitor) const;
 
-  /// Monotone count of successful mutations against this table. Columnar
-  /// snapshots and aggregate caches key their validity on it, so even
-  /// direct Table mutations (bypassing Database::Apply) invalidate them.
+  /// Monotone count of successful mutations against this table. Aggregate
+  /// caches key their validity on it, so even direct Table mutations
+  /// (bypassing Database::Apply) invalidate them.
   uint64_t mod_count() const { return mod_count_; }
 
  private:

@@ -5,12 +5,15 @@
 // path is most likely to get wrong:
 //   - WINDOW boundaries (rows pinned exactly at now - w and now, plus
 //     one-microsecond neighbors on each side),
-//   - NULL/absent update fields (the update sometimes lacks `hours`),
+//   - NULL/absent update fields (the update sometimes lacks `hours` or
+//     `quota`),
 //   - int64 overflow edges (INT64_MAX-scale literals under wrapping + - *),
 //   - zero divisors (/ and % by a literal 0),
 //   - mixed-type comparisons (string vs numeric → identical error codes),
 //   - incremental maintenance (commits folded through OnCommitted, then
-//     re-compared against a fresh interpreter evaluation).
+//     re-compared against a fresh interpreter evaluation),
+//   - non-cacheable WHERE shapes (row-vs-update comparisons, bare names
+//     that resolve to update fields), which take the scalar row scan.
 // scripts/check.sh runs this binary explicitly in the ASan+UBSan
 // configuration, so any divergence or UB in either path fails the gate.
 
@@ -29,7 +32,6 @@
 #include "constraint/eval.h"
 #include "constraint/parser.h"
 #include "constraint/program.h"
-#include "storage/column_batch.h"
 #include "storage/database.h"
 
 namespace prever::constraint {
@@ -65,11 +67,8 @@ Result<Value> RegValToValue(const RegVal& r) {
 /// Evaluates a compiled constraint the way CompiledVerifier does: RunScalar
 /// over the top program with aggregates served by the (incremental) cache.
 Result<Value> EvalCompiled(const CompiledConstraint& cc, const EvalContext& ctx,
-                           AggregateCache& cache,
-                           storage::ColumnBatchCache& batches) {
-  AggFn agg_fn = [&](size_t i) {
-    return cache.Evaluate(*cc.aggs[i], ctx, &batches);
-  };
+                           AggregateCache& cache) {
+  AggFn agg_fn = [&](size_t i) { return cache.Evaluate(*cc.aggs[i], ctx); };
   PREVER_ASSIGN_OR_RETURN(RegVal top,
                           RunScalar(cc.top, ctx, /*row=*/nullptr, &agg_fn));
   return RegValToValue(top);
@@ -167,7 +166,7 @@ class DiffFuzz {
   }
 
   std::string GenRowPredicate() {
-    switch (rng_.NextBelow(4)) {
+    switch (rng_.NextBelow(7)) {
       case 0:
         return "worker = 'w" + std::to_string(rng_.NextInRange(1, 3)) + "'";
       case 1:  // Cacheable group selector keyed off the update.
@@ -176,6 +175,15 @@ class DiffFuzz {
         return "hours > " + std::to_string(rng_.NextInRange(0, 40)) +
                " AND worker = 'w" + std::to_string(rng_.NextInRange(1, 3)) +
                "'";
+      // Non-cacheable shapes: an update reference outside the single
+      // equality selector, or a bare name that resolves to an update field,
+      // keep the spec on the scalar row scan.
+      case 3:
+        return "hours > update.hours";
+      case 4:
+        return "worker = update.worker AND hours < update.hours";
+      case 5:
+        return "hours <= quota";
       default:
         return "hours > " + std::to_string(rng_.NextInRange(0, 40));
     }
@@ -191,11 +199,11 @@ struct Comparison {
 /// One interpreter-vs-compiled comparison; `label` contextualizes failures.
 Comparison CompareOnce(const Expr& expr, const CompiledConstraint& cc,
                        const EvalContext& ctx, AggregateCache& cache,
-                       storage::ColumnBatchCache& batches, uint64_t seed,
-                       const std::string& text, const char* label) {
+                       uint64_t seed, const std::string& text,
+                       const char* label) {
   if (!cc.ok) return {false};
   auto vi = Evaluate(expr, ctx);
-  auto vc = EvalCompiled(cc, ctx, cache, batches);
+  auto vc = EvalCompiled(cc, ctx, cache);
   EXPECT_EQ(vi.ok(), vc.ok())
       << label << " seed " << seed << ": " << text << "\n interpreter: "
       << (vi.ok() ? "ok" : vi.status().message())
@@ -212,9 +220,11 @@ Comparison CompareOnce(const Expr& expr, const CompiledConstraint& cc,
 
 TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
   constexpr uint64_t kSeeds = 260;
+  constexpr uint64_t kScanEvalFloor = 100;
   constexpr SimTime kNow = 10 * kDay;
   uint64_t compiled_cases = 0;
   uint64_t fallback_cases = 0;
+  uint64_t scan_evals = 0;
 
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     prever::Rng rng(seed * 7919 + 17);
@@ -259,6 +269,9 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
     if (rng.NextBelow(4) != 0) {  // Sometimes absent: unknown-field errors.
       update["hours"] = Value::Int64(rng.NextInRange(-5, 60));
     }
+    if (rng.NextBelow(4) != 0) {  // `quota` is an update field, not a column.
+      update["quota"] = Value::Int64(rng.NextInRange(-5, 60));
+    }
 
     DiffFuzz fuzz(seed);
     std::string text = fuzz.GenBool(3);
@@ -267,10 +280,9 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
     CompiledConstraint cc = CompileConstraint(**parsed);
 
     AggregateCache cache;
-    storage::ColumnBatchCache batches;
     EvalContext ctx{&db, &update, kNow};
     Comparison first =
-        CompareOnce(**parsed, cc, ctx, cache, batches, seed, text, "build");
+        CompareOnce(**parsed, cc, ctx, cache, seed, text, "build");
     if (!first.compiled) {
       ++fallback_cases;
       continue;
@@ -308,15 +320,18 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
           break;  // Same instant: pure delta, no cursor motion.
       }
       EvalContext ctx2{&db, &update, now2};
-      CompareOnce(**parsed, cc, ctx2, cache, batches, seed, text,
-                  "incremental");
+      CompareOnce(**parsed, cc, ctx2, cache, seed, text, "incremental");
     }
+    scan_evals += cache.stats().scan_evals;
   }
 
   // The sweep is only meaningful if the compiler actually handles the bulk
   // of the generated space; fallbacks should be the FORALL-shaped minority.
   EXPECT_GE(compiled_cases, kSeeds / 2)
       << "compiled " << compiled_cases << ", fallback " << fallback_cases;
+  // ...and only exercises the scalar scan if some generated shapes fall
+  // outside the cacheable class.
+  EXPECT_GT(scan_evals, kScanEvalFloor) << "scan evaluations " << scan_evals;
 }
 
 // ------------------------------------------------------------------
@@ -353,7 +368,7 @@ class CompiledGoldenTest : public ::testing::Test {
     auto vi = Evaluate(expr, ctx);
     if (compiled_out) *compiled_out = cc.ok;
     if (!cc.ok) return vi;
-    auto vc = EvalCompiled(cc, ctx, cache_, batches_);
+    auto vc = EvalCompiled(cc, ctx, cache_);
     EXPECT_EQ(vi.ok(), vc.ok()) << text;
     if (vi.ok() && vc.ok()) {
       EXPECT_TRUE(*vi == *vc) << text;
@@ -373,7 +388,7 @@ class CompiledGoldenTest : public ::testing::Test {
     CompiledConstraint& cc = ccs_.back();
     EvalContext ctx{&db_, &update_, now_};
     auto vi = Evaluate(expr, ctx);
-    auto vc = EvalCompiled(cc, ctx, cache_, batches_);
+    auto vc = EvalCompiled(cc, ctx, cache_);
     EXPECT_EQ(vi.ok(), vc.ok());
     if (vi.ok() && vc.ok()) {
       EXPECT_TRUE(*vi == *vc);
@@ -385,7 +400,6 @@ class CompiledGoldenTest : public ::testing::Test {
   std::vector<std::unique_ptr<Expr>> exprs_;
   std::deque<CompiledConstraint> ccs_;
   AggregateCache cache_;
-  storage::ColumnBatchCache batches_;
   UpdateFields update_ = {{"worker", Value::String("w1")},
                           {"hours", Value::Int64(5)}};
   SimTime now_ = 7 * kDay;

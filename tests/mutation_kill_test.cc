@@ -69,7 +69,6 @@ int main() {
 #include "mutate/mutation.h"
 #include "net/sim_net.h"
 #include "recovery/checkpoint.h"
-#include "storage/column_batch.h"
 #include "storage/database.h"
 #include "token/token.h"
 
@@ -191,8 +190,7 @@ Result<Value> RegValToValue(const constraint::RegVal& r) {
 Result<Value> EvalCompiled(const storage::Database& db,
                            const constraint::UpdateFields& update, SimTime now,
                            const std::string& text,
-                           constraint::AggregateCache& cache,
-                           storage::ColumnBatchCache& batches) {
+                           constraint::AggregateCache& cache) {
   auto e = constraint::ParseConstraint(text);
   if (!e.ok()) return e.status();
   constraint::CompiledConstraint cc = constraint::CompileConstraint(**e);
@@ -201,7 +199,7 @@ Result<Value> EvalCompiled(const storage::Database& db,
   }
   constraint::EvalContext ctx{&db, &update, now};
   constraint::AggFn agg_fn = [&](size_t i) {
-    return cache.Evaluate(*cc.aggs[i], ctx, &batches);
+    return cache.Evaluate(*cc.aggs[i], ctx);
   };
   PREVER_ASSIGN_OR_RETURN(
       constraint::RegVal top,
@@ -212,8 +210,7 @@ Result<Value> EvalCompiled(const storage::Database& db,
 Detection ExpectCompiled(const ConstraintFixture& fx, const std::string& text,
                          const Value& want) {
   constraint::AggregateCache cache;
-  storage::ColumnBatchCache batches;
-  auto got = EvalCompiled(fx.db(), fx.update(), fx.now(), text, cache, batches);
+  auto got = EvalCompiled(fx.db(), fx.update(), fx.now(), text, cache);
   if (!got.ok()) {
     return Killed("compiled evaluation of \"" + text +
                   "\" errored: " + got.status().message());
@@ -746,8 +743,8 @@ std::map<std::string, Detector> BuildDetectors(
   d["PROG_SUM_OFFBYONE"] = expect_compiled(kWindowSum, Value::Int64(100));
   d["PROG_WINDOW_START_INCLUSIVE"] = [&cfx] {
     // The cache keeps window edges by cursor arithmetic and never calls
-    // InWindow, so this probe must take the scan path (batches == nullptr
-    // → scalar row loop → InWindow) where the mutant lives.
+    // InWindow, so this probe must take the scan path (scalar row loop →
+    // InWindow) where the mutant lives.
     auto e = constraint::ParseConstraint(kWindowSum);
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
@@ -759,12 +756,28 @@ std::map<std::string, Detector> BuildDetectors(
     auto bound = constraint::BindSpec(*cc.aggs[0], (*table)->schema());
     if (!bound.ok()) return Killed("bind failed: " + bound.status().message());
     constraint::EvalContext ctx{&cfx.db(), &cfx.update(), cfx.now()};
-    auto got = constraint::EvaluateSpecByScan(*bound, ctx, /*batches=*/nullptr);
+    auto got = constraint::EvaluateSpecByScan(*bound, ctx);
     if (!got.ok()) return Killed("scan errored: " + got.status().message());
     if (!(*got == Value::Int64(100))) {
       return Killed("scalar window scan pulled in the start-boundary row");
     }
     return Survived("scan-path window start still exclusive");
+  };
+  d["PROG_SCAN_WHERE_SKIP"] = [&cfx] {
+    // `hours > update.hours` compares a row against the update outside the
+    // single equality selector, so the cache must route it to the scalar
+    // scan. Golden: only t5 (100) exceeds update.hours = 50.
+    const std::string text = "SUM(worklog.hours WHERE hours > update.hours)";
+    constraint::AggregateCache cache;
+    auto got = EvalCompiled(cfx.db(), cfx.update(), cfx.now(), text, cache);
+    if (cache.stats().scan_evals != 1) {
+      return Killed("non-cacheable golden no longer takes the scan path");
+    }
+    if (!got.ok()) return Killed("scan errored: " + got.status().message());
+    if (!(*got == Value::Int64(100))) {
+      return Killed("scan folded rows its WHERE predicate rejects");
+    }
+    return Survived("scan-path WHERE still filters rows");
   };
   d["AGG_CACHE_EVICT_SKIP"] = [] {
     storage::Database db;
@@ -785,17 +798,16 @@ std::map<std::string, Detector> BuildDetectors(
     auto cc = constraint::CompileConstraint(**e);
     if (!cc.ok || cc.aggs.size() != 1) return Killed("window sum not compiled");
     constraint::AggregateCache cache;
-    storage::ColumnBatchCache batches;
     constraint::UpdateFields u;
     constraint::EvalContext c1{&db, &u, 3 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], c1, &batches);
+    auto v1 = cache.Evaluate(*cc.aggs[0], c1);
     if (!v1.ok() || !(*v1 == Value::Int64(30))) {
       return Killed("warm window sum wrong at build time");
     }
     // Advance now so e1 leaves the window: the monotone cursor must
     // subtract the evicted row from the running sum.
     constraint::EvalContext c2{&db, &u, 5 * kDay};
-    auto v2 = cache.Evaluate(*cc.aggs[0], c2, &batches);
+    auto v2 = cache.Evaluate(*cc.aggs[0], c2);
     if (!v2.ok()) return Killed("advance errored: " + v2.status().message());
     if (!(*v2 == Value::Int64(20))) {
       return Killed("evicted row still counted in the window sum");
@@ -816,10 +828,9 @@ std::map<std::string, Detector> BuildDetectors(
     auto cc = constraint::CompileConstraint(**e);
     if (!cc.ok || cc.aggs.size() != 1) return Killed("sum not compiled");
     constraint::AggregateCache cache;
-    storage::ColumnBatchCache batches;
     constraint::UpdateFields u;
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+    auto v1 = cache.Evaluate(*cc.aggs[0], ctx);
     if (!v1.ok() || !(*v1 == Value::Int64(10))) return Killed("build sum wrong");
     Mutation m1;
     m1.op = Mutation::Op::kInsert;
@@ -828,7 +839,7 @@ std::map<std::string, Detector> BuildDetectors(
               Value::Timestamp(1 * kDay + 1)};
     if (!db.Apply(m1).ok()) return Killed("insert failed");
     cache.OnCommitted(m1, db);
-    auto v2 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+    auto v2 = cache.Evaluate(*cc.aggs[0], ctx);
     if (!v2.ok()) return Killed("post-commit eval errored");
     if (!(*v2 == Value::Int64(35))) {
       return Killed("committed insert missing from the cached sum");
@@ -854,10 +865,9 @@ std::map<std::string, Detector> BuildDetectors(
     auto cc = constraint::CompileConstraint(**e);
     if (!cc.ok || cc.aggs.size() != 1) return Killed("sum not compiled");
     constraint::AggregateCache cache;
-    storage::ColumnBatchCache batches;
     constraint::UpdateFields u;
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+    auto v1 = cache.Evaluate(*cc.aggs[0], ctx);
     if (!v1.ok() || !(*v1 == Value::Int64(30))) return Killed("build sum wrong");
     Mutation del;
     del.op = Mutation::Op::kDelete;
@@ -865,7 +875,7 @@ std::map<std::string, Detector> BuildDetectors(
     del.key = Value::String("e2");
     if (!db.Apply(del).ok()) return Killed("delete failed");
     cache.OnCommitted(del, db);
-    auto v2 = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+    auto v2 = cache.Evaluate(*cc.aggs[0], ctx);
     if (!v2.ok()) return Killed("post-delete eval errored");
     if (!(*v2 == Value::Int64(10))) {
       return Killed("deleted row still counted by the cached sum");
@@ -892,10 +902,9 @@ std::map<std::string, Detector> BuildDetectors(
     auto cc = constraint::CompileConstraint(**e);
     if (!cc.ok || cc.aggs.size() != 1) return Killed("grouped sum not compiled");
     constraint::AggregateCache cache;
-    storage::ColumnBatchCache batches;
     constraint::UpdateFields u = {{"worker", Value::String("w1")}};
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v = cache.Evaluate(*cc.aggs[0], ctx, &batches);
+    auto v = cache.Evaluate(*cc.aggs[0], ctx);
     if (!v.ok()) return Killed("grouped eval errored: " + v.status().message());
     if (!(*v == Value::Int64(10))) {
       return Killed("other workers' rows leaked into the w1 group sum");

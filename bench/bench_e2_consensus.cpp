@@ -115,14 +115,20 @@ BENCHMARK(BM_Pbft)->Arg(4)->Arg(7)->Arg(10)->Arg(16)
 // (StreamChain/FastFabric-style amortization of Fabric's overhead, §4).
 void BM_PbftBatched(benchmark::State& state) {
   size_t batch = static_cast<size_t>(state.range(0));
-  core::PbftOrdering ordering(4, net::SimNetConfig{});
+  core::OrderingPipelineConfig pipeline;
+  pipeline.max_batch = batch;  // The last SubmitAsync seals the envelope.
+  core::PbftOrdering ordering(4, net::SimNetConfig{}, "pbft", pipeline);
   SimTime start = ordering.network().Now();
   uint64_t total = 0;
   for (auto _ : state) {
-    std::vector<Bytes> payloads;
-    payloads.reserve(batch);
-    for (size_t j = 0; j < batch; ++j) payloads.push_back(Payload(total + j));
-    Status s = ordering.AppendBatch(payloads, total);
+    for (size_t j = 0; j < batch; ++j) {
+      auto ticket = ordering.SubmitAsync(Payload(total + j), total + j);
+      if (!ticket.ok()) {
+        state.SkipWithError(ticket.status().ToString().c_str());
+        return;
+      }
+    }
+    Status s = ordering.Flush();
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
     total += batch;
   }

@@ -166,16 +166,14 @@ rm -f "$recovery_json" "$recovery_out"
 # "prever" metadata), every non-root span's parent present in the same
 # trace, per-lane sim timestamps monotone, one root per sampled trace, and
 # the full submit -> verify -> queue-wait -> consensus -> ledger-append
-# path present. Skipped gracefully on PREVER_TRACING=OFF builds (the stub
-# exports nothing).
+# path present. An empty trace file is a failure.
 trace_file="$(mktemp)"
 if "$BENCH_DIR/bench_e2_consensus" --trace="$trace_file" \
       --benchmark_filter='BM_TracedPlaintextRaft' >/dev/null 2>&1 \
    && "$PYTHON" - "$trace_file" <<'EOF'
 import json, sys
 text = open(sys.argv[1]).read()
-if not text.strip():
-    sys.exit(0)  # PREVER_TRACING=OFF: compiled-out stub writes nothing.
+assert text.strip(), "traced run wrote an empty trace file"
 doc = json.loads(text)
 meta = doc["prever"]
 assert meta["schema"] == "prever.trace.v1", "bad trace schema"

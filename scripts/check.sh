@@ -39,11 +39,12 @@ scripts/bench_smoke.sh "$BUILD_DIR"
 TRACE_FILE="$(mktemp)"
 "$BUILD_DIR"/bench/bench_e2_consensus --trace="$TRACE_FILE" \
     --benchmark_filter='BM_TracedPlaintextRaft' >/dev/null 2>&1
-if [ -s "$TRACE_FILE" ]; then
-  "$BUILD_DIR"/tools/trace_analyze --strict "$TRACE_FILE"
-else
-  echo "check: trace smoke skipped (PREVER_TRACING=OFF build)" >&2
+if [ ! -s "$TRACE_FILE" ]; then
+  echo "check: traced bench wrote an empty trace file" >&2
+  rm -f "$TRACE_FILE"
+  exit 1
 fi
+"$BUILD_DIR"/tools/trace_analyze --strict "$TRACE_FILE"
 rm -f "$TRACE_FILE"
 
 # Benchmark smoke: configure and build perfbench (Release, through the

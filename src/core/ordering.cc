@@ -8,50 +8,7 @@ namespace prever::core {
 
 namespace {
 
-/// Shared Flush driver: seal the open batch, then step the simulated
-/// network until the owner's committed counter (updated by its commit
-/// callback) covers every issued ticket. Uncommitted envelopes are
-/// re-submitted periodically — the recovery path for batches lost to
-/// crashes, drops, or leader changes (commit-side dedup keeps this
-/// idempotent).
-Status DriveFlush(net::SimNetwork* net, GroupCommitPipeline* pipeline,
-                  const uint64_t& committed, const char* proto) {
-  pipeline->CloseOpenBatch();
-  const uint64_t target = pipeline->TicketCount();
-  const OrderingPipelineConfig& cfg = pipeline->config();
-  const SimTime deadline = net->Now() + cfg.flush_timeout;
-  SimTime next_retry = net->Now() + cfg.retry_interval;
-  while (committed < target && net->Now() < deadline) {
-    if (!net->Step()) {
-      // Idle network: re-submission is the only way forward. If that also
-      // generates no events, fail honestly instead of spinning.
-      pipeline->ResubmitUncommitted();
-      if (!net->Step()) break;
-    }
-    if (net->Now() >= next_retry) {
-      pipeline->ResubmitUncommitted();
-      next_retry = net->Now() + cfg.retry_interval;
-    }
-  }
-  pipeline->OnProgress(committed);
-  if (committed < target) {
-    return Status::Unavailable(std::string(proto) +
-                               " ordering did not commit within the flush "
-                               "deadline");
-  }
-  return Status::Ok();
-}
-
-Status CheckBatch(const std::vector<Bytes>& payloads) {
-  if (payloads.empty()) return Status::InvalidArgument("empty batch");
-  if (payloads.size() >= kMaxOrderingBatch) {
-    return Status::InvalidArgument("batch exceeds 2^24 payloads");
-  }
-  return Status::Ok();
-}
-
-/// Canonical encodings of the last `n` ledger entries (the ones a commit
-/// event just appended) — handed to commit observers for journaling.
+/// Canonical encodings of the `n` entries a commit event just appended.
 std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
   std::vector<Bytes> out;
   out.reserve(n);
@@ -60,6 +17,23 @@ std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
     if (entry.ok()) out.push_back(entry->Encode());
   }
   return out;
+}
+
+/// The ledger part of both replica-state blobs: [u64 n][entries...].
+void WriteLedgerEntries(const ledger::LedgerDb& ledger, BinaryWriter& w) {
+  std::vector<Bytes> entries = ledger.EncodeEntries();
+  w.WriteU64(entries.size());
+  for (const Bytes& e : entries) w.WriteBytes(e);
+}
+
+Result<ledger::LedgerDb> ReadLedgerEntries(BinaryReader& r) {
+  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
+  std::vector<Bytes> records;  // No reserve(n): n is untrusted input.
+  for (uint64_t k = 0; k < n; ++k) {
+    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
+    records.push_back(std::move(e));
+  }
+  return ledger::LedgerDb::FromRecords(records);
 }
 
 }  // namespace
@@ -122,68 +96,41 @@ OrderingService::Ticket GroupCommitPipeline::Enqueue(const Bytes& payload) {
   return ticket;
 }
 
-OrderingService::Ticket GroupCommitPipeline::EnqueueSealed(
-    const std::vector<Bytes>& payloads) {
-  SealOpen();  // Preserve submission order across the two paths.
-  std::vector<SimTime> times(payloads.size(), net_->Now());
-  next_ticket_ += payloads.size();
-  obs::Tracer::SetThreadSimClock(&net_->clock());
-  // Pre-sealed batches skip per-payload queue-wait (they never sit in the
-  // open batch); the whole envelope parents to the caller's context.
-  std::vector<obs::TraceContext> traces(
-      1, obs::Tracer::Get().BeginSpan(obs::TraceStage::kQueueWait,
-                                      payloads.size()));
-  Seal(payloads, times, traces);
-  PumpSubmissions();
-  return next_ticket_ - 1;
-}
-
 void GroupCommitPipeline::SealOpen() {
   ++open_epoch_;
   if (open_payloads_.empty()) return;
-  std::vector<Bytes> payloads = std::move(open_payloads_);
-  std::vector<SimTime> times = std::move(open_times_);
-  std::vector<obs::TraceContext> traces = std::move(open_traces_);
-  open_payloads_.clear();
-  open_times_.clear();
-  open_traces_.clear();
-  Seal(payloads, times, traces);
-}
-
-void GroupCommitPipeline::Seal(const std::vector<Bytes>& payloads,
-                               const std::vector<SimTime>& times,
-                               const std::vector<obs::TraceContext>& traces) {
-  if (payloads.empty()) return;
+  const size_t size = open_payloads_.size();
   Batch batch;
   batch.batch_id = batch_counter_++;
   BinaryWriter w;
   w.WriteU64(batch.batch_id);
-  w.WriteU32(static_cast<uint32_t>(payloads.size()));
-  for (const Bytes& p : payloads) w.WriteBytes(p);
+  w.WriteU32(static_cast<uint32_t>(size));
+  for (const Bytes& p : open_payloads_) w.WriteBytes(p);
   batch.envelope = w.Take();
-  sealed_tickets_ += payloads.size();
-  batch.end_ticket = sealed_tickets_;
-  batch.submit_times = times;
+  batch.end_ticket = next_ticket_;  // Every issued ticket is now sealed.
+  batch.submit_times = std::move(open_times_);
   // Close every payload's queue-wait span; the envelope's consensus span
   // becomes a child of the first sampled one, and the other sampled
   // payloads link to it with a batch-join instant so a per-payload tree
   // still reaches the consensus/durability stages.
   obs::Tracer& tracer = obs::Tracer::Get();
-  for (const obs::TraceContext& t : traces) {
+  for (const obs::TraceContext& t : open_traces_) {
     tracer.EndSpan(t, obs::TraceStage::kQueueWait, batch.batch_id);
   }
-  for (const obs::TraceContext& t : traces) {
+  for (const obs::TraceContext& t : open_traces_) {
     if (!t.sampled()) continue;
     if (!batch.trace.sampled()) {
       batch.trace = tracer.BeginSpan(obs::TraceStage::kConsensus, t,
                                      batch.batch_id);
-      tracer.Instant(batch.trace, obs::TraceStage::kBatchSeal,
-                     payloads.size());
+      tracer.Instant(batch.trace, obs::TraceStage::kBatchSeal, size);
     } else {
       tracer.Instant(t, obs::TraceStage::kBatchJoin, batch.trace.span_id);
     }
   }
-  batch_size_->Record(payloads.size());
+  open_payloads_.clear();
+  open_times_.clear();
+  open_traces_.clear();
+  batch_size_->Record(size);
   queued_.push_back(std::move(batch));
 }
 
@@ -244,14 +191,99 @@ Status CentralizedOrdering::Append(const Bytes& payload, SimTime timestamp) {
   return Status::Ok();
 }
 
+// ------------------------------------------------------ ReplicatedOrdering
+
+ReplicatedOrdering::ReplicatedOrdering(size_t num_replicas,
+                                       net::SimNetConfig net_config,
+                                       OrderingPipelineConfig pipeline,
+                                       const std::string& proto_label,
+                                       const char* proto_name)
+    : net_(std::make_unique<net::SimNetwork>(net_config)),
+      ledgers_(num_replicas),
+      proto_name_(proto_name),
+      pipeline_(std::make_unique<GroupCommitPipeline>(
+          net_.get(), pipeline, proto_label,
+          [this](const Bytes& env) { return SubmitEnvelope(env); })) {}
+
+void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
+                                       const Bytes& envelope) {
+  BinaryReader r(envelope);
+  auto batch_id = r.ReadU64();
+  auto count = r.ReadU32();
+  if (!batch_id.ok() || !count.ok()) return;  // Not an envelope: skip.
+  if (!MarkApplied(replica, position, *batch_id)) return;
+  std::vector<Bytes> payloads;
+  std::vector<SimTime> stamps;
+  payloads.reserve(*count);
+  stamps.reserve(*count);
+  for (uint32_t i = 0; i < *count; ++i) {
+    auto payload = r.ReadBytes();
+    if (!payload.ok()) return;
+    payloads.push_back(std::move(*payload));
+    stamps.push_back(BatchEntryStamp(position, i));
+  }
+  // Durability closure: the canonical replica's ledger append, parented to
+  // the envelope's consensus span (other replicas stay untraced).
+  obs::Tracer& tracer = obs::Tracer::Get();
+  obs::TraceContext span = tracer.BeginChild(
+      obs::TraceStage::kLedgerAppend,
+      replica == 0 ? pipeline_->ContextForBatch(*batch_id)
+                   : obs::TraceContext{},
+      position);
+  (void)ledgers_[replica].AppendBatch(payloads, stamps);
+  tracer.EndSpan(span, obs::TraceStage::kLedgerAppend, payloads.size());
+  if (replica == 0) {
+    committed_ = ledgers_[0].size();
+    pipeline_->OnProgress(committed_);
+  }
+  if (commit_observer_) {
+    commit_observer_(replica, position, *batch_id,
+                     EncodeLedgerTail(ledgers_[replica], payloads.size()));
+  }
+}
+
+Status ReplicatedOrdering::InstallLedger(size_t i, ledger::LedgerDb ledger) {
+  if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
+  ledgers_[i] = std::move(ledger);
+  if (i == 0) committed_ = ledgers_[0].size();
+  return Status::Ok();
+}
+
+Status ReplicatedOrdering::Flush() {
+  pipeline_->CloseOpenBatch();
+  const uint64_t target = pipeline_->TicketCount();
+  const OrderingPipelineConfig& cfg = pipeline_->config();
+  const SimTime deadline = net_->Now() + cfg.flush_timeout;
+  SimTime next_retry = net_->Now() + cfg.retry_interval;
+  while (committed_ < target && net_->Now() < deadline) {
+    if (!net_->Step()) {
+      // Idle network: re-submission is the only way forward. If that also
+      // generates no events, fail honestly instead of spinning.
+      pipeline_->ResubmitUncommitted();
+      if (!net_->Step()) break;
+    }
+    if (net_->Now() >= next_retry) {
+      pipeline_->ResubmitUncommitted();
+      next_retry = net_->Now() + cfg.retry_interval;
+    }
+  }
+  pipeline_->OnProgress(committed_);
+  if (committed_ < target) {
+    return Status::Unavailable(std::string(proto_name_) +
+                               " ordering did not commit within the flush "
+                               "deadline");
+  }
+  return Status::Ok();
+}
+
 // ------------------------------------------------------------ PbftOrdering
 
 PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            const std::string& proto_label,
                            OrderingPipelineConfig pipeline,
                            OrderingRecoveryConfig recovery)
-    : net_(std::make_unique<net::SimNetwork>(net_config)),
-      ledgers_(num_replicas),
+    : ReplicatedOrdering(num_replicas, net_config, pipeline, proto_label,
+                         "PBFT"),
       applied_seq_(num_replicas, 0) {
   consensus::PbftConfig config;
   config.num_replicas = num_replicas;
@@ -261,7 +293,7 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
       std::max<uint64_t>(pipeline.max_inflight, 1);
   config.checkpoint_interval = recovery.checkpoint_interval;
   config.enable_state_transfer = recovery.enable_state_transfer;
-  cluster_ = std::make_unique<consensus::PbftCluster>(config, net_.get());
+  cluster_ = std::make_unique<consensus::PbftCluster>(config, &network());
   for (size_t i = 0; i < num_replicas; ++i) {
     cluster_->replica(i).SetStateCallbacks(
         [this, i] { return EncodeReplicaState(i); },
@@ -269,112 +301,31 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
           if (!app_state.empty()) (void)RestoreReplicaState(i, app_state);
         });
   }
-  pipeline_ = std::make_unique<GroupCommitPipeline>(
-      net_.get(), pipeline, proto_label, [this](const Bytes& envelope) {
-        cluster_->Submit(envelope);
-        return Status::Ok();
-      });
-  // Commands are batch envelopes; each committed envelope is unpacked into
-  // one ledger entry per payload. Entries are stamped with (seq, index) —
-  // deterministic across replicas so replica agreement is auditable by
-  // digest.
   cluster_->SetCommitCallback(
       [this](net::NodeId replica, uint64_t seq, const Bytes& cmd) {
-        BinaryReader r(cmd);
-        auto batch_id = r.ReadU64();
-        auto count = r.ReadU32();
-        if (!batch_id.ok() || !count.ok()) return;  // Corrupt: skip.
-        // Commit events at or below the applied watermark are already in
-        // the (checkpoint-restored) ledger; re-appending would duplicate.
-        if (seq <= applied_seq_[replica]) return;
-        applied_seq_[replica] = seq;
-        std::vector<Bytes> payloads;
-        std::vector<SimTime> stamps;
-        payloads.reserve(*count);
-        stamps.reserve(*count);
-        for (uint32_t i = 0; i < *count; ++i) {
-          auto payload = r.ReadBytes();
-          if (!payload.ok()) return;
-          payloads.push_back(std::move(*payload));
-          stamps.push_back(BatchEntryStamp(seq, i));
-        }
-        if (replica == 0) {
-          // Durability closure: the canonical replica's ledger append,
-          // parented to the envelope's consensus span.
-          obs::Tracer& tracer = obs::Tracer::Get();
-          obs::TraceContext span = tracer.BeginChild(
-              obs::TraceStage::kLedgerAppend,
-              pipeline_->ContextForBatch(*batch_id), seq);
-          (void)ledgers_[replica].AppendBatch(payloads, stamps);
-          tracer.EndSpan(span, obs::TraceStage::kLedgerAppend,
-                         payloads.size());
-          committed_ = ledgers_[0].size();
-          pipeline_->OnProgress(committed_);
-        } else {
-          (void)ledgers_[replica].AppendBatch(payloads, stamps);
-        }
-        if (commit_observer_) {
-          commit_observer_(replica, seq, *batch_id,
-                           EncodeLedgerTail(ledgers_[replica],
-                                            payloads.size()));
-        }
+        ApplyEnvelope(replica, seq, cmd);
       });
 }
 
 Bytes PbftOrdering::EncodeReplicaState(size_t i) const {
   BinaryWriter w;
   w.WriteU64(applied_seq_[i]);
-  std::vector<Bytes> entries = ledgers_[i].EncodeEntries();
-  w.WriteU64(entries.size());
-  for (const Bytes& e : entries) w.WriteBytes(e);
+  WriteLedgerEntries(ReplicaLedger(i), w);
   return w.Take();
 }
 
 Status PbftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
   BinaryReader r(blob);
   PREVER_ASSIGN_OR_RETURN(uint64_t applied_seq, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  std::vector<Bytes> records;
-  records.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
-    records.push_back(std::move(e));
-  }
-  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored,
-                          ledger::LedgerDb::FromRecords(records));
+  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored, ReadLedgerEntries(r));
   return RestoreReplica(i, std::move(restored), applied_seq);
 }
 
 Status PbftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
                                     uint64_t applied_seq) {
-  if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
-  ledgers_[i] = std::move(ledger);
+  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
   applied_seq_[i] = applied_seq;
-  if (i == 0) committed_ = ledgers_[0].size();
   return Status::Ok();
-}
-
-Status PbftOrdering::Append(const Bytes& payload, SimTime timestamp) {
-  PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
-  return Flush();
-}
-
-Status PbftOrdering::AppendBatch(const std::vector<Bytes>& payloads,
-                                 SimTime timestamp) {
-  (void)timestamp;  // The consensus sequence stamps commits.
-  PREVER_RETURN_IF_ERROR(CheckBatch(payloads));
-  pipeline_->EnqueueSealed(payloads);
-  return Flush();
-}
-
-Result<OrderingService::Ticket> PbftOrdering::SubmitAsync(const Bytes& payload,
-                                                          SimTime timestamp) {
-  (void)timestamp;
-  return pipeline_->Enqueue(payload);
-}
-
-Status PbftOrdering::Flush() {
-  return DriveFlush(net_.get(), pipeline_.get(), committed_, "PBFT");
 }
 
 // ----------------------------------------------------- ShardedPbftOrdering
@@ -450,55 +401,17 @@ SimTime ShardedPbftOrdering::MaxShardTime() const {
 
 RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            OrderingPipelineConfig pipeline)
-    : net_(std::make_unique<net::SimNetwork>(net_config)),
-      ledgers_(num_replicas),
+    : ReplicatedOrdering(num_replicas, net_config, pipeline, "raft", "Raft"),
       applied_batches_(num_replicas),
       applied_floor_(num_replicas, 0) {
   consensus::RaftConfig config;
   config.num_replicas = num_replicas;
-  cluster_ = std::make_unique<consensus::RaftCluster>(config, net_.get());
-  pipeline_ = std::make_unique<GroupCommitPipeline>(
-      net_.get(), pipeline, "raft",
-      [this](const Bytes& envelope) { return cluster_->Submit(envelope); });
+  cluster_ = std::make_unique<consensus::RaftCluster>(config, &network());
   for (size_t i = 0; i < num_replicas; ++i) {
     cluster_->replica(i).SetApplyCallback(
         [this, i](uint64_t index, const Bytes& cmd) {
           applied_floor_[i] = index;
-          BinaryReader r(cmd);
-          auto batch_id = r.ReadU64();
-          auto count = r.ReadU32();
-          if (!batch_id.ok() || !count.ok()) return;  // Not an envelope: skip.
-          // A batch re-submitted after a leader change can land at a second
-          // log index; every replica applies the same log, so skipping by
-          // batch id keeps the ledgers identical AND duplicate-free.
-          if (!applied_batches_[i].insert(*batch_id).second) return;
-          std::vector<Bytes> payloads;
-          std::vector<SimTime> stamps;
-          payloads.reserve(*count);
-          stamps.reserve(*count);
-          for (uint32_t j = 0; j < *count; ++j) {
-            auto payload = r.ReadBytes();
-            if (!payload.ok()) return;
-            payloads.push_back(std::move(*payload));
-            stamps.push_back(BatchEntryStamp(index, j));
-          }
-          if (i == 0) {
-            obs::Tracer& tracer = obs::Tracer::Get();
-            obs::TraceContext span = tracer.BeginChild(
-                obs::TraceStage::kLedgerAppend,
-                pipeline_->ContextForBatch(*batch_id), index);
-            (void)ledgers_[i].AppendBatch(payloads, stamps);
-            tracer.EndSpan(span, obs::TraceStage::kLedgerAppend,
-                           payloads.size());
-            committed_ = ledgers_[0].size();
-            pipeline_->OnProgress(committed_);
-          } else {
-            (void)ledgers_[i].AppendBatch(payloads, stamps);
-          }
-          if (commit_observer_) {
-            commit_observer_(i, index, *batch_id,
-                             EncodeLedgerTail(ledgers_[i], payloads.size()));
-          }
+          ApplyEnvelope(i, index, cmd);
         });
     cluster_->replica(i).SetSnapshotInstaller(
         [this, i](uint64_t /*snap_index*/, const Bytes& blob) {
@@ -506,9 +419,9 @@ RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
         });
   }
   // Elect an initial leader.
-  SimTime deadline = net_->Now() + 30 * kSecond;
-  while (!cluster_->Leader().ok() && net_->Now() < deadline) {
-    if (!net_->Step()) break;
+  SimTime deadline = network().Now() + 30 * kSecond;
+  while (!cluster_->Leader().ok() && network().Now() < deadline) {
+    if (!network().Step()) break;
   }
 }
 
@@ -517,9 +430,7 @@ Bytes RaftOrdering::EncodeReplicaState(size_t i) const {
   w.WriteU64(applied_floor_[i]);
   w.WriteU64(applied_batches_[i].size());
   for (uint64_t id : applied_batches_[i]) w.WriteU64(id);
-  std::vector<Bytes> entries = ledgers_[i].EncodeEntries();
-  w.WriteU64(entries.size());
-  for (const Bytes& e : entries) w.WriteBytes(e);
+  WriteLedgerEntries(ReplicaLedger(i), w);
   return w.Take();
 }
 
@@ -527,66 +438,30 @@ Status RaftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
   BinaryReader r(blob);
   PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
   PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
-  std::vector<uint64_t> ids;
-  ids.reserve(n_ids);
+  std::set<uint64_t> ids;
   for (uint64_t k = 0; k < n_ids; ++k) {
     PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-    ids.push_back(id);
+    ids.insert(id);
   }
-  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  std::vector<Bytes> records;
-  records.reserve(n);
-  for (uint64_t k = 0; k < n; ++k) {
-    PREVER_ASSIGN_OR_RETURN(Bytes e, r.ReadBytes());
-    records.push_back(std::move(e));
-  }
-  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored,
-                          ledger::LedgerDb::FromRecords(records));
-  if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
-  ledgers_[i] = std::move(restored);
-  applied_batches_[i] = std::set<uint64_t>(ids.begin(), ids.end());
+  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored, ReadLedgerEntries(r));
+  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(restored)));
+  applied_batches_[i] = std::move(ids);
   applied_floor_[i] = floor;
-  if (i == 0) committed_ = ledgers_[0].size();
   return Status::Ok();
 }
 
 Status RaftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
                                     uint64_t applied_floor,
                                     const std::vector<uint64_t>& batch_ids) {
-  if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
-  ledgers_[i] = std::move(ledger);
+  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
   applied_batches_[i] =
       std::set<uint64_t>(batch_ids.begin(), batch_ids.end());
   applied_floor_[i] = applied_floor;
-  if (i == 0) committed_ = ledgers_[0].size();
   // Re-drive the state machine through the real recovery path: the replica
   // rewinds last_applied to the restored floor and re-delivers the committed
   // suffix (batch-id dedup absorbs anything already in the ledger).
   cluster_->replica(i).Recover(applied_floor);
   return Status::Ok();
-}
-
-Status RaftOrdering::Append(const Bytes& payload, SimTime timestamp) {
-  PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
-  return Flush();
-}
-
-Status RaftOrdering::AppendBatch(const std::vector<Bytes>& payloads,
-                                 SimTime timestamp) {
-  (void)timestamp;
-  PREVER_RETURN_IF_ERROR(CheckBatch(payloads));
-  pipeline_->EnqueueSealed(payloads);
-  return Flush();
-}
-
-Result<OrderingService::Ticket> RaftOrdering::SubmitAsync(const Bytes& payload,
-                                                          SimTime timestamp) {
-  (void)timestamp;
-  return pipeline_->Enqueue(payload);
-}
-
-Status RaftOrdering::Flush() {
-  return DriveFlush(net_.get(), pipeline_.get(), committed_, "Raft");
 }
 
 }  // namespace prever::core

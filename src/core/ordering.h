@@ -115,11 +115,6 @@ class GroupCommitPipeline {
   /// payload's ticket.
   OrderingService::Ticket Enqueue(const Bytes& payload);
 
-  /// Seals `payloads` as ONE envelope regardless of `max_batch` (the
-  /// explicit AppendBatch path), after first sealing any open batch so
-  /// submission order is preserved. Size must be < kMaxOrderingBatch.
-  OrderingService::Ticket EnqueueSealed(const std::vector<Bytes>& payloads);
-
   /// Seals the open batch (no-op when empty) and submits as the window
   /// allows.
   void CloseOpenBatch();
@@ -154,16 +149,12 @@ class GroupCommitPipeline {
   };
 
   void SealOpen();
-  void Seal(const std::vector<Bytes>& payloads,
-            const std::vector<SimTime>& times,
-            const std::vector<obs::TraceContext>& payload_traces);
   void PumpSubmissions();
 
   net::SimNetwork* net_;
   OrderingPipelineConfig config_;
   SubmitFn submit_;
   uint64_t next_ticket_ = 0;
-  uint64_t sealed_tickets_ = 0;  // Payloads sealed so far (end_ticket source).
   uint64_t batch_counter_ = 0;  // Makes identical batches distinct commands.
   uint64_t open_epoch_ = 0;     // Invalidates stale max_delay close timers.
   std::vector<Bytes> open_payloads_;
@@ -179,8 +170,6 @@ class GroupCommitPipeline {
 /// Centralized ledger database ordering (Amazon QLDB / LedgerDB style).
 class CentralizedOrdering : public OrderingService {
  public:
-  CentralizedOrdering() = default;
-
   Status Append(const Bytes& payload, SimTime timestamp) override;
   const ledger::LedgerDb& Ledger() const override { return ledger_; }
   uint64_t CommittedCount() const override { return ledger_.size(); }
@@ -191,13 +180,13 @@ class CentralizedOrdering : public OrderingService {
   ledger::LedgerDb ledger_;
 };
 
-/// PBFT-replicated ordering: each replica maintains its own ledger; Append
-/// submits to the cluster and drains the simulated network until a quorum
-/// has executed the command. Payloads travel in batch envelopes, so one
-/// consensus instance can carry many updates (the StreamChain/FastFabric
-/// batching lever §4 alludes to for Fabric's overhead), and SubmitAsync
-/// keeps up to `max_inflight` instances running the three phases at once.
-class PbftOrdering : public OrderingService {
+/// The one apply tail shared by the consensus-backed ordering services:
+/// owns the simulated network, one ledger per replica, the group-commit
+/// pipeline and the commit observer. Protocols feed every committed command
+/// to ApplyEnvelope, which unpacks the batch envelope into one stamped
+/// ledger entry per payload; a subclass contributes only its cluster
+/// (SubmitEnvelope) and its dedup rule (MarkApplied).
+class ReplicatedOrdering : public OrderingService {
  public:
   /// Called after a commit event appends to one replica's ledger, with the
   /// consensus position, the batch id, and the canonical encodings of the
@@ -206,19 +195,22 @@ class PbftOrdering : public OrderingService {
       std::function<void(size_t replica, uint64_t position, uint64_t batch_id,
                          const std::vector<Bytes>& entries)>;
 
-  /// `proto_label` tags this cluster's pipeline histograms in the default
-  /// registry (sharded deployments use "pbft-sharded").
-  PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-               const std::string& proto_label = "pbft",
-               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
-               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
+  // The pipeline's submit callback holds `this`.
+  ReplicatedOrdering(const ReplicatedOrdering&) = delete;
+  ReplicatedOrdering& operator=(const ReplicatedOrdering&) = delete;
 
-  Status Append(const Bytes& payload, SimTime timestamp) override;
-  /// Orders a whole batch through ONE consensus instance; the replica
-  /// ledgers still record one entry per payload.
-  Status AppendBatch(const std::vector<Bytes>& payloads, SimTime timestamp);
-
-  Result<Ticket> SubmitAsync(const Bytes& payload, SimTime timestamp) override;
+  /// Blocking stop-and-wait: SubmitAsync + Flush.
+  Status Append(const Bytes& payload, SimTime timestamp) override {
+    PREVER_RETURN_IF_ERROR(SubmitAsync(payload, timestamp).status());
+    return Flush();
+  }
+  /// The timestamp is unused: the consensus position stamps commits.
+  Result<Ticket> SubmitAsync(const Bytes& payload, SimTime) override {
+    return pipeline_->Enqueue(payload);
+  }
+  /// Steps the simulated network until replica 0 has committed every issued
+  /// ticket, re-submitting uncommitted envelopes every `retry_interval`
+  /// (commit-side dedup keeps that idempotent); Unavailable on timeout.
   Status Flush() override;
 
   const ledger::LedgerDb& Ledger() const override { return ledgers_[0]; }
@@ -226,13 +218,59 @@ class PbftOrdering : public OrderingService {
 
   net::SimNetwork& network() { return *net_; }
   const net::SimNetwork& network() const { return *net_; }
-  consensus::PbftCluster& cluster() { return *cluster_; }
   const ledger::LedgerDb& ReplicaLedger(size_t i) const { return ledgers_[i]; }
   size_t num_replicas() const { return ledgers_.size(); }
 
   void SetReplicaCommitObserver(CommitObserver observer) {
     commit_observer_ = std::move(observer);
   }
+
+ protected:
+  /// `proto_label` tags pipeline histograms; `proto_name` prefixes errors.
+  ReplicatedOrdering(size_t num_replicas, net::SimNetConfig net_config,
+                     OrderingPipelineConfig pipeline,
+                     const std::string& proto_label, const char* proto_name);
+
+  /// Hands one sealed envelope to the protocol's cluster.
+  virtual Status SubmitEnvelope(const Bytes& envelope) = 0;
+  /// The protocol's dedup rule: false when the envelope committed at
+  /// `position` is already reflected in `replica`'s ledger; otherwise
+  /// records it as applied and returns true.
+  virtual bool MarkApplied(size_t replica, uint64_t position,
+                           uint64_t batch_id) = 0;
+
+  /// Appends one committed envelope to `replica`'s ledger, entry i stamped
+  /// BatchEntryStamp(position, i) so replicas stay digest-identical.
+  /// Replica 0 is the commit counter: its append is traced under the
+  /// batch's consensus span and advances the pipeline.
+  void ApplyEnvelope(size_t replica, uint64_t position, const Bytes& envelope);
+
+  /// Replaces replica i's ledger, keeping replica 0's commit counter in step.
+  Status InstallLedger(size_t i, ledger::LedgerDb ledger);
+
+ private:
+  std::unique_ptr<net::SimNetwork> net_;
+  std::vector<ledger::LedgerDb> ledgers_;
+  uint64_t committed_ = 0;
+  CommitObserver commit_observer_;
+  const char* proto_name_;
+  std::unique_ptr<GroupCommitPipeline> pipeline_;
+};
+
+/// PBFT-replicated ordering for mutually distrustful managers. One consensus
+/// instance carries a whole batch envelope (the StreamChain/FastFabric
+/// batching lever §4 alludes to for Fabric's overhead), and up to
+/// `max_inflight` instances run the three phases at once.
+class PbftOrdering : public ReplicatedOrdering {
+ public:
+  /// `proto_label` tags this cluster's pipeline histograms in the default
+  /// registry (sharded deployments use "pbft-sharded").
+  PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
+               const std::string& proto_label = "pbft",
+               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
+               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
+
+  consensus::PbftCluster& cluster() { return *cluster_; }
 
   /// Application state for checkpoints/state transfer: the replica's ledger
   /// plus its applied watermark ([u64 applied_seq][u64 n][entries...]);
@@ -247,16 +285,22 @@ class PbftOrdering : public OrderingService {
                         uint64_t applied_seq);
   uint64_t replica_applied_seq(size_t i) const { return applied_seq_[i]; }
 
+ protected:
+  Status SubmitEnvelope(const Bytes& envelope) override {
+    cluster_->Submit(envelope);
+    return Status::Ok();
+  }
+  /// Commit events at or below the applied watermark are already in the
+  /// (checkpoint-restored) ledger; re-appending would duplicate.
+  bool MarkApplied(size_t replica, uint64_t position, uint64_t) override {
+    if (position <= applied_seq_[replica]) return false;
+    applied_seq_[replica] = position;
+    return true;
+  }
+
  private:
-  std::unique_ptr<net::SimNetwork> net_;
   std::unique_ptr<consensus::PbftCluster> cluster_;
-  std::vector<ledger::LedgerDb> ledgers_;
-  uint64_t committed_ = 0;
-  /// Commit events at or below this watermark are already reflected in the
-  /// replica's (restored) ledger and must not re-append.
   std::vector<uint64_t> applied_seq_;
-  CommitObserver commit_observer_;
-  std::unique_ptr<GroupCommitPipeline> pipeline_;
 };
 
 /// SharPer/Qanaat-style sharded ordering (§4 RC4: "Qanaat further provides
@@ -307,36 +351,12 @@ class ShardedPbftOrdering : public OrderingService {
 };
 
 /// Raft-replicated ordering (crash-fault baseline).
-class RaftOrdering : public OrderingService {
+class RaftOrdering : public ReplicatedOrdering {
  public:
-  /// Same contract as PbftOrdering::CommitObserver: (replica, log index,
-  /// batch id, encoded ledger entries appended by this apply).
-  using CommitObserver =
-      std::function<void(size_t replica, uint64_t position, uint64_t batch_id,
-                         const std::vector<Bytes>& entries)>;
-
   RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                OrderingPipelineConfig pipeline = OrderingPipelineConfig());
 
-  Status Append(const Bytes& payload, SimTime timestamp) override;
-  /// One consensus instance (log entry) for the whole batch.
-  Status AppendBatch(const std::vector<Bytes>& payloads, SimTime timestamp);
-
-  Result<Ticket> SubmitAsync(const Bytes& payload, SimTime timestamp) override;
-  Status Flush() override;
-
-  const ledger::LedgerDb& Ledger() const override { return ledgers_[0]; }
-  uint64_t CommittedCount() const override { return committed_; }
-
-  net::SimNetwork& network() { return *net_; }
-  const net::SimNetwork& network() const { return *net_; }
   consensus::RaftCluster& cluster() { return *cluster_; }
-  const ledger::LedgerDb& ReplicaLedger(size_t i) const { return ledgers_[i]; }
-  size_t num_replicas() const { return ledgers_.size(); }
-
-  void SetReplicaCommitObserver(CommitObserver observer) {
-    commit_observer_ = std::move(observer);
-  }
 
   /// Self-contained replica state for Raft snapshots ([u64 applied floor]
   /// [u64 n_ids][ids...][u64 n][entries...]): handed to CompactTo as the
@@ -353,18 +373,23 @@ class RaftOrdering : public OrderingService {
                         const std::vector<uint64_t>& batch_ids);
   uint64_t replica_applied_floor(size_t i) const { return applied_floor_[i]; }
 
+ protected:
+  Status SubmitEnvelope(const Bytes& envelope) override {
+    return cluster_->Submit(envelope);
+  }
+  /// Raft has no digest-level dedup and a batch re-submitted after a leader
+  /// change can land at a second log index; every replica applies the same
+  /// log, so skipping by batch id keeps the ledgers identical AND
+  /// duplicate-free.
+  bool MarkApplied(size_t replica, uint64_t, uint64_t batch_id) override {
+    return applied_batches_[replica].insert(batch_id).second;
+  }
+
  private:
-  std::unique_ptr<net::SimNetwork> net_;
   std::unique_ptr<consensus::RaftCluster> cluster_;
-  std::vector<ledger::LedgerDb> ledgers_;
-  uint64_t committed_ = 0;
-  /// Batch ids applied per replica: Raft has no digest-level dedup, so the
-  /// apply callback must make Flush's re-submissions idempotent itself.
-  std::vector<std::set<uint64_t>> applied_batches_;
+  std::vector<std::set<uint64_t>> applied_batches_;  // MarkApplied's dedup.
   /// Highest log index each replica has had delivered (ledger-reflected).
   std::vector<uint64_t> applied_floor_;
-  CommitObserver commit_observer_;
-  std::unique_ptr<GroupCommitPipeline> pipeline_;
 };
 
 }  // namespace prever::core

@@ -4,20 +4,14 @@
 // Zero-overhead contract for PReVer instrumentation (this header's
 // histogram spans AND the causal spans in obs/tracing.h):
 //
-//  1. Compiled out: configuring with -DPREVER_TRACING=OFF defines
-//     PREVER_TRACING_DISABLED, under which every tracing.h class is an
-//     empty stub (static_assert'd to carry no state) and the causal-span
-//     macros expand to objects the optimizer erases entirely — the hot
-//     path is byte-for-byte free of tracing work.
-//  2. Compiled in, runtime-disabled (the default): every instrumentation
-//     point costs exactly one relaxed atomic load and one predictable
-//     branch before bailing out. No allocation, no ring write, no
-//     thread-local context mutation happens while Tracer::enabled() is
-//     false.
-//  3. Enabled but unsampled: minting a root costs two relaxed RMWs (trace
+//  1. Runtime-disabled (the default): every instrumentation point costs
+//     exactly one relaxed atomic load and one predictable branch before
+//     bailing out. No allocation, no ring write, no thread-local context
+//     mutation happens while Tracer::enabled() is false.
+//  2. Enabled but unsampled: minting a root costs two relaxed RMWs (trace
 //     id + minted counter) plus one hash; a dropped trace propagates a
 //     null context, so every downstream span/instant on that transaction
-//     falls back to the mode-2 cost.
+//     falls back to the mode-1 cost.
 //
 // The contract is enforced by TEST(ObsTracingOverhead, ...) in
 // tests/tracing_test.cc and the BM_TraceDisabledOverhead case in

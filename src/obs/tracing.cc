@@ -1,7 +1,5 @@
 #include "obs/tracing.h"
 
-#if !defined(PREVER_TRACING_DISABLED)
-
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -478,5 +476,3 @@ void TraceSpan::End() {
 }
 
 }  // namespace prever::obs
-
-#endif  // !PREVER_TRACING_DISABLED

@@ -20,10 +20,9 @@
 //  - Sampling is deterministic: trace ids are a process-wide counter and the
 //    keep/drop decision is a seeded hash of the id, so a fixed (seed, period)
 //    pair samples the same transactions on every run.
-//  - Cost model: compiled out (PREVER_TRACING=OFF -> PREVER_TRACING_DISABLED)
-//    every class below is an empty stub and calls fold to nothing; compiled
-//    in but runtime-disabled (the default), every entry point is one relaxed
-//    atomic load and a branch. See trace.h for the zero-overhead contract.
+//  - Cost model: runtime-disabled (the default), every entry point is one
+//    relaxed atomic load and a branch. See trace.h for the zero-overhead
+//    contract.
 
 #include <atomic>
 #include <cstdint>
@@ -113,8 +112,6 @@ struct TracerConfig {
   /// benches and production paths keep strict transaction-rooted traces.
   bool trace_unrooted_messages = false;
 };
-
-#if !defined(PREVER_TRACING_DISABLED)
 
 /// Process-wide trace collector. All mutating entry points are safe to call
 /// from any thread: records go to a per-thread single-writer ring buffer
@@ -238,70 +235,11 @@ class TraceSpan {
   bool open_ = false;
 };
 
-#else  // PREVER_TRACING_DISABLED
-
-// Compiled-out stubs: same API surface, empty bodies. Call sites need no
-// #ifdefs and the optimizer erases every use (the classes are empty and all
-// methods are constexpr-foldable no-ops).
-class Tracer {
- public:
-  static Tracer& Get() {
-    static Tracer t;
-    return t;
-  }
-  void Configure(const TracerConfig&) {}
-  void SetEnabled(bool) {}
-  bool enabled() const { return false; }
-  bool trace_unrooted_messages() const { return false; }
-  TracerConfig config() const { return TracerConfig{}; }
-  TraceContext MintTrace() { return {}; }
-  static const TraceContext& CurrentContext() {
-    static const TraceContext kNull{};
-    return kNull;
-  }
-  TraceContext BeginSpan(TraceStage, const TraceContext&, uint64_t = 0) {
-    return {};
-  }
-  TraceContext BeginSpan(TraceStage, uint64_t = 0) { return {}; }
-  TraceContext BeginChild(TraceStage, const TraceContext&, uint64_t = 0) {
-    return {};
-  }
-  void EndSpan(const TraceContext&, TraceStage, uint64_t = 0) {}
-  void Instant(const TraceContext&, TraceStage, uint64_t = 0) {}
-  static void SetThreadSimClock(const SimClock*) {}
-  uint64_t traces_minted() const { return 0; }
-  uint64_t traces_sampled() const { return 0; }
-  uint64_t events_recorded() const { return 0; }
-  std::vector<TraceEvent> Snapshot() const { return {}; }
-  std::vector<TraceEvent> Tail(size_t) const { return {}; }
-  std::string TailString(size_t) const { return {}; }
-  Json ChromeTraceDoc() const { return Json::Object(); }
-  Status WriteChromeTrace(const std::string&) const { return Status::Ok(); }
-};
-
-class ScopedTraceContext {
- public:
-  explicit ScopedTraceContext(const TraceContext&) {}
-};
-
-class TraceSpan {
- public:
-  explicit TraceSpan(TraceStage, uint64_t = 0, bool = false) {}
-  void End() {}
-};
-
-// Proof of the compile-out contract: the stubs carry no state.
-static_assert(sizeof(TraceSpan) <= 1, "disabled TraceSpan must be empty");
-static_assert(sizeof(ScopedTraceContext) <= 1,
-              "disabled ScopedTraceContext must be empty");
-
-#endif  // PREVER_TRACING_DISABLED
-
 }  // namespace prever::obs
 
-/// Causal-span macros (compile to nothing under PREVER_TRACING_DISABLED;
-/// one relaxed load + branch when runtime-disabled — see trace.h for the
-/// documented zero-overhead contract shared with the histogram spans).
+/// Causal-span macros (one relaxed load + branch when runtime-disabled —
+/// see trace.h for the documented zero-overhead contract shared with the
+/// histogram spans).
 #define PREVER_CAUSAL_SPAN(name, stage) \
   ::prever::obs::TraceSpan name(stage)
 #define PREVER_CAUSAL_INSTANT(stage, arg)        \

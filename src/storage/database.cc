@@ -47,9 +47,23 @@ Result<Mutation> Mutation::Decode(const Bytes& data) {
   return m;
 }
 
-Status Database::EnableWal(const std::string& path) {
-  return wal_.Open(path);
+namespace {
+
+Status ApplyToTable(Table* table, const Mutation& mutation) {
+  switch (mutation.op) {
+    case Mutation::Op::kInsert:
+      return table->Insert(mutation.row);
+    case Mutation::Op::kUpdate:
+      return table->Update(mutation.row);
+    case Mutation::Op::kUpsert:
+      return table->Upsert(mutation.row);
+    case Mutation::Op::kDelete:
+      return table->Delete(mutation.key);
+  }
+  return Status::Internal("unreachable");
 }
+
+}  // namespace
 
 Status Database::CreateTable(const std::string& name, const Schema& schema) {
   auto [it, inserted] = tables_.emplace(name, Table(name, schema));
@@ -80,32 +94,11 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-Status Database::ApplyToTable(const Mutation& mutation) {
-  PREVER_ASSIGN_OR_RETURN(Table * table, GetMutableTable(mutation.table));
-  switch (mutation.op) {
-    case Mutation::Op::kInsert:
-      return table->Insert(mutation.row);
-    case Mutation::Op::kUpdate:
-      return table->Update(mutation.row);
-    case Mutation::Op::kUpsert:
-      return table->Upsert(mutation.row);
-    case Mutation::Op::kDelete:
-      return table->Delete(mutation.key);
-  }
-  return Status::Internal("unreachable");
-}
-
 Status Database::Apply(const Mutation& mutation) {
-  // Validate the target exists up front so we never log a doomed mutation.
-  if (!HasTable(mutation.table)) {
-    return Status::NotFound("no table '" + mutation.table + "'");
-  }
-  if (wal_.is_open()) {
-    PREVER_RETURN_IF_ERROR(wal_.Append(mutation.Encode()));
-  }
-  PREVER_RETURN_IF_ERROR(ApplyToTable(mutation));
+  PREVER_ASSIGN_OR_RETURN(Table * table, GetMutableTable(mutation.table));
+  PREVER_RETURN_IF_ERROR(ApplyToTable(table, mutation));
   ++version_;
-  NotifyCommit(mutation);
+  for (const auto& [id, observer] : observers_) observer(mutation, version_);
   return Status::Ok();
 }
 
@@ -122,22 +115,6 @@ void Database::RemoveCommitObserver(uint64_t id) {
       return;
     }
   }
-}
-
-void Database::NotifyCommit(const Mutation& mutation) {
-  for (const auto& [id, observer] : observers_) observer(mutation, version_);
-}
-
-Status Database::ReplayLog(const std::string& path, bool* truncated) {
-  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records,
-                          WriteAheadLog::Recover(path, truncated));
-  for (const Bytes& record : records) {
-    PREVER_ASSIGN_OR_RETURN(Mutation m, Mutation::Decode(record));
-    PREVER_RETURN_IF_ERROR(ApplyToTable(m));
-    ++version_;
-    NotifyCommit(m);
-  }
-  return Status::Ok();
 }
 
 }  // namespace prever::storage

@@ -9,12 +9,10 @@
 
 #include "common/status.h"
 #include "storage/table.h"
-#include "storage/wal.h"
 
 namespace prever::storage {
 
-/// A single mutation against one table. Mutations are the unit of WAL
-/// logging and — one level up — the payload of a PReVer `Update`.
+/// A single mutation against one table — the payload of a PReVer `Update`.
 struct Mutation {
   enum class Op : uint8_t { kInsert = 0, kUpdate = 1, kUpsert = 2, kDelete = 3 };
 
@@ -29,15 +27,12 @@ struct Mutation {
   static Result<Mutation> Decode(const Bytes& data);
 };
 
-/// Multi-table database owned by a data manager. Optionally durable via a
-/// write-ahead log: every applied mutation is logged before it mutates the
-/// table, and `RecoverFrom` replays a log into a fresh database.
+/// Multi-table database owned by a data manager. It keeps no log of its
+/// own: crash recovery restores it from a checkpoint's database image
+/// (src/recovery/).
 class Database {
  public:
   Database() = default;
-
-  /// Enables durability. Call before applying mutations.
-  Status EnableWal(const std::string& path);
 
   Status CreateTable(const std::string& name, const Schema& schema);
   bool HasTable(const std::string& name) const;
@@ -48,14 +43,14 @@ class Database {
   /// serializer (src/recovery/) enumerate state without a side channel.
   std::vector<std::string> TableNames() const;
 
-  /// Validates and applies one mutation (WAL-first when durable).
+  /// Validates and applies one mutation.
   Status Apply(const Mutation& mutation);
 
   /// Number of successfully applied mutations (the database version).
   uint64_t version() const { return version_; }
 
-  /// Commit observers: invoked after every successfully applied mutation
-  /// (Apply and ReplayLog), with the mutation and the post-commit version.
+  /// Commit observers: invoked after every successfully applied mutation,
+  /// with the mutation and the post-commit version.
   /// Incremental verification caches hang off this hook to fold committed
   /// deltas into their aggregates. Observers must not mutate the database.
   using CommitObserver = std::function<void(const Mutation&, uint64_t)>;
@@ -64,16 +59,8 @@ class Database {
   uint64_t AddCommitObserver(CommitObserver observer);
   void RemoveCommitObserver(uint64_t id);
 
-  /// Replays a WAL into this (empty) database. Tables must be created first
-  /// (schemas are not logged — they are static configuration in PReVer).
-  Status ReplayLog(const std::string& path, bool* truncated = nullptr);
-
  private:
-  Status ApplyToTable(const Mutation& mutation);
-  void NotifyCommit(const Mutation& mutation);
-
   std::map<std::string, Table> tables_;
-  WriteAheadLog wal_;
   uint64_t version_ = 0;
   std::vector<std::pair<uint64_t, CommitObserver>> observers_;
   uint64_t next_observer_id_ = 1;

@@ -220,10 +220,9 @@ Status ResetJournal(DurableReplica& d,
 /// installed state. Persist the installed state as a durable checkpoint so
 /// the on-disk chain stays contiguous; the journal keeps only what the new
 /// checkpoint does not cover.
-template <typename OrderingT>
-void PersistInstalledState(OrderingT& ordering, size_t replica, uint64_t floor,
-                           Bytes app_state, DurableReplica& d,
-                           CrashRecoveryReport* report) {
+void PersistInstalledState(const core::ReplicatedOrdering& ordering,
+                           size_t replica, uint64_t floor, Bytes app_state,
+                           DurableReplica& d, CrashRecoveryReport* report) {
   if (d.crashed || !d.journal->is_open()) return;
   if (floor <= d.last_ckpt_seq) return;  // Existing chain already covers.
   recovery::CheckpointContents contents;
@@ -270,8 +269,8 @@ std::vector<CrashEvent> PlanCrashes(uint64_t seed,
 }
 
 /// Digest-identical common prefix across all replica ledgers.
-template <typename OrderingT>
-Status CheckLedgerPrefixes(const OrderingT& ordering, size_t num_replicas) {
+Status CheckLedgerPrefixes(const core::ReplicatedOrdering& ordering,
+                           size_t num_replicas) {
   for (size_t i = 1; i < num_replicas; ++i) {
     const ledger::LedgerDb& a = ordering.ReplicaLedger(0);
     const ledger::LedgerDb& b = ordering.ReplicaLedger(i);
@@ -321,8 +320,8 @@ Status CheckExactlyOnce(const ledger::LedgerDb& ledger,
 
 /// Save-then-reload: a final checkpoint must survive its own validation and
 /// carry the recomputed Merkle root of the live ledger.
-template <typename OrderingT>
-Status CheckCheckpointRoot(OrderingT& ordering, DurableReplica& d) {
+Status CheckCheckpointRoot(const core::ReplicatedOrdering& ordering,
+                           DurableReplica& d) {
   recovery::CheckpointContents contents;
   contents.ledger = &ordering.ReplicaLedger(0);
   contents.consensus_seq = ~uint64_t{0};  // Sentinel: newest by id anyway.

@@ -6,9 +6,11 @@
 
 #include <cstdio>
 #include <set>
+#include <type_traits>
 
 #include "constraint/parser.h"
 #include "core/prever.h"
+#include "storage/wal.h"
 
 namespace prever::core {
 namespace {
@@ -165,29 +167,44 @@ TEST_F(LedgerPersistenceTest, MissingFileIsEmptyLedger) {
 
 // ------------------------------------------- Batched / sharded ordering --
 
+// Orders `payloads` as ONE envelope: with max_batch == payloads.size(), the
+// last SubmitAsync seals the batch (a shorter tail is sealed by Flush).
+Status OrderBatch(OrderingService& ordering,
+                  const std::vector<Bytes>& payloads) {
+  for (const Bytes& p : payloads) {
+    PREVER_RETURN_IF_ERROR(ordering.SubmitAsync(p, 0).status());
+  }
+  return ordering.Flush();
+}
+
+OrderingPipelineConfig BatchOf(size_t n) {
+  OrderingPipelineConfig pipeline;
+  pipeline.max_batch = n;
+  return pipeline;
+}
+
 TEST(BatchedOrderingTest, BatchYieldsOneEntryPerPayload) {
-  PbftOrdering ordering(4, net::SimNetConfig{});
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft", BatchOf(3));
   std::vector<Bytes> batch = {ToBytes("u1"), ToBytes("u2"), ToBytes("u3")};
-  ASSERT_TRUE(ordering.AppendBatch(batch, 0).ok());
+  ASSERT_TRUE(OrderBatch(ordering, batch).ok());
   EXPECT_EQ(ordering.CommittedCount(), 3u);
   EXPECT_EQ(ToString(ordering.Ledger().GetEntry(0)->payload), "u1");
   EXPECT_EQ(ToString(ordering.Ledger().GetEntry(2)->payload), "u3");
-  EXPECT_FALSE(ordering.AppendBatch({}, 0).ok());
 }
 
 TEST(BatchedOrderingTest, IdenticalBatchesBothCommit) {
   // The batch counter makes equal payload sets distinct consensus commands
   // (PBFT dedups by digest).
-  PbftOrdering ordering(4, net::SimNetConfig{});
-  ASSERT_TRUE(ordering.AppendBatch({ToBytes("same")}, 0).ok());
-  ASSERT_TRUE(ordering.AppendBatch({ToBytes("same")}, 0).ok());
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft", BatchOf(1));
+  ASSERT_TRUE(OrderBatch(ordering, {ToBytes("same")}).ok());
+  ASSERT_TRUE(OrderBatch(ordering, {ToBytes("same")}).ok());
   EXPECT_EQ(ordering.CommittedCount(), 2u);
 }
 
 TEST(BatchedOrderingTest, ReplicasAgreeAfterBatches) {
-  PbftOrdering ordering(4, net::SimNetConfig{});
-  ASSERT_TRUE(ordering.AppendBatch({ToBytes("a"), ToBytes("b")}, 0).ok());
-  ASSERT_TRUE(ordering.AppendBatch({ToBytes("c")}, 1).ok());
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft", BatchOf(2));
+  ASSERT_TRUE(OrderBatch(ordering, {ToBytes("a"), ToBytes("b")}).ok());
+  ASSERT_TRUE(OrderBatch(ordering, {ToBytes("c")}).ok());
   ordering.network().RunUntilIdle();
   std::vector<const ledger::LedgerDb*> replicas;
   for (size_t i = 0; i < ordering.num_replicas(); ++i) {
@@ -228,11 +245,12 @@ TEST(ShardedOrderingTest, RoutesDeterministicallyAndCommits) {
 // disjoint bit ranges, so every entry of a 1100-payload batch plus a
 // follow-up batch must carry a distinct stamp on every replica.
 TEST(PipelinedOrderingTest, LargeBatchStampsAreUniqueAcrossBatches) {
-  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-stamp-test");
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-stamp-test",
+                        BatchOf(1100));
   std::vector<Bytes> big;
   for (int i = 0; i < 1100; ++i) big.push_back(ToBytes("p" + std::to_string(i)));
-  ASSERT_TRUE(ordering.AppendBatch(big, 0).ok());
-  ASSERT_TRUE(ordering.AppendBatch({ToBytes("q0"), ToBytes("q1")}, 0).ok());
+  ASSERT_TRUE(OrderBatch(ordering, big).ok());
+  ASSERT_TRUE(OrderBatch(ordering, {ToBytes("q0"), ToBytes("q1")}).ok());
   ordering.network().RunUntilIdle();
   ASSERT_EQ(ordering.CommittedCount(), 1102u);
 
@@ -373,13 +391,12 @@ TEST(PipelinedOrderingTest, RaftPipelineCommitsAndReplicasAgree) {
 }
 
 TEST(PipelinedOrderingTest, RaftAppendBatchCommitsInOrder) {
-  RaftOrdering ordering(3, net::SimNetConfig{});
+  RaftOrdering ordering(3, net::SimNetConfig{}, BatchOf(3));
   ASSERT_TRUE(
-      ordering.AppendBatch({ToBytes("x"), ToBytes("y"), ToBytes("z")}, 5).ok());
+      OrderBatch(ordering, {ToBytes("x"), ToBytes("y"), ToBytes("z")}).ok());
   EXPECT_EQ(ordering.CommittedCount(), 3u);
   EXPECT_EQ(ToString(ordering.Ledger().GetEntry(0)->payload), "x");
   EXPECT_EQ(ToString(ordering.Ledger().GetEntry(2)->payload), "z");
-  EXPECT_FALSE(ordering.AppendBatch({}, 0).ok());
 }
 
 TEST(PipelinedOrderingTest, BlockingAppendIsStopAndWait) {
@@ -408,6 +425,65 @@ TEST(PipelinedOrderingTest, ShardedAsyncRoutesAndFlushes) {
   }
   ASSERT_TRUE(ordering.Flush().ok());
   EXPECT_EQ(ordering.CommittedCount(), 20u);
+}
+
+// ------------------------------------------------ Replicated apply tail --
+
+template <typename T>
+class ReplicatedApplyTest : public ::testing::Test {};
+
+using ReplicatedOrderings = ::testing::Types<RaftOrdering, PbftOrdering>;
+TYPED_TEST_SUITE(ReplicatedApplyTest, ReplicatedOrderings);
+
+// ReplicatedOrdering::ApplyEnvelope is the one apply tail for both
+// protocols: on every replica, the commit observer must see each appended
+// entry exactly once and in ledger order, at strictly increasing consensus
+// positions, with no batch id applied twice.
+TYPED_TEST(ReplicatedApplyTest, ObserverMirrorsEveryReplicaLedger) {
+  constexpr size_t kPayloads = 10;  // Three envelopes at max_batch 4.
+  std::unique_ptr<ReplicatedOrdering> ordering;
+  if constexpr (std::is_same_v<TypeParam, RaftOrdering>) {
+    ordering = std::make_unique<RaftOrdering>(4, net::SimNetConfig{},
+                                              BatchOf(4));
+  } else {
+    ordering = std::make_unique<PbftOrdering>(4, net::SimNetConfig{}, "pbft",
+                                              BatchOf(4));
+  }
+  struct Observed {
+    std::vector<Bytes> entries;
+    std::vector<uint64_t> positions;
+    std::vector<uint64_t> batch_ids;
+  };
+  std::vector<Observed> seen(ordering->num_replicas());
+  ordering->SetReplicaCommitObserver(
+      [&](size_t replica, uint64_t position, uint64_t batch_id,
+          const std::vector<Bytes>& entries) {
+        Observed& o = seen[replica];
+        o.entries.insert(o.entries.end(), entries.begin(), entries.end());
+        o.positions.push_back(position);
+        o.batch_ids.push_back(batch_id);
+      });
+  for (size_t i = 0; i < kPayloads; ++i) {
+    ASSERT_TRUE(ordering->SubmitAsync(ToBytes("e" + std::to_string(i)), 0)
+                    .ok());
+  }
+  ASSERT_TRUE(ordering->Flush().ok());
+  // Raft heartbeats never let the network go idle: run a bounded quiet
+  // tail so every follower applies the committed suffix.
+  ordering->network().RunUntil(ordering->network().Now() + 5 * kSecond);
+
+  for (size_t r = 0; r < ordering->num_replicas(); ++r) {
+    const Observed& o = seen[r];
+    ASSERT_EQ(ordering->ReplicaLedger(r).size(), kPayloads) << r;
+    EXPECT_EQ(o.entries, ordering->ReplicaLedger(r).EncodeEntries()) << r;
+    EXPECT_EQ(o.positions.size(), 3u) << r;
+    for (size_t k = 1; k < o.positions.size(); ++k) {
+      EXPECT_LT(o.positions[k - 1], o.positions[k]) << r;
+    }
+    EXPECT_EQ(std::set<uint64_t>(o.batch_ids.begin(), o.batch_ids.end()).size(),
+              o.batch_ids.size())
+        << "batch applied twice on replica " << r;
+  }
 }
 
 // ------------------------------------------------ String escape round trip

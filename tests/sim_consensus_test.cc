@@ -240,20 +240,19 @@ TEST(SimConsensusTest, RaftLogBoundedByCheckpointInterval) {
   net::SimNetConfig net_config;
   net_config.seed = 7;
   core::OrderingPipelineConfig pipeline;
-  pipeline.max_batch = 64;
+  pipeline.max_batch = 512;  // One envelope per Flush below.
   pipeline.max_inflight = 8;
   core::RaftOrdering ordering(3, net_config, pipeline);
   constexpr uint64_t kPayloads = 100000;
   constexpr uint64_t kInterval = 256;  // Applied entries between compactions.
   size_t max_physical = 0;
   std::vector<uint64_t> last_compact(3, 0);
-  std::vector<Bytes> batch;
   for (uint64_t k = 0; k < kPayloads; ++k) {
-    batch.push_back(Bytes{static_cast<uint8_t>(k), static_cast<uint8_t>(k >> 8),
-                          static_cast<uint8_t>(k >> 16)});
-    if (batch.size() == 512 || k + 1 == kPayloads) {
-      ASSERT_TRUE(ordering.AppendBatch(batch, 0).ok());
-      batch.clear();
+    Bytes payload{static_cast<uint8_t>(k), static_cast<uint8_t>(k >> 8),
+                  static_cast<uint8_t>(k >> 16)};
+    ASSERT_TRUE(ordering.SubmitAsync(payload, 0).ok());
+    if ((k + 1) % pipeline.max_batch == 0 || k + 1 == kPayloads) {
+      ASSERT_TRUE(ordering.Flush().ok());
       for (size_t i = 0; i < 3; ++i) {
         auto& replica = ordering.cluster().replica(i);
         uint64_t floor = ordering.replica_applied_floor(i);
@@ -277,7 +276,7 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
   net::SimNetConfig net_config;
   net_config.seed = 11;
   core::OrderingPipelineConfig pipeline;
-  pipeline.max_batch = 64;
+  pipeline.max_batch = 512;  // One envelope per Flush below.
   pipeline.max_inflight = 8;
   core::OrderingRecoveryConfig recovery;
   recovery.checkpoint_interval = 16;  // Executions between stable checkpoints.
@@ -285,13 +284,12 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
                               recovery);
   constexpr uint64_t kPayloads = 100000;
   size_t max_slots = 0;
-  std::vector<Bytes> batch;
   for (uint64_t k = 0; k < kPayloads; ++k) {
-    batch.push_back(Bytes{static_cast<uint8_t>(k), static_cast<uint8_t>(k >> 8),
-                          static_cast<uint8_t>(k >> 16)});
-    if (batch.size() == 512 || k + 1 == kPayloads) {
-      ASSERT_TRUE(ordering.AppendBatch(batch, 0).ok());
-      batch.clear();
+    Bytes payload{static_cast<uint8_t>(k), static_cast<uint8_t>(k >> 8),
+                  static_cast<uint8_t>(k >> 16)};
+    ASSERT_TRUE(ordering.SubmitAsync(payload, 0).ok());
+    if ((k + 1) % pipeline.max_batch == 0 || k + 1 == kPayloads) {
+      ASSERT_TRUE(ordering.Flush().ok());
       for (size_t i = 0; i < 4; ++i) {
         max_slots =
             std::max(max_slots, ordering.cluster().replica(i).log_slots());

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "storage/database.h"
+#include "storage/wal.h"
 
 namespace prever::storage {
 namespace {
@@ -405,65 +406,6 @@ TEST_F(WalTest, TruncationMidRecordRecoversLongestValidPrefix) {
     EXPECT_EQ(ToString((*records)[0]), "alpha");
     EXPECT_EQ(ToString((*records)[1]), "beta");
   }
-}
-
-TEST_F(WalTest, DatabaseReplaysTornLogUpToLastIntactRecord) {
-  {
-    Database db;
-    ASSERT_TRUE(db.CreateTable("worklog", WorklogSchema()).ok());
-    ASSERT_TRUE(db.EnableWal(path_).ok());
-    for (int i = 0; i < 4; ++i) {
-      Mutation m;
-      m.op = Mutation::Op::kInsert;
-      m.table = "worklog";
-      m.row = MakeWorklogRow("t" + std::to_string(i), "w1", i, 100 * i);
-      ASSERT_TRUE(db.Apply(m).ok());
-    }
-  }
-  // Tear the final record mid-payload.
-  std::FILE* f = std::fopen(path_.c_str(), "rb");
-  std::fseek(f, 0, SEEK_END);
-  long full = std::ftell(f);
-  std::fclose(f);
-  ASSERT_EQ(::truncate(path_.c_str(), full - 3), 0);
-
-  Database recovered;
-  ASSERT_TRUE(recovered.CreateTable("worklog", WorklogSchema()).ok());
-  ASSERT_TRUE(recovered.ReplayLog(path_).ok());
-  const Table* t = *recovered.GetTable("worklog");
-  EXPECT_EQ(t->size(), 3u);
-  EXPECT_TRUE(t->Contains(Value::String("t2")));
-  EXPECT_FALSE(t->Contains(Value::String("t3")));
-}
-
-TEST_F(WalTest, DatabaseCrashRecovery) {
-  // Write through a WAL-enabled database, then rebuild from the log alone.
-  {
-    Database db;
-    ASSERT_TRUE(db.CreateTable("worklog", WorklogSchema()).ok());
-    ASSERT_TRUE(db.EnableWal(path_).ok());
-    for (int i = 0; i < 5; ++i) {
-      Mutation m;
-      m.op = Mutation::Op::kInsert;
-      m.table = "worklog";
-      m.row = MakeWorklogRow("t" + std::to_string(i), "w1", i, 100 * i);
-      ASSERT_TRUE(db.Apply(m).ok());
-    }
-    Mutation del;
-    del.op = Mutation::Op::kDelete;
-    del.table = "worklog";
-    del.key = Value::String("t0");
-    ASSERT_TRUE(db.Apply(del).ok());
-  }  // "Crash".
-
-  Database recovered;
-  ASSERT_TRUE(recovered.CreateTable("worklog", WorklogSchema()).ok());
-  ASSERT_TRUE(recovered.ReplayLog(path_).ok());
-  EXPECT_EQ(recovered.version(), 6u);
-  const Table* t = *recovered.GetTable("worklog");
-  EXPECT_EQ(t->size(), 4u);
-  EXPECT_FALSE(t->Contains(Value::String("t0")));
-  EXPECT_TRUE(t->Contains(Value::String("t4")));
 }
 
 }  // namespace

@@ -42,8 +42,6 @@ class ObsTracing : public ::testing::Test {
   }
 };
 
-#if !defined(PREVER_TRACING_DISABLED)
-
 TEST_F(ObsTracing, DisabledRecordsNothing) {
   Tracer& tracer = Tracer::Get();
   TracerConfig cfg = EnabledConfig();
@@ -300,16 +298,12 @@ TEST_F(ObsTracing, ScopedContextInstallsAndRestores) {
   EXPECT_FALSE(Tracer::CurrentContext().sampled());
 }
 
-#endif  // !PREVER_TRACING_DISABLED
-
 // Zero-overhead contract (src/obs/trace.h): with the tracer runtime-
 // disabled, a begin/end span pair is one relaxed atomic load and a branch.
 // Compared against an empty loop over the same volatile sink, the disabled
 // path must stay within an order of magnitude — generous enough for CI
 // noise, tight enough to catch an accidental allocation, lock, or ring
-// write on the disabled path (each of which costs 10-100x more). Also
-// compiled (trivially) in the PREVER_TRACING_DISABLED build, where the
-// span is an empty struct.
+// write on the disabled path (each of which costs 10-100x more).
 TEST_F(ObsTracing, DisabledSpanIsBranchCheap) {
   TracerConfig off;
   off.enabled = false;

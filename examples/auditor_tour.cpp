@@ -6,8 +6,10 @@
 // Build & run:  ./build/examples/auditor_tour
 
 #include <cstdio>
+#include <filesystem>
 
 #include "core/prever.h"
+#include "recovery/checkpoint.h"
 
 using namespace prever;
 
@@ -51,16 +53,25 @@ int main() {
        core::IntegrityAuditor::CheckExtension(observed, ledger.Digest(),
                                               *proof));
 
-  // Restart: persist and reload, digest must be identical.
-  std::string path = "/tmp/prever_auditor_tour_ledger.bin";
-  (void)ledger.SaveToFile(path);
-  auto reloaded = ledger::LedgerDb::LoadFromFile(path);
+  // Restart: persist a ledger-only checkpoint and reload it (loading
+  // rebuilds the Merkle tree and checks it against the saved root); the
+  // digest must be identical.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "prever_auditor_tour";
+  std::filesystem::remove_all(dir);
+  recovery::CheckpointStore store(dir.string());
+  recovery::CheckpointContents contents;
+  contents.ledger = &ledger;
+  Status saved = store.Init();
+  if (saved.ok()) saved = store.Save(contents).status();
+  Result<recovery::Checkpoint> reloaded =
+      saved.ok() ? store.LoadLatest() : Result<recovery::Checkpoint>(saved);
   std::printf("  reload after restart: %s (digest %s)\n",
               reloaded.ok() ? "OK" : reloaded.status().ToString().c_str(),
-              reloaded.ok() && reloaded->Digest() == ledger.Digest()
+              reloaded.ok() && reloaded->ledger.Digest() == ledger.Digest()
                   ? "matches"
                   : "MISMATCH");
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 
   // A manager that rewrites history cannot fake the extension proof.
   ledger::LedgerDb rewritten;

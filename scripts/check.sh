@@ -21,12 +21,13 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # non-cacheable shapes on the scalar scan) with ASan+UBSan watching both
 # paths.
 "$BUILD_DIR"/tests/constraint_compiled_diff_test
-# Recovery smoke: the checkpoint/journal unit tests and the randomized
-# crash-point sweep run explicitly under ASan+UBSan. The recovery layer is
-# raw FILE* I/O and byte-level frame parsing — exactly where the sanitizers
-# earn their keep — and the sweep's damage injection (torn WAL tails,
-# corrupted checkpoint finals) exercises every quarantine/fallback branch.
-"$BUILD_DIR"/tests/prever_tests --gtest_filter='RecoveryTest.*'
+# Recovery smoke: the WAL codec, checkpoint/journal unit tests and the
+# randomized crash-point sweep run explicitly under ASan+UBSan. The WAL is
+# the raw FILE* I/O and byte-level frame parser under every durable file —
+# exactly where the sanitizers earn their keep — and the sweep's damage
+# injection (torn WAL tails, corrupted checkpoint finals) exercises every
+# quarantine/fallback branch.
+"$BUILD_DIR"/tests/prever_tests --gtest_filter='WalTest.*:RecoveryTest.*'
 "$BUILD_DIR"/tests/sim_consensus_test \
     --gtest_filter='*CrashRecovery*:*BoundedByCheckpointInterval*'
 scripts/bench_smoke.sh "$BUILD_DIR"

@@ -9,9 +9,8 @@
 namespace prever::constraint {
 
 CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
-                                   storage::Database* db,
-                                   ProgramCache* programs)
-    : catalog_(catalog), db_(db), programs_(programs) {
+                                   storage::Database* db)
+    : catalog_(catalog), db_(db) {
   if (db_ != nullptr) {
     observer_id_ = db_->AddCommitObserver(
         [this](const storage::Mutation& mutation, uint64_t /*version*/) {
@@ -24,12 +23,6 @@ CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
 
 CompiledVerifier::~CompiledVerifier() {
   if (db_ != nullptr) db_->RemoveCommitObserver(observer_id_);
-}
-
-std::shared_ptr<const CompiledConstraint> CompiledVerifier::Compile(
-    const Expr& expr) const {
-  if (programs_ != nullptr) return programs_->Get(expr);
-  return std::make_shared<const CompiledConstraint>(CompileConstraint(expr));
 }
 
 void CompiledVerifier::RefreshLocked() {
@@ -46,8 +39,8 @@ void CompiledVerifier::RefreshLocked() {
   for (const Constraint& c : catalog_->constraints()) {
     Entry e;
     e.constraint = &c;
-    e.compiled = Compile(*c.expr);
-    if (e.compiled->ok) {
+    e.compiled = CompileConstraint(*c.expr);
+    if (e.compiled.ok) {
       ++stats_.compiled_constraints;
     } else {
       ++stats_.interpreted_constraints;
@@ -100,13 +93,13 @@ bool CompiledVerifier::TryVerifyAllShared(const EvalContext& ctx,
     bool miss = false;
     AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
       Result<storage::Value> v = Status::Internal("agg cache miss");
-      if (!agg_cache_.TryReadEvaluate(*e.compiled->aggs[i], ctx, &v)) {
+      if (!agg_cache_.TryReadEvaluate(*e.compiled.aggs[i], ctx, &v)) {
         miss = true;
         return Status::Internal("agg cache miss");
       }
       return v;
     };
-    Status s = CheckConstraint(*e.constraint, *e.compiled, ctx, agg_fn);
+    Status s = CheckConstraint(*e.constraint, e.compiled, ctx, agg_fn);
     if (miss) return false;  // Cache needs maintenance: retry exclusive.
     if (!s.ok()) {
       *out = s;
@@ -134,10 +127,10 @@ Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
   ++stats_.slow_path_verifies;
   for (const Entry& e : entries_) {
     AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
-      return agg_cache_.Evaluate(*e.compiled->aggs[i], ctx);
+      return agg_cache_.Evaluate(*e.compiled.aggs[i], ctx);
     };
     PREVER_RETURN_IF_ERROR(
-        CheckConstraint(*e.constraint, *e.compiled, ctx, agg_fn));
+        CheckConstraint(*e.constraint, e.compiled, ctx, agg_fn));
   }
   return Status::Ok();
 }
@@ -157,7 +150,7 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
         return constraint::EvaluateAggregate(agg, ctx);
       }
       Result<storage::Value> v = Status::Internal("agg cache miss");
-      if (agg_cache_.TryReadEvaluate(*it->second->compiled->aggs[0], ctx, &v)) {
+      if (agg_cache_.TryReadEvaluate(*it->second->compiled.aggs[0], ctx, &v)) {
         if (!v.ok()) return v.status();
         return v->AsInt64();
       }
@@ -168,13 +161,13 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
   if (!up) {
     PREVER_CAUSAL_SPAN(causal_compile, obs::TraceStage::kVerifyCompile);
     up = std::make_unique<AdhocAgg>();
-    up->compiled = Compile(agg);
+    up->compiled = CompileConstraint(agg);
     // A lone top-level aggregate always lowers to exactly one spec.
-    up->usable = up->compiled->ok && up->compiled->aggs.size() == 1;
+    up->usable = up->compiled.ok && up->compiled.aggs.size() == 1;
   }
   if (!up->usable) return constraint::EvaluateAggregate(agg, ctx);
   PREVER_CAUSAL_SPAN(causal_eval, obs::TraceStage::kVerifyEval);
-  auto v = agg_cache_.Evaluate(*up->compiled->aggs[0], ctx);
+  auto v = agg_cache_.Evaluate(*up->compiled.aggs[0], ctx);
   if (!v.ok()) return v.status();
   return v->AsInt64();
 }

@@ -10,7 +10,6 @@
 #include "constraint/agg_cache.h"
 #include "constraint/constraint.h"
 #include "constraint/program.h"
-#include "constraint/program_cache.h"
 #include "storage/database.h"
 
 namespace prever::constraint {
@@ -45,15 +44,8 @@ class CompiledVerifier {
   /// `catalog` must outlive the verifier. `db` may be null (no incremental
   /// deltas; caches invalidate through table mod-count staleness instead) —
   /// when given, a commit observer keeps the aggregate caches in sync and
-  /// is removed again in the destructor. `programs` (optional) is a shared
-  /// compiled-bytecode cache: verifiers on the same catalog — or evaluating
-  /// structurally identical ad-hoc aggregates, as paired engines in the
-  /// differential harness do — then compile each expression once between
-  /// them. Aggregate caches stay per-verifier (they mirror this verifier's
-  /// database); only the pure compilation step is shared. `programs` must
-  /// outlive the verifier.
-  CompiledVerifier(const ConstraintCatalog* catalog, storage::Database* db,
-                   ProgramCache* programs = nullptr);
+  /// is removed again in the destructor.
+  CompiledVerifier(const ConstraintCatalog* catalog, storage::Database* db);
   ~CompiledVerifier();
 
   CompiledVerifier(const CompiledVerifier&) = delete;
@@ -77,17 +69,13 @@ class CompiledVerifier {
  private:
   struct Entry {
     const Constraint* constraint = nullptr;
-    /// compiled->ok == false → interpreter. Shared with other verifiers
-    /// when a ProgramCache is attached (immutable after compilation).
-    std::shared_ptr<const CompiledConstraint> compiled;
+    /// compiled.ok == false → interpreter.
+    CompiledConstraint compiled;
   };
   struct AdhocAgg {
-    std::shared_ptr<const CompiledConstraint> compiled;
+    CompiledConstraint compiled;
     bool usable = false;  ///< Single-spec aggregate the cache can serve.
   };
-
-  /// Compiles through the shared cache when attached, privately otherwise.
-  std::shared_ptr<const CompiledConstraint> Compile(const Expr& expr) const;
 
   /// Recompiles against the current catalog revision. Caller holds mu_
   /// exclusively. Invalidates every AggregateSpec pointer, so the aggregate
@@ -98,7 +86,6 @@ class CompiledVerifier {
 
   const ConstraintCatalog* catalog_;
   storage::Database* db_;
-  ProgramCache* programs_;
   uint64_t observer_id_ = 0;
 
   mutable std::shared_mutex mu_;

@@ -17,13 +17,12 @@ Result<FederatedPlatform*> PlatformAt(
 }
 
 std::vector<std::unique_ptr<constraint::CompiledVerifier>>
-MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms,
-                      constraint::ProgramCache* programs) {
+MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms) {
   std::vector<std::unique_ptr<constraint::CompiledVerifier>> verifiers;
   verifiers.reserve(platforms.size());
   for (FederatedPlatform* p : platforms) {
     verifiers.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db, programs));
+        &p->internal_constraints, &p->db));
   }
   return verifiers;
 }
@@ -40,12 +39,11 @@ Status ApplyAndLedgerDigest(FederatedPlatform& home, const Update& update,
 FederatedMpcEngine::FederatedMpcEngine(
     std::vector<FederatedPlatform*> platforms,
     const constraint::ConstraintCatalog* regulations,
-    OrderingService* ordering, uint64_t dealer_seed,
-    constraint::ProgramCache* programs)
+    OrderingService* ordering, uint64_t dealer_seed)
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
-      platform_verifiers_(MakePlatformVerifiers(platforms_, programs)),
+      platform_verifiers_(MakePlatformVerifiers(platforms_)),
       regulation_forms_(regulations),
       dealer_rng_(dealer_seed) {}
 

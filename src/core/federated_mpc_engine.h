@@ -31,11 +31,9 @@ Result<FederatedPlatform*> PlatformAt(
     const std::vector<FederatedPlatform*>& platforms, size_t index);
 
 /// One compiled verifier per platform over its internal constraints and
-/// private database. `programs` (optional) shares compiled bytecode across
-/// engines.
+/// private database.
 std::vector<std::unique_ptr<constraint::CompiledVerifier>>
-MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms,
-                      constraint::ProgramCache* programs = nullptr);
+MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms);
 
 /// Step 3 of the digest-ledgering RC2 engines: applies `update` to the home
 /// platform's database, then orders `{home id, SHA-256(update)}` — the other
@@ -57,13 +55,10 @@ class FederatedMpcEngine : public UpdateEngine {
  public:
   /// `regulations` are the global (external-authority) constraints; each is
   /// compiled to linear bound form at construction. `platforms` must
-  /// outlive the engine. `programs` (optional) is a shared compiled-bytecode
-  /// cache — pass the same cache to paired engines so each regulation
-  /// aggregate compiles once across all of them.
+  /// outlive the engine.
   FederatedMpcEngine(std::vector<FederatedPlatform*> platforms,
                      const constraint::ConstraintCatalog* regulations,
-                     OrderingService* ordering, uint64_t dealer_seed,
-                     constraint::ProgramCache* programs = nullptr);
+                     OrderingService* ordering, uint64_t dealer_seed);
 
   /// Validates that every regulation is in linear bound form.
   Status ValidateRegulations() const;

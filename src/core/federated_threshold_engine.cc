@@ -12,11 +12,11 @@ FederatedThresholdEngine::FederatedThresholdEngine(
     std::vector<FederatedPlatform*> platforms,
     const constraint::ConstraintCatalog* regulations,
     OrderingService* ordering, const crypto::PedersenParams& params,
-    uint64_t seed, constraint::ProgramCache* programs)
+    uint64_t seed)
     : platforms_(std::move(platforms)),
       regulations_(regulations),
       ordering_(ordering),
-      platform_verifiers_(MakePlatformVerifiers(platforms_, programs)),
+      platform_verifiers_(MakePlatformVerifiers(platforms_)),
       regulation_forms_(regulations),
       drbg_(seed),
       keys_(params, platforms_.size(), drbg_) {}

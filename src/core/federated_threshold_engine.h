@@ -31,15 +31,11 @@ namespace prever::core {
 /// trade — individual contributions stay hidden either way.
 class FederatedThresholdEngine : public UpdateEngine {
  public:
-  /// `programs` (optional) is a shared compiled-bytecode cache: pass the
-  /// same cache to paired engines (or this engine's siblings) so each
-  /// regulation aggregate compiles once across all of them.
   FederatedThresholdEngine(std::vector<FederatedPlatform*> platforms,
                            const constraint::ConstraintCatalog* regulations,
                            OrderingService* ordering,
                            const crypto::PedersenParams& params,
-                           uint64_t seed,
-                           constraint::ProgramCache* programs = nullptr);
+                           uint64_t seed);
 
   Status SubmitVia(size_t platform_index, const Update& update);
   Status SubmitUpdate(const Update& update) override {

@@ -435,15 +435,19 @@ Bytes RaftOrdering::EncodeReplicaState(size_t i) const {
 }
 
 Status RaftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
-  BinaryReader r(blob);
-  PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
+  uint64_t floor = 0;
   std::set<uint64_t> ids;
-  for (uint64_t k = 0; k < n_ids; ++k) {
-    PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-    ids.insert(id);
+  ledger::LedgerDb restored;
+  if (!blob.empty()) {
+    BinaryReader r(blob);
+    PREVER_ASSIGN_OR_RETURN(floor, r.ReadU64());
+    PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
+    for (uint64_t k = 0; k < n_ids; ++k) {
+      PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
+      ids.insert(id);
+    }
+    PREVER_ASSIGN_OR_RETURN(restored, ReadLedgerEntries(r));
   }
-  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored, ReadLedgerEntries(r));
   PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(restored)));
   applied_batches_[i] = std::move(ids);
   applied_floor_[i] = floor;
@@ -454,8 +458,7 @@ Status RaftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
                                     uint64_t applied_floor,
                                     const std::vector<uint64_t>& batch_ids) {
   PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
-  applied_batches_[i] =
-      std::set<uint64_t>(batch_ids.begin(), batch_ids.end());
+  applied_batches_[i].insert(batch_ids.begin(), batch_ids.end());
   applied_floor_[i] = applied_floor;
   // Re-drive the state machine through the real recovery path: the replica
   // rewinds last_applied to the restored floor and re-delivers the committed

@@ -363,11 +363,14 @@ class RaftOrdering : public ReplicatedOrdering {
   /// snapshot blob and installed on followers via InstallSnapshot.
   Bytes EncodeReplicaState(size_t i) const;
   /// Installs an EncodeReplicaState blob (InstallSnapshot landing; also the
-  /// crash-recovery restore primitive for full-image restores).
+  /// crash-recovery restore of a checkpoint's app state). An empty blob
+  /// restores the initial state: empty ledger, floor 0, no batch ids.
   Status RestoreReplicaState(size_t i, const Bytes& blob);
-  /// Crash-recovery restore from checkpoint + journal: replaces replica i's
-  /// ledger, applied floor, and batch-id dedup set, then rejoins the replica
-  /// through RaftReplica::Recover (re-applying the committed suffix).
+  /// Crash-recovery restore from checkpoint + journal, after
+  /// RestoreReplicaState installed the checkpoint's state: replaces replica
+  /// i's ledger and applied floor, adds the journal's `batch_ids` to the
+  /// restored dedup set, then rejoins the replica through
+  /// RaftReplica::Recover (re-applying the committed suffix).
   Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
                         uint64_t applied_floor,
                         const std::vector<uint64_t>& batch_ids);

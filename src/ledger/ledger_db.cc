@@ -1,10 +1,7 @@
 #include "ledger/ledger_db.h"
 
-#include <cstdio>
-
 #include "common/serial.h"
 #include "mutate/mutation.h"
-#include "storage/wal.h"
 
 namespace prever::ledger {
 
@@ -132,26 +129,6 @@ Status LedgerDb::Audit() const {
   return Status::Ok();
 }
 
-Status LedgerDb::SaveToFile(const std::string& path) const {
-  std::remove(path.c_str());  // Whole-journal snapshot, not an append.
-  storage::WriteAheadLog log;
-  PREVER_RETURN_IF_ERROR(log.Open(path));
-  std::vector<Bytes> records;
-  records.reserve(entries_.size());
-  for (const LedgerEntry& entry : entries_) records.push_back(entry.Encode());
-  return log.AppendBatch(records);  // One write + flush for the snapshot.
-}
-
-Result<LedgerDb> LedgerDb::LoadFromFile(const std::string& path) {
-  bool truncated = false;
-  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records,
-                          storage::WriteAheadLog::Recover(path, &truncated));
-  if (truncated) {
-    return Status::IntegrityViolation("ledger file has a corrupt tail");
-  }
-  return FromRecords(records);
-}
-
 std::vector<Bytes> LedgerDb::EncodeEntries() const {
   std::vector<Bytes> records;
   records.reserve(entries_.size());
@@ -165,7 +142,7 @@ Result<LedgerDb> LedgerDb::FromRecords(const std::vector<Bytes>& records) {
     PREVER_ASSIGN_OR_RETURN(LedgerEntry entry, LedgerEntry::Decode(record));
     if (entry.sequence != ledger.entries_.size()) {
       return Status::IntegrityViolation(
-          "ledger file has a sequence gap at " +
+          "ledger records have a sequence gap at " +
           std::to_string(ledger.entries_.size()));
     }
     ledger.tree_.Append(entry.Encode());

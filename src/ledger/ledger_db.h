@@ -103,15 +103,9 @@ class LedgerDb {
   /// then passes; only the dense-sequence check can flag the tamper.
   Status RenumberEntryForTest(uint64_t sequence, uint64_t new_sequence);
 
-  /// Persists the journal to `path` (CRC-protected records) so the ledger
-  /// survives restarts. LoadFromFile rebuilds the Merkle tree from the
-  /// journal and audits it; a tampered file fails with IntegrityViolation
-  /// (entries are self-describing, so sequence gaps are detected).
-  Status SaveToFile(const std::string& path) const;
-  static Result<LedgerDb> LoadFromFile(const std::string& path);
-
-  /// Canonical encodings of all entries in sequence order — the journal
-  /// image embedded in checkpoints and state-transfer blobs (src/recovery/).
+  /// Canonical encodings of all entries in sequence order — the durable
+  /// ledger image embedded in checkpoints (src/recovery/) and
+  /// state-transfer blobs.
   std::vector<Bytes> EncodeEntries() const;
 
   /// Rebuilds a ledger from encoded entries (the restore half of

@@ -5,11 +5,11 @@
 #include <filesystem>
 #include <utility>
 
-#include "common/crc32.h"
 #include "common/serial.h"
 #include "mutate/mutation.h"
 #include "obs/registry.h"
 #include "obs/tracing.h"
+#include "storage/wal.h"
 
 namespace prever::recovery {
 
@@ -18,7 +18,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointMagic = 0x50525643;  // "PRVC".
-constexpr uint32_t kCheckpointFormat = 1;
+constexpr uint32_t kCheckpointFormat = 2;
 constexpr char kFilePrefix[] = "ckpt-";
 constexpr char kFileSuffix[] = ".ckpt";
 
@@ -72,85 +72,6 @@ bool ParseFileId(const std::string& name, uint64_t* id) {
   return true;
 }
 
-/// Reads every CRC32-framed record of a checkpoint file. Unlike the WAL's
-/// clean-prefix recovery, ANY damage (torn header/payload, CRC mismatch,
-/// trailing garbage) makes the whole checkpoint unusable: the file was
-/// renamed into place only after a full flush, so damage means corruption,
-/// not an interrupted append.
-Result<std::vector<Bytes>> ReadRecords(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return Status::NotFound("no checkpoint file: " + path);
-  std::vector<Bytes> records;
-  Status status = Status::Ok();
-  for (;;) {
-    uint8_t header[8];
-    size_t got = std::fread(header, 1, 8, f);
-    if (got == 0) break;  // Clean EOF.
-    if (got < 8) {
-      status = Status::Corruption("torn record header in " + path);
-      break;
-    }
-    uint32_t len = 0, crc = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    }
-    for (int i = 0; i < 4; ++i) {
-      crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-    }
-    constexpr uint32_t kMaxRecord = 64u << 20;
-    if (len > kMaxRecord) {
-      status = Status::Corruption("oversized record in " + path);
-      break;
-    }
-    Bytes payload(len);
-    if (len != 0 && std::fread(payload.data(), 1, len, f) != len) {
-      status = Status::Corruption("torn record payload in " + path);
-      break;
-    }
-    if (PREVER_MUTATION(RECOVERY_CRC_CHECK_SKIP, Crc32(payload) != crc,
-                        false)) {
-      status = Status::Corruption("record CRC mismatch in " + path);
-      break;
-    }
-    records.push_back(std::move(payload));
-  }
-  std::fclose(f);
-  if (!status.ok()) return status;
-  return records;
-}
-
-Status WriteRecords(const std::string& path,
-                    const std::vector<Bytes>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::Internal("cannot open checkpoint tmp: " + path);
-  }
-  Bytes buffer;
-  size_t total = 0;
-  for (const Bytes& r : records) total += 8 + r.size();
-  buffer.reserve(total);
-  for (const Bytes& r : records) {
-    uint32_t len = static_cast<uint32_t>(r.size());
-    uint32_t crc = Crc32(r);
-    for (int i = 0; i < 4; ++i) {
-      buffer.push_back(static_cast<uint8_t>(len >> (8 * i)));
-    }
-    for (int i = 0; i < 4; ++i) {
-      buffer.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-    }
-    buffer.insert(buffer.end(), r.begin(), r.end());
-  }
-  bool ok = buffer.empty() ||
-            std::fwrite(buffer.data(), 1, buffer.size(), f) == buffer.size();
-  ok = ok && std::fflush(f) == 0;
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(path.c_str());
-    return Status::Internal("checkpoint write failed: " + path);
-  }
-  return Status::Ok();
-}
-
 Bytes EncodeManifest(const CheckpointManifest& m) {
   BinaryWriter w;
   w.WriteU32(kCheckpointMagic);
@@ -159,8 +80,6 @@ Bytes EncodeManifest(const CheckpointManifest& m) {
   w.WriteU64(m.consensus_seq);
   w.WriteU64(m.ledger_size);
   w.WriteBytes(m.ledger_root);
-  w.WriteU64(m.db_version);
-  w.WriteU64(m.catalog_revision);
   return w.Take();
 }
 
@@ -180,19 +99,23 @@ Result<CheckpointManifest> DecodeManifest(const Bytes& data) {
   PREVER_ASSIGN_OR_RETURN(m.consensus_seq, r.ReadU64());
   PREVER_ASSIGN_OR_RETURN(m.ledger_size, r.ReadU64());
   PREVER_ASSIGN_OR_RETURN(m.ledger_root, r.ReadBytes());
-  PREVER_ASSIGN_OR_RETURN(m.db_version, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(m.catalog_revision, r.ReadU64());
   if (!r.AtEnd()) return Status::Corruption("trailing bytes in manifest");
   return m;
 }
 
 Result<Checkpoint> ParseCheckpointFile(const std::string& path) {
-  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records, ReadRecords(path));
+  // Unlike a journal's clean-prefix recovery, ANY damage makes the whole
+  // checkpoint unusable: the file was renamed into place only after a full
+  // flush, so damage means corruption, not an interrupted append.
+  bool damaged = false;
+  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records,
+                          storage::WriteAheadLog::Recover(path, &damaged));
+  if (damaged) return Status::Corruption("damaged record in " + path);
   if (records.empty()) return Status::Corruption("empty checkpoint file");
   PREVER_ASSIGN_OR_RETURN(CheckpointManifest manifest,
                           DecodeManifest(records[0]));
-  // Fixed layout: manifest, ledger entries, serials, db image, app state.
-  if (records.size() != 1 + manifest.ledger_size + 3) {
+  // Fixed layout: manifest, ledger entries, app state.
+  if (records.size() != 1 + manifest.ledger_size + 1) {
     return Status::Corruption("checkpoint record count mismatch");
   }
   std::vector<Bytes> entry_records(
@@ -210,17 +133,7 @@ Result<Checkpoint> ParseCheckpointFile(const std::string& path) {
   Checkpoint ckpt;
   ckpt.manifest = std::move(manifest);
   ckpt.ledger = std::move(ledger);
-  const Bytes& serials_blob = records[records.size() - 3];
-  BinaryReader sr(serials_blob);
-  PREVER_ASSIGN_OR_RETURN(uint64_t n_serials, sr.ReadU64());
-  ckpt.spent_serials.reserve(n_serials);
-  for (uint64_t i = 0; i < n_serials; ++i) {
-    PREVER_ASSIGN_OR_RETURN(Bytes serial, sr.ReadBytes());
-    ckpt.spent_serials.push_back(std::move(serial));
-  }
-  if (!sr.AtEnd()) return Status::Corruption("trailing bytes in serials");
-  ckpt.db_image = records[records.size() - 2];
-  ckpt.app_state = records[records.size() - 1];
+  ckpt.app_state = std::move(records.back());
   return ckpt;
 }
 
@@ -269,29 +182,16 @@ Result<uint64_t> CheckpointStore::Save(const CheckpointContents& contents) {
   manifest.consensus_seq = contents.consensus_seq;
   manifest.ledger_size = contents.ledger->size();
   manifest.ledger_root = contents.ledger->Digest().root;
-  manifest.db_version = contents.db_version;
-  manifest.catalog_revision = contents.catalog_revision;
 
   std::vector<Bytes> records;
-  records.reserve(2 + manifest.ledger_size + 2);
+  records.reserve(manifest.ledger_size + 2);
   records.push_back(EncodeManifest(manifest));
   for (Bytes& entry : contents.ledger->EncodeEntries()) {
     records.push_back(std::move(entry));
   }
-  BinaryWriter serials;
-  serials.WriteU64(contents.spent_serials.size());
-  for (const Bytes& s : contents.spent_serials) serials.WriteBytes(s);
-  records.push_back(serials.Take());
-  records.push_back(contents.db_image);
   records.push_back(contents.app_state);
-
-  std::string final_path = dir_ + "/" + FileNameFor(id);
-  std::string tmp_path = final_path + ".tmp";
-  PREVER_RETURN_IF_ERROR(WriteRecords(tmp_path, records));
-  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Internal("checkpoint rename failed: " + final_path);
-  }
+  PREVER_RETURN_IF_ERROR(
+      storage::WriteAheadLog::Rewrite(dir_ + "/" + FileNameFor(id), records));
   next_id_ = id + 1;
   SavesCounter().Inc();
   return id;
@@ -335,53 +235,6 @@ uint64_t CheckpointStore::GarbageCollect(size_t keep) {
   }
   if (reclaimed > 0) ReclaimedCounter().Inc(reclaimed);
   return reclaimed;
-}
-
-Bytes EncodeDatabaseImage(const storage::Database& db) {
-  BinaryWriter w;
-  w.WriteU64(db.version());
-  std::vector<std::string> names = db.TableNames();
-  w.WriteU32(static_cast<uint32_t>(names.size()));
-  for (const std::string& name : names) {
-    const storage::Table* table = *db.GetTable(name);
-    w.WriteString(name);
-    table->schema().EncodeTo(w);
-    w.WriteU64(table->size());
-    table->Scan([&w](const storage::Row& row) {
-      w.WriteU32(static_cast<uint32_t>(row.size()));
-      for (const storage::Value& v : row) v.EncodeTo(w);
-      return true;
-    });
-  }
-  return w.Take();
-}
-
-Result<uint64_t> RestoreDatabaseImage(const Bytes& image,
-                                      storage::Database* db) {
-  BinaryReader r(image);
-  PREVER_ASSIGN_OR_RETURN(uint64_t version, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(uint32_t n_tables, r.ReadU32());
-  for (uint32_t t = 0; t < n_tables; ++t) {
-    PREVER_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-    PREVER_ASSIGN_OR_RETURN(storage::Schema schema,
-                            storage::Schema::DecodeFrom(r));
-    PREVER_ASSIGN_OR_RETURN(uint64_t n_rows, r.ReadU64());
-    PREVER_RETURN_IF_ERROR(db->CreateTable(name, schema));
-    PREVER_ASSIGN_OR_RETURN(storage::Table * table, db->GetMutableTable(name));
-    for (uint64_t i = 0; i < n_rows; ++i) {
-      PREVER_ASSIGN_OR_RETURN(uint32_t n_values, r.ReadU32());
-      storage::Row row;
-      row.reserve(n_values);
-      for (uint32_t j = 0; j < n_values; ++j) {
-        PREVER_ASSIGN_OR_RETURN(storage::Value v,
-                                storage::Value::DecodeFrom(r));
-        row.push_back(std::move(v));
-      }
-      PREVER_RETURN_IF_ERROR(table->Insert(row));
-    }
-  }
-  if (!r.AtEnd()) return Status::Corruption("trailing bytes in db image");
-  return version;
 }
 
 Result<uint64_t> ReplayLedgerSuffix(const std::vector<Bytes>& records,

@@ -7,36 +7,32 @@
 #include "common/bytes.h"
 #include "common/status.h"
 #include "ledger/ledger_db.h"
-#include "storage/database.h"
 
 namespace prever::recovery {
 
 /// Durable checkpoints for crash recovery (DESIGN.md "Crash recovery & state
-/// transfer"). A checkpoint file is a sequence of CRC32-framed records in the
-/// WAL's on-disk format ([u32 len][u32 crc32(payload)][payload]):
+/// transfer"). A checkpoint file is a storage::WriteAheadLog record file:
 ///
 ///   record 0      manifest: magic/version, checkpoint id, consensus
-///                 sequence number, ledger size + Merkle root, database
-///                 version, constraint-catalog revision, section counts
-///   records 1..n  one encoded LedgerEntry per journal entry
-///   next          token spent-serial index (count + serials)
-///   next          database image (EncodeDatabaseImage blob; may be empty)
-///   next          opaque app/protocol state (consensus-layer blob)
+///                 sequence number, ledger size + Merkle root
+///   records 1..n  one encoded LedgerEntry per ledger entry
+///   last          opaque app/protocol state (consensus-layer blob)
 ///
-/// Save writes "<file>.tmp", flushes, closes, then atomically renames into
-/// place: a crash mid-write leaves either the previous checkpoint set intact
-/// or a torn .tmp that the loader never considers. A corrupt *final* file
-/// (flipped byte, truncated tail) fails a record CRC; LoadLatest quarantines
-/// it (rename to *.quarantined) and falls back to the next-newest intact
-/// checkpoint — the commit-journal suffix replay covers the difference with a
-/// longer replay.
+/// Save goes through WriteAheadLog::Rewrite ("<file>.tmp", flush, close,
+/// atomic rename): a crash mid-write leaves either the previous checkpoint
+/// set intact or a torn .tmp that the loader never considers. A damaged
+/// *final* file (flipped byte, truncated tail, trailing junk) is Corruption,
+/// not a clean prefix; LoadLatest quarantines it (rename to *.quarantined)
+/// and falls back to the next-newest intact checkpoint — the commit-journal
+/// suffix replay covers the difference with a longer replay.
+///
+/// A checkpoint holding only a ledger is also the durable ledger image an
+/// auditor reloads after a restart: loading re-checks its Merkle root.
 struct CheckpointManifest {
   uint64_t checkpoint_id = 0;  ///< Monotone per store; newest intact wins.
   uint64_t consensus_seq = 0;  ///< Consensus position the state covers.
   uint64_t ledger_size = 0;
   Bytes ledger_root;           ///< Merkle root at ledger_size.
-  uint64_t db_version = 0;
-  uint64_t catalog_revision = 0;
 };
 
 /// A loaded checkpoint. The ledger has been rebuilt from the embedded
@@ -44,22 +40,14 @@ struct CheckpointManifest {
 struct Checkpoint {
   CheckpointManifest manifest;
   ledger::LedgerDb ledger;
-  std::vector<Bytes> spent_serials;  ///< Token spent-serial index.
-  Bytes db_image;                    ///< EncodeDatabaseImage blob (optional).
-  Bytes app_state;                   ///< Opaque consensus/app blob.
+  Bytes app_state;  ///< Opaque consensus/app blob.
 };
 
-/// What Save captures. The ledger is mandatory; everything else defaults to
-/// empty so consensus-only callers (the ordering services) skip the engine
-/// sections.
+/// What Save captures. The ledger is mandatory; the rest defaults to empty.
 struct CheckpointContents {
   const ledger::LedgerDb* ledger = nullptr;
   uint64_t consensus_seq = 0;
-  std::vector<Bytes> spent_serials;
-  Bytes db_image;
   Bytes app_state;
-  uint64_t db_version = 0;
-  uint64_t catalog_revision = 0;
 };
 
 /// One directory of checkpoint files ("ckpt-<16-hex-id>.ckpt"). Not
@@ -95,15 +83,6 @@ class CheckpointStore {
   uint64_t next_id_ = 1;
   uint64_t quarantined_ = 0;
 };
-
-/// Serializes every table (name, schema, rows in key order) of `db`.
-Bytes EncodeDatabaseImage(const storage::Database& db);
-
-/// Rebuilds tables from an image into `db` (which must not already contain
-/// tables of the same names). The recorded database version is returned so
-/// the caller can cross-check the manifest.
-Result<uint64_t> RestoreDatabaseImage(const Bytes& image,
-                                      storage::Database* db);
 
 /// Extends a checkpoint-restored ledger with the suffix of a commit journal:
 /// records are encoded LedgerEntry values; entries already covered by the

@@ -1,6 +1,5 @@
 #include "recovery/journal.h"
 
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -61,25 +60,16 @@ Result<uint64_t> CommitJournal::TruncateBelow(uint64_t floor) {
   uint64_t before = 0;
   if (auto size = std::filesystem::file_size(path_, ec); !ec) before = size;
 
-  // Rewrite the suffix into a sibling tmp file, then atomically swap it in.
-  // The journal stays intact (old or new) through any crash point.
-  std::string tmp = path_ + ".tmp";
+  // The journal stays intact (old or new) through any crash point, and
+  // stays open for appends whether or not the rewrite succeeded.
+  std::vector<Bytes> keep;
+  for (const JournalEvent& e : events) {
+    if (e.position > floor) keep.push_back(e.Encode());
+  }
   wal_.Close();
-  {
-    storage::WriteAheadLog rewrite;
-    std::remove(tmp.c_str());
-    PREVER_RETURN_IF_ERROR(rewrite.Open(tmp));
-    std::vector<Bytes> keep;
-    for (const JournalEvent& e : events) {
-      if (e.position > floor) keep.push_back(e.Encode());
-    }
-    PREVER_RETURN_IF_ERROR(rewrite.AppendBatch(keep));
-    rewrite.Close();
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    return Status::Internal("journal rename failed: " + path_);
-  }
+  Status rewritten = storage::WriteAheadLog::Rewrite(path_, keep);
   PREVER_RETURN_IF_ERROR(wal_.Open(path_));
+  PREVER_RETURN_IF_ERROR(rewritten);
 
   uint64_t after = 0;
   if (auto size = std::filesystem::file_size(path_, ec); !ec) after = size;

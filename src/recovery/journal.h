@@ -41,7 +41,8 @@ class CommitJournal {
   void Close();
 
   /// Rewrites the journal keeping only events with position > floor
-  /// (write tmp, atomic rename, reopen). Returns bytes reclaimed.
+  /// (WriteAheadLog::Rewrite, then reopen — also when the rewrite fails).
+  /// Returns bytes reclaimed.
   Result<uint64_t> TruncateBelow(uint64_t floor);
 
   /// Decodes all intact events; a torn tail yields the clean prefix and

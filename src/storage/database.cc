@@ -87,13 +87,6 @@ Result<Table*> Database::GetMutableTable(const std::string& name) {
   return &it->second;
 }
 
-std::vector<std::string> Database::TableNames() const {
-  std::vector<std::string> names;
-  names.reserve(tables_.size());
-  for (const auto& [name, table] : tables_) names.push_back(name);
-  return names;
-}
-
 Status Database::Apply(const Mutation& mutation) {
   PREVER_ASSIGN_OR_RETURN(Table * table, GetMutableTable(mutation.table));
   PREVER_RETURN_IF_ERROR(ApplyToTable(table, mutation));

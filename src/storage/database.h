@@ -39,10 +39,6 @@ class Database {
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetMutableTable(const std::string& name);
 
-  /// All table names in deterministic (map) order — lets the checkpoint
-  /// serializer (src/recovery/) enumerate state without a side channel.
-  std::vector<std::string> TableNames() const;
-
   /// Validates and applies one mutation.
   Status Apply(const Mutation& mutation);
 

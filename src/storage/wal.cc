@@ -1,36 +1,59 @@
 #include "storage/wal.h"
 
+#include <filesystem>
+#include <system_error>
+#include <utility>
+
 #include "common/crc32.h"
+#include "mutate/mutation.h"
 #include "obs/tracing.h"
 
 namespace prever::storage {
+
+namespace {
+
+constexpr uint32_t kMaxRecord = 64u << 20;  // Sanity bound: 64 MiB.
+
+void PutU32(uint32_t v, Bytes* out) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+
+uint32_t GetU32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return v;
+}
+
+}  // namespace
 
 WriteAheadLog::~WriteAheadLog() { Close(); }
 
 Status WriteAheadLog::Open(const std::string& path) {
   Close();
+  // Appending after a torn tail would hide every new record behind the
+  // garbage (Recover stops there), so cut the file back to its clean prefix.
+  bool truncated = false;
+  PREVER_ASSIGN_OR_RETURN(std::vector<Bytes> records,
+                          Recover(path, &truncated));
+  if (truncated) {
+    uintmax_t clean = 0;
+    for (const Bytes& r : records) clean += 8 + r.size();
+    std::error_code ec;
+    std::filesystem::resize_file(path, clean, ec);
+    if (ec) {
+      return Status::Internal("cannot cut torn WAL tail: " + path + ": " +
+                              ec.message());
+    }
+  }
   file_ = std::fopen(path.c_str(), "ab");
   if (file_ == nullptr) {
     return Status::Internal("cannot open WAL file: " + path);
   }
-  path_ = path;
   return Status::Ok();
 }
 
 Status WriteAheadLog::Append(const Bytes& payload) {
-  if (file_ == nullptr) return Status::Internal("WAL not open");
-  PREVER_CAUSAL_SPAN(causal_wal, obs::TraceStage::kWalAppend);
-  uint32_t len = static_cast<uint32_t>(payload.size());
-  uint32_t crc = Crc32(payload);
-  uint8_t header[8];
-  for (int i = 0; i < 4; ++i) header[i] = static_cast<uint8_t>(len >> (8 * i));
-  for (int i = 0; i < 4; ++i) header[4 + i] = static_cast<uint8_t>(crc >> (8 * i));
-  if (std::fwrite(header, 1, 8, file_) != 8 ||
-      std::fwrite(payload.data(), 1, payload.size(), file_) != payload.size()) {
-    return Status::Internal("WAL write failed");
-  }
-  if (std::fflush(file_) != 0) return Status::Internal("WAL flush failed");
-  return Status::Ok();
+  return AppendBatch({payload});
 }
 
 Status WriteAheadLog::AppendBatch(const std::vector<Bytes>& payloads) {
@@ -41,19 +64,13 @@ Status WriteAheadLog::AppendBatch(const std::vector<Bytes>& payloads) {
   Bytes buffer;
   buffer.reserve(total);
   for (const Bytes& p : payloads) {
-    uint32_t len = static_cast<uint32_t>(p.size());
-    uint32_t crc = Crc32(p);
-    for (int i = 0; i < 4; ++i) {
-      buffer.push_back(static_cast<uint8_t>(len >> (8 * i)));
-    }
-    for (int i = 0; i < 4; ++i) {
-      buffer.push_back(static_cast<uint8_t>(crc >> (8 * i)));
-    }
+    PutU32(static_cast<uint32_t>(p.size()), &buffer);
+    PutU32(Crc32(p), &buffer);
     buffer.insert(buffer.end(), p.begin(), p.end());
   }
   if (!buffer.empty() &&
       std::fwrite(buffer.data(), 1, buffer.size(), file_) != buffer.size()) {
-    return Status::Internal("WAL batch write failed");
+    return Status::Internal("WAL write failed");
   }
   if (std::fflush(file_) != 0) return Status::Internal("WAL flush failed");
   return Status::Ok();
@@ -75,35 +92,42 @@ Result<std::vector<Bytes>> WriteAheadLog::Recover(const std::string& path,
     return std::vector<Bytes>{};
   }
   std::vector<Bytes> records;
+  bool damaged = false;
   for (;;) {
     uint8_t header[8];
     size_t got = std::fread(header, 1, 8, f);
     if (got == 0) break;  // Clean EOF.
-    if (got < 8) {
-      if (truncated != nullptr) *truncated = true;
-      break;  // Torn header.
-    }
-    uint32_t len = 0, crc = 0;
-    for (int i = 0; i < 4; ++i) len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    for (int i = 0; i < 4; ++i) crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-    constexpr uint32_t kMaxRecord = 64u << 20;  // Sanity bound: 64 MiB.
-    if (len > kMaxRecord) {
-      if (truncated != nullptr) *truncated = true;
-      break;
-    }
-    Bytes payload(len);
-    if (std::fread(payload.data(), 1, len, f) != len) {
-      if (truncated != nullptr) *truncated = true;
-      break;  // Torn payload.
-    }
-    if (Crc32(payload) != crc) {
-      if (truncated != nullptr) *truncated = true;
-      break;  // Corrupt record: stop at the last good prefix.
-    }
+    uint32_t len = got == 8 ? GetU32(header) : 0;
+    Bytes payload(len <= kMaxRecord ? len : 0);
+    // Torn header, oversized length, torn payload or CRC mismatch: stop at
+    // the last good prefix.
+    damaged = got < 8 || len > kMaxRecord ||
+              std::fread(payload.data(), 1, len, f) != len ||
+              PREVER_MUTATION(RECOVERY_CRC_CHECK_SKIP,
+                              Crc32(payload) != GetU32(header + 4), false);
+    if (damaged) break;
     records.push_back(std::move(payload));
   }
   std::fclose(f);
+  if (truncated != nullptr) *truncated = damaged;
   return records;
+}
+
+Status WriteAheadLog::Rewrite(const std::string& path,
+                              const std::vector<Bytes>& records) {
+  const std::string tmp = path + ".tmp";
+  WriteAheadLog log;
+  log.file_ = std::fopen(tmp.c_str(), "wb");
+  if (log.file_ == nullptr) return Status::Internal("cannot open " + tmp);
+  Status status = log.AppendBatch(records);
+  if (std::fclose(std::exchange(log.file_, nullptr)) != 0 && status.ok()) {
+    status = Status::Internal("close failed: " + tmp);
+  }
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = Status::Internal("rename failed: " + path);
+  }
+  if (!status.ok()) std::remove(tmp.c_str());
+  return status;
 }
 
 }  // namespace prever::storage

@@ -10,7 +10,9 @@
 
 namespace prever::storage {
 
-/// Append-only write-ahead log. Record format on disk:
+/// The one record-file codec for durable state: the commit journal appends
+/// through it and checkpoints are whole-file Rewrites of it. Record format
+/// on disk:
 ///   [u32 payload_len][u32 crc32(payload)][payload bytes]
 /// Recovery stops cleanly at the first torn or corrupt record (the tail may
 /// be partial after a crash); anything before it is returned.
@@ -22,7 +24,9 @@ class WriteAheadLog {
   WriteAheadLog(const WriteAheadLog&) = delete;
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
-  /// Opens (creating if needed) the log file for appending.
+  /// Opens (creating if needed) the log file for appending. A torn or
+  /// corrupt tail is cut off first, so new records extend exactly the clean
+  /// prefix Recover returns.
   Status Open(const std::string& path);
 
   bool is_open() const { return file_ != nullptr; }
@@ -45,9 +49,15 @@ class WriteAheadLog {
   static Result<std::vector<Bytes>> Recover(const std::string& path,
                                             bool* truncated = nullptr);
 
+  /// Atomically replaces `path` with a log holding exactly `records`:
+  /// writes them into an empty "<path>.tmp", flushes and closes it, then
+  /// renames it over `path`. A crash at any point leaves either the old
+  /// file or the new one; on failure the tmp file is removed.
+  static Status Rewrite(const std::string& path,
+                        const std::vector<Bytes>& records);
+
  private:
   std::FILE* file_ = nullptr;
-  std::string path_;
 };
 
 }  // namespace prever::storage

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/serial.h"
 #include "core/ordering.h"
 #include "obs/registry.h"
 #include "recovery/checkpoint.h"
@@ -138,7 +137,7 @@ struct RebuiltState {
   uint64_t checkpoint_seq = 0;  ///< Floor covered by the checkpoint alone.
   uint64_t replayed = 0;        ///< Journal entries appended past it.
   Bytes app_state;              ///< Checkpoint's opaque consensus blob.
-  std::vector<uint64_t> batch_ids;  ///< From checkpoint app blob + journal.
+  std::vector<uint64_t> batch_ids;  ///< Batches the replayed journal carried.
   /// Journal events actually replayed; the journal is rewritten to exactly
   /// these at restart (dropping torn tails, pre-checkpoint events, and any
   /// post-gap events consensus will re-deliver anyway).
@@ -148,8 +147,7 @@ struct RebuiltState {
 /// The real recovery read path: newest intact checkpoint (corrupt ones
 /// quarantined inside LoadLatest) + commit-journal suffix replay. Records
 /// wall-clock recovery time into prever_recovery_time_us.
-Result<RebuiltState> RebuildFromDurable(DurableReplica& d,
-                                        bool decode_raft_batch_ids) {
+Result<RebuiltState> RebuildFromDurable(DurableReplica& d) {
   auto t0 = std::chrono::steady_clock::now();
   RebuiltState out;
   auto ckpt = d.store->LoadLatest();
@@ -158,18 +156,6 @@ Result<RebuiltState> RebuildFromDurable(DurableReplica& d,
     out.floor = ckpt->manifest.consensus_seq;
     out.checkpoint_seq = ckpt->manifest.consensus_seq;
     out.app_state = std::move(ckpt->app_state);
-    if (decode_raft_batch_ids && !out.app_state.empty()) {
-      // Raft app blobs are EncodeReplicaState: [floor][n_ids][ids...][...].
-      BinaryReader r(out.app_state);
-      PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
-      PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
-      (void)floor;
-      out.batch_ids.reserve(n_ids);
-      for (uint64_t k = 0; k < n_ids; ++k) {
-        PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-        out.batch_ids.push_back(id);
-      }
-    }
   } else if (ckpt.status().code() != StatusCode::kNotFound) {
     return ckpt.status();
   }
@@ -454,7 +440,7 @@ CrashRecoveryReport RunRaftCrashRecoveryScenario(
   auto recover_replica = [&](size_t victim) -> Status {
     DurableReplica& d = durable[victim];
     report.trace += "recover r" + std::to_string(victim) + "\n";
-    auto rebuilt = RebuildFromDurable(d, /*decode_raft_batch_ids=*/true);
+    auto rebuilt = RebuildFromDurable(d);
     PREVER_RETURN_IF_ERROR(rebuilt.status());
     report.journal_entries_replayed += rebuilt->replayed;
     // Re-anchor the checkpoint chain on what actually survived (the newest
@@ -480,9 +466,14 @@ CrashRecoveryReport RunRaftCrashRecoveryScenario(
                             ordering.replica_applied_floor(victim),
                             ordering.EncodeReplicaState(victim), d, &report);
     } else {
-      // RestoreReplica re-enters RaftReplica::Recover: rewind to the durable
-      // floor and re-deliver the committed suffix through the apply callback
-      // (batch-id dedup absorbs anything the ledger already holds).
+      // Restore the checkpoint's replica state (its batch-id dedup set
+      // included; no checkpoint restores the empty state), then overlay the
+      // journal-extended ledger and the journal's batch ids. RestoreReplica
+      // re-enters RaftReplica::Recover: rewind to the durable floor and
+      // re-deliver the committed suffix through the apply callback (batch-id
+      // dedup absorbs anything the ledger already holds).
+      PREVER_RETURN_IF_ERROR(
+          ordering.RestoreReplicaState(victim, rebuilt->app_state));
       PREVER_RETURN_IF_ERROR(ordering.RestoreReplica(
           victim, std::move(rebuilt->ledger), rebuilt->floor,
           rebuilt->batch_ids));
@@ -638,7 +629,7 @@ CrashRecoveryReport RunPbftCrashRecoveryScenario(
   auto recover_replica = [&](size_t victim) -> Status {
     DurableReplica& d = durable[victim];
     report.trace += "recover r" + std::to_string(victim) + "\n";
-    auto rebuilt = RebuildFromDurable(d, /*decode_raft_batch_ids=*/false);
+    auto rebuilt = RebuildFromDurable(d);
     PREVER_RETURN_IF_ERROR(rebuilt.status());
     report.journal_entries_replayed += rebuilt->replayed;
     d.last_ckpt_seq = rebuilt->checkpoint_seq;

@@ -8,7 +8,6 @@
 
 #include "common/rng.h"
 #include "constraint/constraint.h"
-#include "constraint/program_cache.h"
 #include "core/federated_mpc_engine.h"
 #include "core/federated_threshold_engine.h"
 #include "core/federated_token_engine.h"
@@ -254,16 +253,11 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
   core::FederatedTokenEngine token_engine(raw(tok_platforms),
                                           fixtures.authority, &ord_tok,
                                           "hours");
-  // The paired federated engines evaluate structurally identical regulation
-  // aggregates over their (independent) platform databases: one shared
-  // ProgramCache compiles each distinct expression once across both engines
-  // and all their platform verifiers. Aggregate caches stay per-verifier.
-  constraint::ProgramCache shared_programs;
   core::FederatedThresholdEngine threshold_engine(
       raw(thr_platforms), &catalog, &ord_thr,
-      crypto::PedersenParams::Test256(), seed * 5 + 3, &shared_programs);
+      crypto::PedersenParams::Test256(), seed * 5 + 3);
   core::FederatedMpcEngine mpc_engine(raw(mpc_platforms), &catalog, &ord_mpc,
-                                      seed * 7 + 5, &shared_programs);
+                                      seed * 7 + 5);
 
   // ---- Replay the stream through all five engines. The body is shared by
   // the random-stream and boundary-mutator modes; `expect` (when non-null)
@@ -423,22 +417,8 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
     }
   }
 
-  // Shared compiled-program cache: the regulation aggregate must have
-  // compiled once between the paired engines, with every later verifier
-  // served from cache — and the second (MPC) engine's verifiers must have
-  // stayed on the incremental delta path, never the per-query rescan.
-  constraint::ProgramCache::Stats pc = shared_programs.stats();
-  if (pc.hits + pc.compiles != pc.lookups) {
-    fail("program cache accounting broken: " + std::to_string(pc.hits) +
-         " hits + " + std::to_string(pc.compiles) + " compiles != " +
-         std::to_string(pc.lookups) + " lookups");
-    return report;
-  }
-  if (report.updates > 0 && pc.hits == 0) {
-    fail("paired engines recompiled every constraint: shared program cache "
-         "saw " + std::to_string(pc.lookups) + " lookups but no hits");
-    return report;
-  }
+  // The MPC engine's platform verifiers must have stayed on the
+  // incremental delta path, never the per-query rescan.
   for (size_t i = 0; i < o.num_platforms; ++i) {
     constraint::CompiledVerifier::Stats vs = mpc_engine.verifier_stats(i);
     if (vs.agg.scan_evals != 0) {

@@ -1,16 +1,13 @@
-// Tests for the extension features: producer-signed updates, ledger
-// persistence, batched and sharded PBFT ordering, string-escape round
-// trips.
+// Tests for the extension features: producer-signed updates, batched and
+// sharded PBFT ordering, string-escape round trips.
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <set>
 #include <type_traits>
 
 #include "constraint/parser.h"
 #include "core/prever.h"
-#include "storage/wal.h"
 
 namespace prever::core {
 namespace {
@@ -101,68 +98,6 @@ TEST_F(SignedUpdateTest, UnsignedPathRefused) {
 TEST_F(SignedUpdateTest, DirectoryRejectsDuplicateRegistration) {
   EXPECT_EQ(directory_.Register("alice", alice_key_->pub).code(),
             StatusCode::kAlreadyExists);
-}
-
-// ---------------------------------------------------- Ledger persistence --
-
-class LedgerPersistenceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = ::testing::TempDir() + "prever_ledger_persist.bin";
-    std::remove(path_.c_str());
-  }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
-};
-
-TEST_F(LedgerPersistenceTest, SaveLoadRoundTrip) {
-  ledger::LedgerDb original;
-  for (int i = 0; i < 25; ++i) {
-    original.Append(ToBytes("entry" + std::to_string(i)), i * 10);
-  }
-  ASSERT_TRUE(original.SaveToFile(path_).ok());
-  auto loaded = ledger::LedgerDb::LoadFromFile(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 25u);
-  EXPECT_EQ(loaded->Digest(), original.Digest());
-  EXPECT_TRUE(loaded->Audit().ok());
-  EXPECT_EQ(loaded->GetEntry(7)->timestamp, 70u);
-}
-
-TEST_F(LedgerPersistenceTest, LoadDetectsReorderedEntries) {
-  ledger::LedgerDb original;
-  original.Append(ToBytes("a"), 0);
-  original.Append(ToBytes("b"), 1);
-  ASSERT_TRUE(original.SaveToFile(path_).ok());
-  // Rewrite the file with the records swapped (valid CRCs, wrong order).
-  auto records = storage::WriteAheadLog::Recover(path_);
-  ASSERT_TRUE(records.ok());
-  std::swap((*records)[0], (*records)[1]);
-  std::remove(path_.c_str());
-  storage::WriteAheadLog log;
-  ASSERT_TRUE(log.Open(path_).ok());
-  for (const Bytes& r : *records) ASSERT_TRUE(log.Append(r).ok());
-  log.Close();
-  EXPECT_EQ(ledger::LedgerDb::LoadFromFile(path_).status().code(),
-            StatusCode::kIntegrityViolation);
-}
-
-TEST_F(LedgerPersistenceTest, LoadRejectsCorruptTail) {
-  ledger::LedgerDb original;
-  original.Append(ToBytes("a"), 0);
-  ASSERT_TRUE(original.SaveToFile(path_).ok());
-  std::FILE* f = std::fopen(path_.c_str(), "ab");
-  uint8_t junk[5] = {1, 2, 3, 4, 5};
-  std::fwrite(junk, 1, 5, f);
-  std::fclose(f);
-  EXPECT_EQ(ledger::LedgerDb::LoadFromFile(path_).status().code(),
-            StatusCode::kIntegrityViolation);
-}
-
-TEST_F(LedgerPersistenceTest, MissingFileIsEmptyLedger) {
-  auto loaded = ledger::LedgerDb::LoadFromFile(path_);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->size(), 0u);
 }
 
 // ------------------------------------------- Batched / sharded ordering --

@@ -42,7 +42,6 @@ int main() {
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/crc32.h"
 #include "common/serial.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
@@ -70,6 +69,7 @@ int main() {
 #include "net/sim_net.h"
 #include "recovery/checkpoint.h"
 #include "storage/database.h"
+#include "storage/wal.h"
 #include "token/token.h"
 
 namespace prever {
@@ -538,8 +538,9 @@ struct PbftRig {
 };
 
 // ===================================================================
-// Recovery fixtures: scratch checkpoint directories plus raw access to
-// the CRC32 record framing, so probes can hand-craft corrupt files.
+// Recovery fixtures: scratch checkpoint directories. Probes hand-craft
+// corrupt checkpoints through storage::WriteAheadLog, the record-file codec
+// checkpoints are written in.
 // ===================================================================
 
 /// Fresh scratch directory for a checkpoint-store probe. Recreated from
@@ -552,59 +553,6 @@ std::string RecoveryScratchDir(const std::string& tag) {
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
   return dir;
-}
-
-/// Splits a checkpoint file into its framed payloads, ignoring the CRCs
-/// (probes re-frame with valid CRCs on write).
-bool ReadFramedRecords(const std::string& path, std::vector<Bytes>* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  for (;;) {
-    uint8_t header[8];
-    size_t got = std::fread(header, 1, sizeof(header), f);
-    if (got == 0) break;
-    if (got != sizeof(header)) {
-      std::fclose(f);
-      return false;
-    }
-    uint32_t len = 0;
-    for (int i = 0; i < 4; ++i) {
-      len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    }
-    Bytes payload(len);
-    if (len != 0 && std::fread(payload.data(), 1, len, f) != len) {
-      std::fclose(f);
-      return false;
-    }
-    out->push_back(std::move(payload));
-  }
-  std::fclose(f);
-  return true;
-}
-
-/// Rewrites a checkpoint file from payloads, framing each with a VALID
-/// CRC32 — corruption introduced this way is invisible to the CRC check
-/// and must be caught by the semantic validators behind it.
-bool WriteFramedRecords(const std::string& path,
-                        const std::vector<Bytes>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  for (const Bytes& r : records) {
-    uint8_t header[8];
-    uint32_t len = static_cast<uint32_t>(r.size());
-    uint32_t crc = Crc32(r);
-    for (int i = 0; i < 4; ++i) {
-      header[i] = static_cast<uint8_t>((len >> (8 * i)) & 0xff);
-      header[4 + i] = static_cast<uint8_t>((crc >> (8 * i)) & 0xff);
-    }
-    if (std::fwrite(header, 1, sizeof(header), f) != sizeof(header) ||
-        (!r.empty() && std::fwrite(r.data(), 1, r.size(), f) != r.size())) {
-      std::fclose(f);
-      return false;
-    }
-  }
-  std::fclose(f);
-  return true;
 }
 
 // ===================================================================
@@ -1323,16 +1271,16 @@ std::map<std::string, Detector> BuildDetectors(
     std::vector<std::string> files = store.ListFiles();
     if (files.empty()) return Killed("no checkpoint file on disk");
     std::string path = dir + "/" + files.back();
-    std::vector<Bytes> records;
-    if (!ReadFramedRecords(path, &records) || records.size() < 2) {
+    auto records = storage::WriteAheadLog::Recover(path);
+    if (!records.ok() || records->size() < 2) {
       return Killed("cannot parse checkpoint frames");
     }
     ledger::LedgerDb other;
     other.Append(ToBytes("root-entry-X"), 1);
     auto swapped = other.GetEntry(0);
     if (!swapped.ok()) return Killed("cannot build substitute entry");
-    records[1] = swapped->Encode();
-    if (!WriteFramedRecords(path, records)) {
+    (*records)[1] = swapped->Encode();
+    if (!storage::WriteAheadLog::Rewrite(path, *records).ok()) {
       return Killed("cannot rewrite checkpoint file");
     }
     if (store.LoadLatest().ok()) {

@@ -1,7 +1,7 @@
 // Unit tests for the durable-checkpoint and commit-journal layer
-// (src/recovery): CRC-framed checkpoint round-trips, corrupt-final
-// quarantine + fallback to the previous checkpoint, database image
-// round-trips, journal append/recover/truncate, and ledger suffix replay.
+// (src/recovery): checkpoint round-trips, damaged-final quarantine +
+// fallback to the previous checkpoint, journal append/recover/truncate, and
+// ledger suffix replay.
 // The concurrent state-transfer test at the bottom runs under the TSan
 // stage of scripts/check.sh.
 
@@ -9,25 +9,24 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/serial.h"
 #include "common/sim_clock.h"
 #include "ledger/ledger_db.h"
 #include "recovery/checkpoint.h"
 #include "recovery/journal.h"
-#include "storage/database.h"
+#include "storage/wal.h"
 
 namespace prever::recovery {
 namespace {
 
 namespace fs = std::filesystem;
-using storage::Mutation;
-using storage::Schema;
-using storage::Value;
-using storage::ValueType;
 
 class RecoveryTest : public ::testing::Test {
  protected:
@@ -89,25 +88,10 @@ TEST_F(RecoveryTest, CheckpointRoundTrip) {
   ASSERT_TRUE(store.Init().ok());
 
   ledger::LedgerDb ledger = MakeLedger(5);
-  storage::Database db;
-  ASSERT_TRUE(
-      db.CreateTable("t", Schema({{"id", ValueType::kString},
-                                  {"n", ValueType::kInt64}}))
-          .ok());
-  Mutation m;
-  m.op = Mutation::Op::kInsert;
-  m.table = "t";
-  m.row = {Value::String("a"), Value::Int64(7)};
-  ASSERT_TRUE(db.Apply(m).ok());
-
   CheckpointContents contents;
   contents.ledger = &ledger;
   contents.consensus_seq = 42;
-  contents.spent_serials = {ToBytes("s1"), ToBytes("s2")};
-  contents.db_image = EncodeDatabaseImage(db);
   contents.app_state = ToBytes("opaque-consensus-blob");
-  contents.db_version = db.version();
-  contents.catalog_revision = 3;
   auto id = store.Save(contents);
   ASSERT_TRUE(id.ok());
 
@@ -116,22 +100,10 @@ TEST_F(RecoveryTest, CheckpointRoundTrip) {
   EXPECT_EQ(loaded->manifest.checkpoint_id, *id);
   EXPECT_EQ(loaded->manifest.consensus_seq, 42u);
   EXPECT_EQ(loaded->manifest.ledger_size, 5u);
-  EXPECT_EQ(loaded->manifest.db_version, db.version());
-  EXPECT_EQ(loaded->manifest.catalog_revision, 3u);
   // The rebuilt ledger is digest-identical to the source.
   EXPECT_TRUE(loaded->ledger.Digest() == ledger.Digest());
   EXPECT_EQ(loaded->manifest.ledger_root, ledger.Digest().root);
-  EXPECT_EQ(loaded->spent_serials,
-            (std::vector<Bytes>{ToBytes("s1"), ToBytes("s2")}));
   EXPECT_EQ(loaded->app_state, ToBytes("opaque-consensus-blob"));
-
-  storage::Database restored;
-  auto version = RestoreDatabaseImage(loaded->db_image, &restored);
-  ASSERT_TRUE(version.ok());
-  EXPECT_EQ(*version, db.version());
-  auto table = restored.GetTable("t");
-  ASSERT_TRUE(table.ok());
-  EXPECT_EQ((*table)->size(), 1u);
 }
 
 TEST_F(RecoveryTest, LoadLatestWithoutCheckpointsIsNotFound) {
@@ -185,35 +157,61 @@ TEST_F(RecoveryTest, CorruptFinalQuarantinedWithFallbackToPrevious) {
 }
 
 TEST_F(RecoveryTest, TruncatedFinalQuarantinedWithFallbackToPrevious) {
-  CheckpointStore store(dir_);
-  ASSERT_TRUE(store.Init().ok());
-  ledger::LedgerDb ledger = MakeLedger(2);
-  CheckpointContents a;
-  a.ledger = &ledger;
-  a.consensus_seq = 2;
-  ASSERT_TRUE(store.Save(a).ok());
-  ledger.Append(ToBytes("entry-0-2"), 3);
-  CheckpointContents b;
-  b.ledger = &ledger;
-  b.consensus_seq = 3;
-  ASSERT_TRUE(store.Save(b).ok());
+  // Damage the record-file parser must reject outright instead of
+  // returning a clean prefix: a truncated tail (a crash mid-write of the
+  // final file, e.g. a torn rename target on a non-atomic filesystem), junk
+  // appended after the last record, and entries reordered under valid CRCs.
+  const std::vector<std::pair<std::string,
+                              std::function<void(const std::string&)>>>
+      damages = {
+          {"truncated",
+           [](const std::string& path) {
+             fs::resize_file(path, fs::file_size(path) - 5);
+           }},
+          {"junk",
+           [](const std::string& path) {
+             std::FILE* f = std::fopen(path.c_str(), "ab");
+             ASSERT_NE(f, nullptr);
+             const uint8_t junk[5] = {1, 2, 3, 4, 5};
+             std::fwrite(junk, 1, sizeof(junk), f);
+             std::fclose(f);
+           }},
+          {"reordered",
+           [](const std::string& path) {
+             auto records = storage::WriteAheadLog::Recover(path);
+             ASSERT_TRUE(records.ok());
+             std::swap((*records)[1], (*records)[2]);
+             ASSERT_TRUE(storage::WriteAheadLog::Rewrite(path, *records).ok());
+           }},
+      };
+  for (const auto& [name, damage] : damages) {
+    SCOPED_TRACE(name);
+    CheckpointStore store(dir_ + "/" + name);
+    ASSERT_TRUE(store.Init().ok());
+    ledger::LedgerDb ledger = MakeLedger(2);
+    CheckpointContents a;
+    a.ledger = &ledger;
+    a.consensus_seq = 2;
+    ASSERT_TRUE(store.Save(a).ok());
+    ledger.Append(ToBytes("entry-0-2"), 3);
+    CheckpointContents b;
+    b.ledger = &ledger;
+    b.consensus_seq = 3;
+    ASSERT_TRUE(store.Save(b).ok());
 
-  // Truncate the newest file's tail — a crash mid-write of the final file
-  // (e.g. a torn rename target on a non-atomic filesystem).
-  auto files = store.ListFiles();
-  std::string path = store.dir() + "/" + files.back();
-  fs::resize_file(path, fs::file_size(path) - 5);
+    damage(store.dir() + "/" + store.ListFiles().back());
 
-  auto loaded = store.LoadLatest();
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->manifest.consensus_seq, 2u);
-  EXPECT_EQ(store.quarantined(), 1u);
+    auto loaded = store.LoadLatest();
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded->manifest.consensus_seq, 2u);
+    EXPECT_EQ(store.quarantined(), 1u);
 
-  // With EVERY checkpoint corrupt, recovery reports NotFound and callers
-  // fall back to full journal replay.
-  FlipByteInNewest(store);
-  EXPECT_EQ(store.LoadLatest().status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(store.quarantined(), 2u);
+    // With EVERY checkpoint corrupt, recovery reports NotFound and callers
+    // fall back to full journal replay.
+    FlipByteInNewest(store);
+    EXPECT_EQ(store.LoadLatest().status().code(), StatusCode::kNotFound);
+    EXPECT_EQ(store.quarantined(), 2u);
+  }
 }
 
 TEST_F(RecoveryTest, GarbageCollectKeepsNewest) {
@@ -233,53 +231,6 @@ TEST_F(RecoveryTest, GarbageCollectKeepsNewest) {
   auto loaded = store.LoadLatest();
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->manifest.consensus_seq, 4u);
-}
-
-TEST_F(RecoveryTest, DatabaseImageRoundTripMultipleTables) {
-  storage::Database db;
-  ASSERT_TRUE(db.CreateTable("x", Schema({{"id", ValueType::kString},
-                                          {"v", ValueType::kInt64}}))
-                  .ok());
-  ASSERT_TRUE(db.CreateTable("y", Schema({{"id", ValueType::kString},
-                                          {"at", ValueType::kTimestamp}}))
-                  .ok());
-  for (int i = 0; i < 5; ++i) {
-    Mutation m;
-    m.op = Mutation::Op::kInsert;
-    m.table = "x";
-    m.row = {Value::String("k" + std::to_string(i)), Value::Int64(i * 10)};
-    ASSERT_TRUE(db.Apply(m).ok());
-  }
-  Mutation m;
-  m.op = Mutation::Op::kInsert;
-  m.table = "y";
-  m.row = {Value::String("t"), Value::Timestamp(kHour)};
-  ASSERT_TRUE(db.Apply(m).ok());
-
-  Bytes image = EncodeDatabaseImage(db);
-  storage::Database restored;
-  auto version = RestoreDatabaseImage(image, &restored);
-  ASSERT_TRUE(version.ok()) << version.status().message();
-  EXPECT_EQ(*version, db.version());
-  EXPECT_EQ(restored.TableNames(), db.TableNames());
-  auto x = restored.GetTable("x");
-  ASSERT_TRUE(x.ok());
-  EXPECT_EQ((*x)->size(), 5u);
-  // Restored rows are value-identical (spot check one).
-  (*x)->Scan([&](const storage::Row& row) {
-    auto id = row[0].AsString();
-    auto v = row[1].AsInt64();
-    EXPECT_TRUE(id.ok() && v.ok());
-    if (id.ok() && *id == "k3") EXPECT_EQ(*v, 30);
-    return true;
-  });
-
-  // Restoring into a database that already has a table of the same name
-  // must fail instead of merging.
-  storage::Database occupied;
-  ASSERT_TRUE(occupied.CreateTable("x", Schema({{"id", ValueType::kString}}))
-                  .ok());
-  EXPECT_FALSE(RestoreDatabaseImage(image, &occupied).ok());
 }
 
 TEST_F(RecoveryTest, JournalAppendRecoverTruncate) {
@@ -329,6 +280,59 @@ TEST_F(RecoveryTest, JournalAppendRecoverTruncate) {
   EXPECT_TRUE(empty->empty());
 }
 
+TEST_F(RecoveryTest, FailedTruncateBelowLeavesJournalOpen) {
+  ASSERT_TRUE(fs::create_directories(dir_));
+  std::string path = dir_ + "/journal.wal";
+  CommitJournal journal;
+  ASSERT_TRUE(journal.Open(path).ok());
+  ASSERT_TRUE(journal.Append({1, 101, {ToBytes("p1")}}).ok());
+
+  // A non-empty directory squatting on the rewrite's tmp path makes the
+  // rewrite fail; the journal must still take appends afterwards.
+  ASSERT_TRUE(fs::create_directories(path + ".tmp/blocker"));
+  EXPECT_FALSE(journal.TruncateBelow(0).ok());
+  EXPECT_TRUE(journal.is_open());
+  ASSERT_TRUE(journal.Append({2, 102, {ToBytes("p2")}}).ok());
+
+  auto events = CommitJournal::Recover(path);
+  ASSERT_TRUE(events.ok());
+  ASSERT_EQ(events->size(), 2u);
+  EXPECT_EQ((*events)[0].position, 1u);
+  EXPECT_EQ((*events)[1].position, 2u);
+}
+
+TEST_F(RecoveryTest, FormatOneCheckpointIsQuarantined) {
+  CheckpointStore store(dir_);
+  ASSERT_TRUE(store.Init().ok());
+  // A format-1 file: its manifest carried database version and catalog
+  // revision, and the file held serial and database-image sections before
+  // the app state. Format 2 must not misread it.
+  ledger::LedgerDb ledger = MakeLedger(2);
+  BinaryWriter manifest;
+  manifest.WriteU32(0x50525643);  // "PRVC".
+  manifest.WriteU32(1);
+  manifest.WriteU64(1);
+  manifest.WriteU64(2);
+  manifest.WriteU64(ledger.size());
+  manifest.WriteBytes(ledger.Digest().root);
+  manifest.WriteU64(0);
+  manifest.WriteU64(0);
+  std::vector<Bytes> records = {manifest.Take()};
+  for (Bytes& entry : ledger.EncodeEntries()) records.push_back(entry);
+  BinaryWriter no_serials;
+  no_serials.WriteU64(0);
+  records.push_back(no_serials.Take());
+  records.push_back(Bytes{});
+  records.push_back(Bytes{});
+  ASSERT_TRUE(storage::WriteAheadLog::Rewrite(
+                  dir_ + "/ckpt-0000000000000001.ckpt", records)
+                  .ok());
+  ASSERT_EQ(store.ListFiles().size(), 1u);
+
+  EXPECT_EQ(store.LoadLatest().status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(store.quarantined(), 1u);
+}
+
 TEST_F(RecoveryTest, ReplayLedgerSuffixSkipsCoveredAndRejectsGaps) {
   ledger::LedgerDb source = MakeLedger(4);
   // Restored checkpoint covers the first 2 entries.
@@ -349,22 +353,10 @@ TEST_F(RecoveryTest, ReplayLedgerSuffixSkipsCoveredAndRejectsGaps) {
 
 // Concurrent state transfer: replicas encode, ship, and rebuild state in
 // parallel — per-thread checkpoint stores and ledgers, with the SOURCE
-// ledger and database image shared read-only across every thread. Runs
-// under the TSan stage of scripts/check.sh.
+// ledger shared read-only across every thread. Runs under the TSan stage of
+// scripts/check.sh.
 TEST_F(RecoveryTest, ConcurrentStateTransferRebuildsIdenticalState) {
   ledger::LedgerDb source = MakeLedger(64);
-  storage::Database db;
-  ASSERT_TRUE(db.CreateTable("t", Schema({{"id", ValueType::kString},
-                                          {"n", ValueType::kInt64}}))
-                  .ok());
-  for (int i = 0; i < 16; ++i) {
-    Mutation m;
-    m.op = Mutation::Op::kInsert;
-    m.table = "t";
-    m.row = {Value::String("k" + std::to_string(i)), Value::Int64(i)};
-    ASSERT_TRUE(db.Apply(m).ok());
-  }
-  const Bytes image = EncodeDatabaseImage(db);
   const ledger::LedgerDigest want = source.Digest();
 
   constexpr int kThreads = 4;
@@ -386,7 +378,6 @@ TEST_F(RecoveryTest, ConcurrentStateTransferRebuildsIdenticalState) {
       CheckpointContents contents;
       contents.ledger = &prefix;
       contents.consensus_seq = 32;
-      contents.db_image = image;
       if (!store.Save(contents).ok()) return fail("save");
       auto loaded = store.LoadLatest();
       if (!loaded.ok()) return fail("load");
@@ -399,12 +390,6 @@ TEST_F(RecoveryTest, ConcurrentStateTransferRebuildsIdenticalState) {
       auto appended = ReplayLedgerSuffix(suffix, &loaded->ledger);
       if (!appended.ok() || *appended != 32) return fail("replay");
       if (!(loaded->ledger.Digest() == want)) return fail("digest mismatch");
-      storage::Database rebuilt;
-      if (!RestoreDatabaseImage(loaded->db_image, &rebuilt).ok()) {
-        return fail("restore image");
-      }
-      auto table = rebuilt.GetTable("t");
-      if (!table.ok() || (*table)->size() != 16) return fail("table rows");
     });
   }
   for (auto& th : threads) th.join();

@@ -355,6 +355,35 @@ TEST_F(WalTest, TornTailIsSkipped) {
   EXPECT_EQ(ToString((*records)[0]), "good");
 }
 
+TEST_F(WalTest, AppendAfterTornTailIsRecovered) {
+  {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(path_).ok());
+    ASSERT_TRUE(wal.Append(ToBytes("one")).ok());
+    ASSERT_TRUE(wal.Append(ToBytes("two")).ok());
+  }
+  // A crash tears the last record; the next boot reopens and appends.
+  std::FILE* f = std::fopen(path_.c_str(), "rb");
+  std::fseek(f, 0, SEEK_END);
+  long full = std::ftell(f);
+  std::fclose(f);
+  ASSERT_EQ(::truncate(path_.c_str(), full - 2), 0);
+  {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(path_).ok());
+    ASSERT_TRUE(wal.Append(ToBytes("three")).ok());
+  }
+  // The torn bytes were cut on Open, so the new record is not hidden
+  // behind them.
+  bool truncated = true;
+  auto records = WriteAheadLog::Recover(path_, &truncated);
+  ASSERT_TRUE(records.ok());
+  EXPECT_FALSE(truncated);
+  ASSERT_EQ(records->size(), 2u);
+  EXPECT_EQ(ToString((*records)[0]), "one");
+  EXPECT_EQ(ToString((*records)[1]), "three");
+}
+
 TEST_F(WalTest, CorruptRecordStopsRecovery) {
   {
     WriteAheadLog wal;

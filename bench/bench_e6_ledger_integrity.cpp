@@ -26,9 +26,13 @@ ledger::LedgerDb BuildLedger(size_t n) {
   return led;
 }
 
+// Appends onto a ledger preloaded to `range(0)` entries. The fixed
+// iteration count makes each arg's final ledger size deterministic, so
+// scripts/bench_smoke.sh can compare per-append time across sizes: appends
+// are amortized O(1), so 2^16 must cost about what 2^10 does.
 void BM_Append(benchmark::State& state) {
-  ledger::LedgerDb led;
-  uint64_t i = 0;
+  auto led = BuildLedger(static_cast<size_t>(state.range(0)));
+  uint64_t i = led.size();
   obs::Histogram* op = benchutil::OpHistogram("e6", "append");
   for (auto _ : state) {
     PREVER_TRACE_SPAN(op);
@@ -39,7 +43,8 @@ void BM_Append(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(state.iterations()),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Append)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_Append)->Arg(1 << 10)->Arg(1 << 16)->Iterations(4096)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Digest(benchmark::State& state) {
   auto led = BuildLedger(static_cast<size_t>(state.range(0)));

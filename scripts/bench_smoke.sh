@@ -28,7 +28,7 @@ declare -A FILTERS=(
   [bench_e3_constraint_verification]='BM_PlaintextEval/100'
   [bench_e4_crowdworking]='BM_DemarcationTrace/2'
   [bench_e5_pir]='BM_XorPirFetch/256'
-  [bench_e6_ledger_integrity]='BM_Append'
+  [bench_e6_ledger_integrity]='BM_Append/1024'
   [bench_e7_scaling]='BM_PlaintextDataSize/1000'
   [bench_e8_dp_budget]='BM_DpRefusePolicy/100'
 )
@@ -244,6 +244,36 @@ else
   fail=1
 fi
 rm -f "$overhead_json"
+
+# Ledger append cost must not grow with ledger size: an append is amortized
+# O(1) (geometric vector growth, one HashNode per newly completed pair), so
+# per-append time on a 2^16-entry ledger stays within 2x of a 2^10-entry
+# one. Any O(ledger size) step per append, such as an exact-size reserve
+# that defeats geometric growth, costs several times that at 2^16.
+append_json="$(mktemp)"
+if "$BENCH_DIR/bench_e6_ledger_integrity" \
+      --benchmark_filter='BM_Append/' \
+      --benchmark_out="$append_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$append_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+per_append = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate":
+        per_append[int(b["name"].split("/")[1])] = b["cpu_time"]
+small, large = per_append.get(1 << 10), per_append.get(1 << 16)
+assert small and large, f"BM_Append sizes missing: {sorted(per_append)}"
+ratio = large / small
+print(f"append {small:.2f}us at 2^10, {large:.2f}us at 2^16 ({ratio:.2f}x)")
+assert ratio <= 2.0, f"per-append time grows {ratio:.2f}x with ledger size"
+EOF
+then
+  echo "bench_smoke: OK append cost flat in ledger size"
+else
+  echo "bench_smoke: FAIL append cost grows with ledger size" >&2
+  fail=1
+fi
+rm -f "$append_json"
 
 # Compiled-verification path: a short verify-and-commit run must actually
 # take the compiled route (compiled > 0, nothing silently falling back to

@@ -212,15 +212,14 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
   auto count = r.ReadU32();
   if (!batch_id.ok() || !count.ok()) return;  // Not an envelope: skip.
   if (!MarkApplied(replica, position, *batch_id)) return;
+  // Decode the whole envelope before touching the ledger: a malformed one
+  // appends nothing.
   std::vector<Bytes> payloads;
-  std::vector<SimTime> stamps;
   payloads.reserve(*count);
-  stamps.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
     auto payload = r.ReadBytes();
     if (!payload.ok()) return;
     payloads.push_back(std::move(*payload));
-    stamps.push_back(BatchEntryStamp(position, i));
   }
   // Durability closure: the canonical replica's ledger append, parented to
   // the envelope's consensus span (other replicas stay untraced).
@@ -230,7 +229,9 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
       replica == 0 ? pipeline_->ContextForBatch(*batch_id)
                    : obs::TraceContext{},
       position);
-  (void)ledgers_[replica].AppendBatch(payloads, stamps);
+  for (uint32_t i = 0; i < payloads.size(); ++i) {
+    ledgers_[replica].Append(payloads[i], BatchEntryStamp(position, i));
+  }
   tracer.EndSpan(span, obs::TraceStage::kLedgerAppend, payloads.size());
   if (replica == 0) {
     committed_ = ledgers_[0].size();

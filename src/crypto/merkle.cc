@@ -34,49 +34,23 @@ Bytes MerkleTree::HashNode(const Bytes& left, const Bytes& right) {
 Bytes MerkleTree::EmptyRoot() { return Sha256::Hash(Bytes{}); }
 
 size_t MerkleTree::Append(const Bytes& leaf) {
-  leaves_.push_back(HashLeaf(leaf));
   // Maintain the level cache: whenever a level gains an even number of
   // nodes, the last pair forms a new complete subtree one level up.
   if (levels_.empty()) levels_.emplace_back();
-  levels_[0].push_back(leaves_.back());
+  levels_[0].push_back(HashLeaf(leaf));
   for (size_t h = 0; levels_[h].size() % 2 == 0; ++h) {
     if (h + 1 >= levels_.size()) levels_.emplace_back();
     const auto& level = levels_[h];
     levels_[h + 1].push_back(
         HashNode(level[level.size() - 2], level[level.size() - 1]));
   }
-  return leaves_.size() - 1;
-}
-
-void MerkleTree::AppendBatch(const std::vector<Bytes>& batch) {
-  if (batch.empty()) return;
-  if (levels_.empty()) levels_.emplace_back();
-  leaves_.reserve(leaves_.size() + batch.size());
-  levels_[0].reserve(levels_[0].size() + batch.size());
-  for (const Bytes& leaf : batch) {
-    leaves_.push_back(HashLeaf(leaf));
-    levels_[0].push_back(leaves_.back());
-  }
-  // Fold once per level: every complete pair without a parent yet gains one.
-  // Stops at the first level with nothing new (upper levels are untouched by
-  // construction of the invariant levels_[h+1].size() == levels_[h].size()/2).
-  for (size_t h = 0; h < levels_.size(); ++h) {
-    size_t pairs = levels_[h].size() / 2;
-    size_t parents = h + 1 < levels_.size() ? levels_[h + 1].size() : 0;
-    if (pairs <= parents) break;
-    if (h + 1 >= levels_.size()) levels_.emplace_back();
-    levels_[h + 1].reserve(pairs);
-    for (size_t i = parents; i < pairs; ++i) {
-      levels_[h + 1].push_back(
-          HashNode(levels_[h][2 * i], levels_[h][2 * i + 1]));
-    }
-  }
+  return levels_[0].size() - 1;
 }
 
 Bytes MerkleTree::SubtreeRoot(size_t begin, size_t end) const {
   size_t n = end - begin;
   if (n == 0) return EmptyRoot();
-  if (n == 1) return leaves_[begin];
+  if (n == 1) return levels_[0][begin];
   // Complete aligned subtree: O(1) from the level cache.
   if ((n & (n - 1)) == 0 && begin % n == 0) {
     size_t h = 0;
@@ -89,10 +63,10 @@ Bytes MerkleTree::SubtreeRoot(size_t begin, size_t end) const {
   return HashNode(SubtreeRoot(begin, begin + k), SubtreeRoot(begin + k, end));
 }
 
-Bytes MerkleTree::Root() const { return SubtreeRoot(0, leaves_.size()); }
+Bytes MerkleTree::Root() const { return SubtreeRoot(0, LeafCount()); }
 
 Result<Bytes> MerkleTree::RootAt(size_t n) const {
-  if (n > leaves_.size()) {
+  if (n > LeafCount()) {
     return Status::InvalidArgument("historic size exceeds tree size");
   }
   return SubtreeRoot(0, n);
@@ -114,7 +88,7 @@ void MerkleTree::SubtreeInclusion(size_t index, size_t begin, size_t end,
 
 Result<std::vector<Bytes>> MerkleTree::InclusionProof(size_t index,
                                                       size_t tree_size) const {
-  if (tree_size > leaves_.size()) {
+  if (tree_size > LeafCount()) {
     return Status::InvalidArgument("tree_size exceeds tree");
   }
   if (index >= tree_size) {
@@ -177,7 +151,7 @@ void MerkleTree::SubtreeConsistency(size_t old_size, size_t begin, size_t end,
 
 Result<std::vector<Bytes>> MerkleTree::ConsistencyProof(size_t old_size,
                                                         size_t new_size) const {
-  if (new_size > leaves_.size()) {
+  if (new_size > LeafCount()) {
     return Status::InvalidArgument("new_size exceeds tree");
   }
   if (old_size > new_size) {

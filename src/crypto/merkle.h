@@ -20,12 +20,7 @@ class MerkleTree {
   /// Appends a leaf (raw entry bytes, hashed internally). Returns its index.
   size_t Append(const Bytes& leaf);
 
-  /// Appends many leaves at once: hashes every leaf first, then folds each
-  /// cache level a single time instead of walking the carry chain per leaf.
-  /// Result is identical to appending the leaves one by one.
-  void AppendBatch(const std::vector<Bytes>& batch);
-
-  size_t LeafCount() const { return leaves_.size(); }
+  size_t LeafCount() const { return levels_.empty() ? 0 : levels_[0].size(); }
 
   /// Root hash over the current leaves. Empty tree hashes to SHA-256("").
   Bytes Root() const;
@@ -67,10 +62,10 @@ class MerkleTree {
   void SubtreeConsistency(size_t old_size, size_t begin, size_t end,
                           bool whole_known, std::vector<Bytes>* proof) const;
 
-  std::vector<Bytes> leaves_;  // Leaf hashes (level 0 view).
   /// levels_[h][i] = hash of the complete subtree covering leaves
-  /// [i*2^h, (i+1)*2^h); maintained incrementally on Append so digests and
-  /// proofs cost O(log n) instead of rehashing the journal.
+  /// [i*2^h, (i+1)*2^h), so levels_[0] holds the leaf hashes; maintained
+  /// incrementally on Append so digests and proofs cost O(log n) instead of
+  /// rehashing the journal.
   std::vector<std::vector<Bytes>> levels_;
 };
 

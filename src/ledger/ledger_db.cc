@@ -33,26 +33,6 @@ uint64_t LedgerDb::Append(const Bytes& payload, SimTime timestamp) {
   return entries_.back().sequence;
 }
 
-Status LedgerDb::AppendBatch(const std::vector<Bytes>& payloads,
-                             const std::vector<SimTime>& timestamps) {
-  if (payloads.size() != timestamps.size()) {
-    return Status::InvalidArgument("payload/timestamp count mismatch");
-  }
-  std::vector<Bytes> encoded;
-  encoded.reserve(payloads.size());
-  entries_.reserve(entries_.size() + payloads.size());
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    LedgerEntry entry;
-    entry.sequence = entries_.size();
-    entry.timestamp = timestamps[i];
-    entry.payload = payloads[i];
-    encoded.push_back(entry.Encode());
-    entries_.push_back(std::move(entry));
-  }
-  tree_.AppendBatch(encoded);
-  return Status::Ok();
-}
-
 Result<LedgerEntry> LedgerDb::GetEntry(uint64_t sequence) const {
   if (sequence >= entries_.size()) {
     return Status::NotFound("no ledger entry " + std::to_string(sequence));

@@ -59,12 +59,6 @@ class LedgerDb {
   /// Appends a payload; returns its sequence number.
   uint64_t Append(const Bytes& payload, SimTime timestamp);
 
-  /// Appends `payloads[i]` with `timestamps[i]` as consecutive entries,
-  /// hashing all leaves and folding the Merkle level cache once for the
-  /// whole batch (same final state as per-entry Append, amortized cost).
-  Status AppendBatch(const std::vector<Bytes>& payloads,
-                     const std::vector<SimTime>& timestamps);
-
   uint64_t size() const { return entries_.size(); }
   Result<LedgerEntry> GetEntry(uint64_t sequence) const;
 

@@ -6,6 +6,7 @@
 #include <set>
 #include <type_traits>
 
+#include "common/serial.h"
 #include "constraint/parser.h"
 #include "core/prever.h"
 
@@ -419,6 +420,61 @@ TYPED_TEST(ReplicatedApplyTest, ObserverMirrorsEveryReplicaLedger) {
               o.batch_ids.size())
         << "batch applied twice on replica " << r;
   }
+}
+
+// Exposes the protected apply tail so a test can hand it raw envelopes.
+template <typename Ordering>
+class ApplyProbe : public Ordering {
+ public:
+  using Ordering::Ordering;
+  using Ordering::ApplyEnvelope;
+};
+
+// Batch envelope layout: [u64 batch_id][u32 count][bytes payload]...
+Bytes EncodeEnvelope(uint64_t batch_id, uint32_t count,
+                     const std::vector<Bytes>& payloads) {
+  BinaryWriter w;
+  w.WriteU64(batch_id);
+  w.WriteU32(count);
+  for (const Bytes& p : payloads) w.WriteBytes(p);
+  return w.Take();
+}
+
+// ApplyEnvelope decodes the whole envelope before it appends: a malformed
+// envelope leaves every replica ledger untouched and the observer silent,
+// and a well-formed envelope at the next position still applies.
+TYPED_TEST(ReplicatedApplyTest, MalformedEnvelopeAppendsNothing) {
+  ApplyProbe<TypeParam> ordering(4, net::SimNetConfig{});
+  std::vector<size_t> observed(ordering.num_replicas(), 0);
+  ordering.SetReplicaCommitObserver(
+      [&](size_t replica, uint64_t, uint64_t, const std::vector<Bytes>&) {
+        ++observed[replica];
+      });
+  const std::vector<Bytes> two = {ToBytes("a"), ToBytes("bcd")};
+  const Bytes short_count = EncodeEnvelope(1, 3, two);
+  Bytes overrun = EncodeEnvelope(2, 2, two);
+  overrun.pop_back();  // The last payload's length now runs past the end.
+
+  for (size_t r = 0; r < ordering.num_replicas(); ++r) {
+    ordering.ApplyEnvelope(r, 1, short_count);
+    ordering.ApplyEnvelope(r, 2, overrun);
+    EXPECT_EQ(ordering.ReplicaLedger(r).size(), 0u) << r;
+    EXPECT_EQ(observed[r], 0u) << r;
+  }
+  EXPECT_EQ(ordering.CommittedCount(), 0u);
+
+  const Bytes good = EncodeEnvelope(3, 2, two);
+  for (size_t r = 0; r < ordering.num_replicas(); ++r) {
+    ordering.ApplyEnvelope(r, 3, good);
+    const ledger::LedgerDb& ledger = ordering.ReplicaLedger(r);
+    ASSERT_EQ(ledger.size(), 2u) << r;
+    EXPECT_EQ(observed[r], 1u) << r;
+    for (uint32_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(ledger.GetEntry(i)->payload, two[i]) << r;
+      EXPECT_EQ(ledger.GetEntry(i)->timestamp, BatchEntryStamp(3, i)) << r;
+    }
+  }
+  EXPECT_EQ(ordering.CommittedCount(), 2u);
 }
 
 // ------------------------------------------------ String escape round trip

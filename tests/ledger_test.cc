@@ -30,45 +30,6 @@ TEST(LedgerDbTest, DigestChangesWithEveryAppend) {
   }
 }
 
-// AppendBatch must leave the ledger in exactly the state serial Appends
-// would: same entries, same digests at every size, same proofs.
-TEST(LedgerDbTest, AppendBatchMatchesSerialAppends) {
-  std::vector<Bytes> payloads;
-  std::vector<SimTime> stamps;
-  for (int i = 0; i < 33; ++i) {
-    payloads.push_back(ToBytes("e" + std::to_string(i)));
-    stamps.push_back(static_cast<SimTime>(100 + i));
-  }
-  LedgerDb serial;
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    serial.Append(payloads[i], stamps[i]);
-  }
-  LedgerDb batched;
-  ASSERT_TRUE(batched.AppendBatch(payloads, stamps).ok());
-
-  ASSERT_EQ(batched.size(), serial.size());
-  EXPECT_EQ(batched.Digest(), serial.Digest());
-  for (uint64_t n = 1; n <= batched.size(); ++n) {
-    EXPECT_EQ(*batched.DigestAt(n), *serial.DigestAt(n)) << n;
-  }
-  for (uint64_t seq = 0; seq < batched.size(); ++seq) {
-    auto entry = batched.GetEntry(seq);
-    ASSERT_TRUE(entry.ok());
-    EXPECT_EQ(entry->sequence, seq);
-    EXPECT_EQ(entry->timestamp, stamps[seq]);
-    auto proof = batched.ProveInclusion(seq, batched.size());
-    ASSERT_TRUE(proof.ok());
-    EXPECT_TRUE(LedgerDb::VerifyInclusion(*entry, *proof, serial.Digest()));
-  }
-  EXPECT_TRUE(batched.Audit().ok());
-}
-
-TEST(LedgerDbTest, AppendBatchRejectsLengthMismatch) {
-  LedgerDb ledger;
-  EXPECT_FALSE(ledger.AppendBatch({ToBytes("a"), ToBytes("b")}, {1}).ok());
-  EXPECT_EQ(ledger.size(), 0u);
-}
-
 TEST(LedgerDbTest, InclusionProofVerifies) {
   LedgerDb ledger;
   for (int i = 0; i < 20; ++i) ledger.Append(ToBytes("e" + std::to_string(i)), i);

@@ -53,61 +53,63 @@ TEST(MerkleTest, RootAtMatchesIncrementalRoots) {
   }
 }
 
-// AppendBatch is a pure optimization: any split of a leaf sequence into
-// batches must yield the same tree as one Append per leaf — same roots
-// (current and historic) and same inclusion proofs.
-TEST(MerkleTest, AppendBatchMatchesSerialAppends) {
-  for (size_t total : {1u, 2u, 3u, 7u, 16u, 33u, 100u}) {
-    std::vector<Bytes> leaves;
-    for (size_t i = 0; i < total; ++i) leaves.push_back(Leaf(static_cast<int>(i)));
-
-    MerkleTree serial;
-    for (const Bytes& l : leaves) serial.Append(l);
-    MerkleTree batched;
-    batched.AppendBatch(leaves);
-
-    ASSERT_EQ(batched.LeafCount(), serial.LeafCount()) << total;
-    EXPECT_EQ(batched.Root(), serial.Root()) << total;
-    for (size_t n = 1; n <= total; ++n) {
-      EXPECT_EQ(*batched.RootAt(n), *serial.RootAt(n)) << total << "@" << n;
-    }
-    for (size_t i = 0; i < total; ++i) {
-      auto a = batched.InclusionProof(i, total);
-      auto b = serial.InclusionProof(i, total);
-      ASSERT_TRUE(a.ok() && b.ok());
-      EXPECT_EQ(*a, *b) << total << "#" << i;
-    }
-  }
+// Naive RFC 6962 Merkle Tree Hash over raw leaves [begin, end): recursive
+// over HashLeaf/HashNode with no level cache, the reference the tree's
+// cached SubtreeRoot must reproduce.
+Bytes ReferenceRoot(const std::vector<Bytes>& leaves, size_t begin,
+                    size_t end) {
+  size_t n = end - begin;
+  if (n == 0) return MerkleTree::EmptyRoot();
+  if (n == 1) return MerkleTree::HashLeaf(leaves[begin]);
+  size_t k = 1;
+  while (k * 2 < n) k *= 2;
+  return MerkleTree::HashNode(ReferenceRoot(leaves, begin, begin + k),
+                              ReferenceRoot(leaves, begin + k, end));
 }
 
-TEST(MerkleTest, AppendBatchComposesWithSingleAppends) {
-  MerkleTree serial;
-  MerkleTree mixed;
-  int next = 0;
-  auto feed_serial = [&](int n) {
-    for (int i = 0; i < n; ++i) serial.Append(Leaf(next + i));
-  };
-  // Odd-sized batches landing on odd tree sizes stress the level-fold logic.
-  for (int n : {3, 1, 5, 2, 8, 1, 13}) {
-    feed_serial(n);
-    std::vector<Bytes> batch;
-    for (int i = 0; i < n; ++i) batch.push_back(Leaf(next + i));
-    if (n == 1) {
-      mixed.Append(batch[0]);
-    } else {
-      mixed.AppendBatch(batch);
-    }
-    next += n;
-    ASSERT_EQ(mixed.Root(), serial.Root()) << "after +" << n;
+// Differential check of the level cache against the reference: roots at
+// every size across a power-of-two boundary (2^7), historic roots at every
+// intermediate size, and inclusion and consistency proofs verifying against
+// the reference roots.
+TEST(MerkleTest, LevelCacheMatchesReferenceHash) {
+  constexpr size_t kMax = 130;
+  std::vector<Bytes> leaves;
+  std::vector<Bytes> ref;  // ref[n] = reference root over the first n leaves.
+  for (size_t n = 0; n <= kMax; ++n) {
+    ref.push_back(ReferenceRoot(leaves, 0, n));
+    leaves.push_back(Leaf(static_cast<int>(n)));
   }
-}
 
-TEST(MerkleTest, AppendBatchEmptyIsNoOp) {
-  MerkleTree tree = BuildTree(5);
-  Bytes before = tree.Root();
-  tree.AppendBatch({});
-  EXPECT_EQ(tree.LeafCount(), 5u);
-  EXPECT_EQ(tree.Root(), before);
+  MerkleTree tree;
+  for (size_t size = 0; size <= kMax; ++size) {
+    if (size > 0) {
+      ASSERT_EQ(tree.Append(leaves[size - 1]), size - 1);
+    }
+    ASSERT_EQ(tree.LeafCount(), size);
+    ASSERT_EQ(tree.Root(), ref[size]) << size;
+    for (size_t n = 0; n <= size; ++n) {
+      auto root = tree.RootAt(n);
+      ASSERT_TRUE(root.ok()) << size << "@" << n;
+      ASSERT_EQ(*root, ref[n]) << size << "@" << n;
+    }
+  }
+  for (size_t n = 1; n <= kMax; ++n) {
+    for (size_t i = 0; i < n; ++i) {
+      auto proof = tree.InclusionProof(i, n);
+      ASSERT_TRUE(proof.ok()) << n << "/" << i;
+      ASSERT_TRUE(MerkleTree::VerifyInclusion(leaves[i], i, n, *proof, ref[n]))
+          << n << "/" << i;
+    }
+  }
+  for (size_t n = 0; n <= 40; ++n) {
+    for (size_t m = 0; m <= n; ++m) {
+      auto proof = tree.ConsistencyProof(m, n);
+      ASSERT_TRUE(proof.ok()) << m << "->" << n;
+      ASSERT_TRUE(
+          MerkleTree::VerifyConsistency(m, n, ref[m], ref[n], *proof))
+          << m << "->" << n;
+    }
+  }
 }
 
 TEST(MerkleTest, RootAtRejectsOversize) {

@@ -4,7 +4,8 @@
 //
 // Expected shape: appends amortize O(1) hash work; inclusion/consistency
 // proof generation and verification grow logarithmically with ledger size;
-// a full audit is linear; tamper detection always fires.
+// a full audit is linear; tamper detection always fires. Every one of these
+// is SHA-256 underneath, so BM_Sha256 times the compressor itself.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 
 #include "bench_common.h"
 #include "core/auditor.h"
+#include "crypto/sha256_internal.h"
 #include "ledger/ledger_db.h"
 
 namespace {
@@ -44,6 +46,35 @@ void BM_Append(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_Append)->Arg(1 << 10)->Arg(1 << 16)->Iterations(4096)
+    ->Unit(benchmark::kMicrosecond);
+
+// Compression cost of hashing `range(0)` bytes (message plus pad: 2 blocks
+// for 65 B, one HashNode; 17 blocks for 1 KiB) with the portable compressor
+// (range(1) == 0) or the one Sha256 dispatches to on this CPU (1).
+// scripts/bench_smoke.sh requires the dispatched 1 KiB time to be at most
+// half the portable one on CPUs with the SHA extensions.
+void BM_Sha256(benchmark::State& state) {
+  namespace sha = crypto::sha256_internal;
+  const size_t blocks = (static_cast<size_t>(state.range(0)) + 9 + 63) / 64;
+  const sha::CompressFn compress =
+      state.range(1) == 0 ? &sha::CompressPortable : sha::Dispatched();
+  Bytes data(64 * blocks, 0xa5);
+  uint32_t digest[8] = {};
+  for (auto _ : state) {
+    compress(digest, data.data(), blocks);
+    benchmark::DoNotOptimize(digest);
+    benchmark::ClobberMemory();
+  }
+  if (state.range(1) == 0) {
+    state.SetLabel("portable");
+  } else {
+    state.SetLabel(compress == &sha::CompressPortable ? "dispatched=portable"
+                                                      : "dispatched=sha-ni");
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Sha256)->ArgsProduct({{65, 1024}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_Digest(benchmark::State& state) {

@@ -275,6 +275,38 @@ else
 fi
 rm -f "$append_json"
 
+# SHA-256 dispatch: on a CPU whose /proc/cpuinfo lists sha_ni, Sha256 must
+# actually run the SHA-NI compressor. Hashing 1 KiB through the dispatched
+# compressor must take at most half the portable compressor's time (about a
+# tenth in practice); a silent fall-back to the portable path fails here.
+if grep -qw sha_ni /proc/cpuinfo 2>/dev/null; then
+  sha_json="$(mktemp)"
+  if "$BENCH_DIR/bench_e6_ledger_integrity" \
+        --benchmark_filter='BM_Sha256/1024/' \
+        --benchmark_out="$sha_json" --benchmark_out_format=json \
+        >/dev/null 2>&1 && "$PYTHON" - "$sha_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+us = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate":
+        us[int(b["name"].split("/")[2])] = b["cpu_time"]
+portable, dispatched = us.get(0), us.get(1)
+assert portable and dispatched, f"BM_Sha256/1024 cases missing: {sorted(us)}"
+print(f"sha256 1 KiB: portable {portable:.2f}us, dispatched "
+      f"{dispatched:.2f}us ({portable / dispatched:.1f}x)")
+assert dispatched <= 0.5 * portable, \
+    "dispatched SHA-256 is not the SHA-NI path on a sha_ni CPU"
+EOF
+  then
+    echo "bench_smoke: OK SHA-256 dispatches to SHA-NI"
+  else
+    echo "bench_smoke: FAIL SHA-256 dispatch (SHA-NI not used)" >&2
+    fail=1
+  fi
+  rm -f "$sha_json"
+fi
+
 # Compiled-verification path: a short verify-and-commit run must actually
 # take the compiled route (compiled > 0, nothing silently falling back to
 # the interpreter) and the aggregate cache must ride its O(1) delta path —

@@ -92,14 +92,31 @@ Status FederatedTokenEngine::SubmitVia(size_t platform_index,
     } else {
       for (size_t i = 0; i < need; ++i) verify_one(i);
     }
+    // A bad token rejects the whole spend. Only the bad tokens are dropped;
+    // the honest ones drawn beside them go back to the wallet, in reverse
+    // draw order so the wallet ends as it was without the bad ones.
+    Status rejected;
+    std::vector<char> bad(need, 0);
     for (size_t i = 0; i < need; ++i) {
       if (PREVER_MUTATION(FTE_SIG_ACCEPT, !sig_ok[i], false)) {
-        return Status::IntegrityViolation("token signature invalid");
+        bad[i] = 1;
+        if (rejected.ok()) {
+          rejected = Status::IntegrityViolation("token signature invalid");
+        }
+      } else if (PREVER_MUTATION(FTE_DOUBLE_SPEND_SKIP,
+                                 spent_.count(to_spend[i].serial) != 0,
+                                 false)) {
+        bad[i] = 1;
+        if (rejected.ok()) {
+          rejected = Status::AlreadyExists("token double spend detected");
+        }
       }
-      if (PREVER_MUTATION(FTE_DOUBLE_SPEND_SKIP,
-                          spent_.count(to_spend[i].serial) != 0, false)) {
-        return Status::AlreadyExists("token double spend detected");
+    }
+    if (!rejected.ok()) {
+      for (size_t i = need; i-- > 0;) {
+        if (!bad[i]) wallet.Return(std::move(to_spend[i]));
       }
+      return rejected;
     }
     spend.End();
 

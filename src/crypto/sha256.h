@@ -7,7 +7,9 @@
 
 namespace prever::crypto {
 
-/// Incremental SHA-256 (FIPS 180-4), implemented from scratch.
+/// Incremental SHA-256 (FIPS 180-4), with no external dependency. Blocks are
+/// compressed with the CPU's SHA instructions where it has them and in plain
+/// C++ otherwise (crypto/sha256_internal.h); the digest is the same.
 class Sha256 {
  public:
   static constexpr size_t kDigestSize = 32;
@@ -27,11 +29,11 @@ class Sha256 {
   static Bytes Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  static constexpr size_t kBlockSize = 64;
 
   uint32_t state_[8];
   uint64_t total_len_ = 0;
-  uint8_t buffer_[64];
+  uint8_t buffer_[kBlockSize];
   size_t buffer_len_ = 0;
 };
 

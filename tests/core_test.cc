@@ -380,6 +380,28 @@ TEST_F(FederatedTokenEngineTest, RejectsMalformedCost) {
   EXPECT_FALSE(engine_->SubmitVia(0, neg).ok());
 }
 
+TEST_F(FederatedTokenEngineTest, RejectedSpendReturnsHonestTokensToWallet) {
+  auto& wallet = engine_->WalletOf("erin");
+  ASSERT_EQ(wallet.Withdraw(*authority_, "erin", 3, kDay).value(), 3u);
+  token::Token forged;
+  forged.serial = ToBytes("forged-erin");
+  forged.signature = Bytes(authority_->public_key().ModulusBytes(), 0x5a);
+  wallet.PutForTest(forged);  // On top: the first token a spend draws.
+
+  Status s = engine_->SubmitVia(0, MakeWorklogUpdate("e1", "erin", 4, kDay));
+  EXPECT_EQ(s.code(), StatusCode::kIntegrityViolation);
+  EXPECT_EQ(wallet.NumTokens(), 3u);  // Only the forged token is dropped.
+  EXPECT_EQ(ordering_.CommittedCount(), 0u);
+
+  // The three honest tokens pay for a cost-3 update without a withdrawal.
+  const uint64_t budget = authority_->RemainingBudget("erin", kDay);
+  ASSERT_TRUE(
+      engine_->SubmitVia(0, MakeWorklogUpdate("e2", "erin", 3, kDay)).ok());
+  EXPECT_EQ(authority_->RemainingBudget("erin", kDay), budget);
+  EXPECT_EQ(wallet.NumTokens(), 0u);
+  EXPECT_EQ(ordering_.CommittedCount(), 3u);
+}
+
 TEST_F(FederatedTokenEngineTest, SpentSerialIndexRebuiltFromLedgerAfterRestart) {
   // Spend tokens through the first engine instance, then simulate a platform
   // restart: a fresh engine over the SAME ordering ledger rebuilds its

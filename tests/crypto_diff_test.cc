@@ -1,16 +1,23 @@
 // Differential tests for the accelerated crypto hot paths: the Montgomery
-// CIOS/sliding-window PowMod, the fixed-base tables, and CRT Paillier
-// decryption are each checked against slow reference implementations whose
-// correctness is obvious (schoolbook square-and-multiply; the direct
-// lambda/mu decryption). Run under scripts/check.sh's ASan+UBSan config so
-// kernel bugs surface as either a mismatch or a sanitizer report.
+// CIOS/sliding-window PowMod, the fixed-base tables, CRT Paillier
+// decryption and the SHA-NI SHA-256 compressor are each checked against
+// slow reference implementations whose correctness is obvious (schoolbook
+// square-and-multiply; the direct lambda/mu decryption; the portable
+// compressor behind a whole-message pad). Run under scripts/check.sh's
+// ASan+UBSan config so kernel bugs surface as either a mismatch or a
+// sanitizer report.
 
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <random>
 
 #include "crypto/bigint.h"
 #include "crypto/drbg.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
+#include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 
 namespace prever::crypto {
 namespace {
@@ -258,6 +265,105 @@ TEST_F(PaillierCrtDiffTest, KeyWithoutFactorsStillDecrypts) {
   auto ct = PaillierEncrypt(key_.pub, m, drbg_);
   ASSERT_TRUE(ct.ok());
   EXPECT_EQ(PaillierDecrypt(stripped, *ct).value(), m);
+}
+
+// ------------------------------------------------------------------ SHA-256
+
+constexpr uint32_t kSha256Iv[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                                   0xa54ff53a, 0x510e527f, 0x9b05688c,
+                                   0x1f83d9ab, 0x5be0cd19};
+
+Bytes RandomBytes(std::mt19937_64& rng, size_t n) {
+  Bytes out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng());
+  return out;
+}
+
+/// Portable-only SHA-256 with its own padding: the whole message, 0x80,
+/// zeros and the 64-bit bit length laid out in one buffer and run through
+/// the portable compressor. Shares neither Sha256's streaming buffer nor its
+/// pad code, so it checks both along with the dispatched compressor.
+Bytes RefSha256(const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % 64 != 56) padded.push_back(0);
+  const uint64_t bits = uint64_t{msg.size()} * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<uint8_t>(bits >> shift));
+  }
+  uint32_t state[8];
+  std::memcpy(state, kSha256Iv, sizeof(state));
+  sha256_internal::CompressPortable(state, padded.data(), padded.size() / 64);
+  Bytes out;
+  for (uint32_t word : state) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<uint8_t>(word >> shift));
+    }
+  }
+  return out;
+}
+
+TEST(Sha256DiffTest, ShaNiCompressorMatchesPortable) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (!sha256_internal::CpuHasShaNi()) {
+    GTEST_SKIP() << "CPU lacks the SHA extensions: Sha256 runs the portable "
+                    "compressor only";
+  }
+  std::mt19937_64 rng(0x5a256);
+  for (int round = 0; round < 12000; ++round) {
+    // Mostly single blocks; every fourth round chains 2..8 blocks so the
+    // state carried in registers between blocks is checked too.
+    const size_t blocks = round % 4 == 3 ? 2 + rng() % 7 : 1;
+    uint32_t portable[8];
+    for (uint32_t& word : portable) word = static_cast<uint32_t>(rng());
+    uint32_t hardware[8];
+    std::memcpy(hardware, portable, sizeof(hardware));
+    Bytes data = RandomBytes(rng, 64 * blocks);
+    sha256_internal::CompressPortable(portable, data.data(), blocks);
+    sha256_internal::CompressShaNi(hardware, data.data(), blocks);
+    ASSERT_EQ(0, std::memcmp(portable, hardware, sizeof(portable)))
+        << "round " << round << ", " << blocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "no SHA-NI compressor on this architecture";
+#endif
+}
+
+TEST(Sha256DiffTest, DispatchPicksHardwareWhenPresent) {
+#if defined(__x86_64__) || defined(__i386__)
+  EXPECT_EQ(sha256_internal::Dispatched(),
+            sha256_internal::CpuHasShaNi() ? &sha256_internal::CompressShaNi
+                                           : &sha256_internal::CompressPortable);
+#else
+  EXPECT_EQ(sha256_internal::Dispatched(), &sha256_internal::CompressPortable);
+#endif
+}
+
+TEST(Sha256DiffTest, DispatchedMatchesPortableOnEveryLengthTo320) {
+  // Crosses every pad edge: 55/56 (length fits / spills into a second
+  // block), 63/64/65 and 119/120/128.
+  std::mt19937_64 rng(0x9ad);
+  for (size_t len = 0; len <= 320; ++len) {
+    Bytes msg = RandomBytes(rng, len);
+    ASSERT_EQ(Sha256::Hash(msg), RefSha256(msg)) << "length " << len;
+  }
+}
+
+TEST(Sha256DiffTest, RandomUpdateSplitsMatchPortable) {
+  std::mt19937_64 rng(0x5b117);
+  for (int round = 0; round < 400; ++round) {
+    Bytes msg = RandomBytes(rng, rng() % 700);
+    Sha256 h;
+    size_t at = 0;
+    while (at < msg.size()) {
+      // Chunks of 0..150 bytes: empty, sub-block, block-aligned and
+      // multi-block updates, starting at any buffered offset.
+      size_t take = std::min<size_t>(rng() % 151, msg.size() - at);
+      h.Update(msg.data() + at, take);
+      at += take;
+    }
+    ASSERT_EQ(h.Finish(), RefSha256(msg)) << "round " << round;
+  }
 }
 
 }  // namespace

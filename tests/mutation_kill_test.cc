@@ -33,6 +33,7 @@ int main() {
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <map>
@@ -63,6 +64,7 @@ int main() {
 #include "crypto/pedersen.h"
 #include "crypto/rsa.h"
 #include "crypto/sha256.h"
+#include "crypto/sha256_internal.h"
 #include "crypto/zkp.h"
 #include "ledger/ledger_db.h"
 #include "mutate/mutation.h"
@@ -998,6 +1000,25 @@ std::map<std::string, Detector> BuildDetectors(
       return Killed("leaf domain tag changed the Merkle root");
     }
     return Survived("root still matches the unmutated baseline");
+  };
+  d["SHA256_NI_FEEDFORWARD_SKIP"] = [] {
+    // The check of Sha256DiffTest: the dispatched compressor must agree
+    // with the portable one on a (state, block) pair.
+    namespace sha = crypto::sha256_internal;
+    if (sha::Dispatched() == &sha::CompressPortable) {
+      return Survived("CPU lacks the SHA extensions: SHA-NI path never runs");
+    }
+    uint32_t portable[8], dispatched[8];
+    uint8_t block[64];
+    for (int i = 0; i < 8; ++i) portable[i] = 0x9e3779b9u * (i + 1);
+    for (int i = 0; i < 64; ++i) block[i] = static_cast<uint8_t>(7 * i + 1);
+    std::memcpy(dispatched, portable, sizeof(portable));
+    sha::CompressPortable(portable, block, 1);
+    sha::Dispatched()(dispatched, block, 1);
+    if (std::memcmp(portable, dispatched, sizeof(portable)) != 0) {
+      return Killed("SHA-NI compressor disagrees with the portable one");
+    }
+    return Survived("SHA-NI compressor still matches the portable one");
   };
 
   // ------------------------------------------------------ ledger-audit

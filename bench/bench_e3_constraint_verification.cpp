@@ -20,6 +20,7 @@
 #include "constraint/verifier.h"
 #include "core/prever.h"
 #include "crypto/montgomery.h"
+#include "crypto/zkp_internal.h"
 #include "mpc/compare.h"
 
 namespace {
@@ -273,6 +274,47 @@ void BM_ZkUpperBoundVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_ZkUpperBoundVerify)->Arg(8)->Arg(16)->Arg(32)
     ->Unit(benchmark::kMillisecond)->Iterations(20);
+
+// Range-proof verification alone, batched against the per-bit oracle. The
+// batched VerifyRange folds every bit equation into one multi-
+// exponentiation; the per-bit loop runs VerifyBit (two variable-base
+// exponentiations) per bit plus the same product check.
+crypto::RangeProof RangeProofFixture(size_t bits,
+                                     crypto::PedersenOpening* opening) {
+  const auto& params = crypto::PedersenParams::Test256();
+  crypto::Drbg drbg(uint64_t{17});
+  crypto::BigInt m = (crypto::BigInt(1) << bits) - crypto::BigInt(1);
+  *opening = crypto::PedersenCommitFresh(params, m, drbg);
+  return crypto::ProveRange(params, opening->commitment, m,
+                            opening->randomness, bits, drbg)
+      .value();
+}
+
+void BM_ZkRangeVerify(benchmark::State& state) {
+  size_t bits = static_cast<size_t>(state.range(0));
+  crypto::PedersenOpening opening;
+  crypto::RangeProof proof = RangeProofFixture(bits, &opening);
+  for (auto _ : state) {
+    bool ok = crypto::VerifyRange(crypto::PedersenParams::Test256(),
+                                  opening.commitment, proof, bits);
+    if (!ok) state.SkipWithError("honest range proof rejected");
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_ZkRangeVerify)->Arg(18)->Unit(benchmark::kMicrosecond);
+
+void BM_ZkRangeVerifyPerBit(benchmark::State& state) {
+  size_t bits = static_cast<size_t>(state.range(0));
+  crypto::PedersenOpening opening;
+  crypto::RangeProof proof = RangeProofFixture(bits, &opening);
+  for (auto _ : state) {
+    bool ok = crypto::zkp_internal::VerifyRangePerBit(
+        crypto::PedersenParams::Test256(), opening.commitment, proof, bits);
+    if (!ok) state.SkipWithError("honest range proof rejected");
+    benchmark::DoNotOptimize(ok);
+  }
+}
+BENCHMARK(BM_ZkRangeVerifyPerBit)->Arg(18)->Unit(benchmark::kMicrosecond);
 
 // ---------------------------------------------------------------- Paillier
 

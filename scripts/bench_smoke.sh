@@ -307,6 +307,37 @@ EOF
   rm -f "$sha_json"
 fi
 
+# Batched range-proof verification: VerifyRange checks all bits of a proof
+# with one multi-exponentiation, so at 18 bits it must cost at most 0.6x the
+# per-bit oracle loop (VerifyBit per bit plus the same product check); about
+# half in practice. A silent fall-back to the per-bit path fails here.
+zk_json="$(mktemp)"
+if "$BENCH_DIR/bench_e3_constraint_verification" \
+      --benchmark_filter='BM_ZkRangeVerify(PerBit)?/18$' \
+      --benchmark_min_time=0.2s \
+      --benchmark_out="$zk_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$zk_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+us = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate" and not b.get("error_occurred"):
+        us[b["name"].split("/")[0]] = b["cpu_time"]
+batched, per_bit = us.get("BM_ZkRangeVerify"), us.get("BM_ZkRangeVerifyPerBit")
+assert batched and per_bit, f"range-verify cases missing: {sorted(us)}"
+ratio = batched / per_bit
+print(f"range verify at 18 bits: batched {batched:.0f}us, per-bit "
+      f"{per_bit:.0f}us ({ratio:.2f}x)")
+assert ratio <= 0.6, f"batched VerifyRange costs {ratio:.2f}x the per-bit loop"
+EOF
+then
+  echo "bench_smoke: OK batched range verification"
+else
+  echo "bench_smoke: FAIL batched range verification" >&2
+  fail=1
+fi
+rm -f "$zk_json"
+
 # Compiled-verification path: a short verify-and-commit run must actually
 # take the compiled route (compiled > 0, nothing silently falling back to
 # the interpreter) and the aggregate cache must ride its O(1) delta path —

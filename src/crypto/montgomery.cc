@@ -1,5 +1,6 @@
 #include "crypto/montgomery.h"
 
+#include <algorithm>
 #include <map>
 #include <mutex>
 #include <utility>
@@ -25,6 +26,65 @@ size_t WindowBits(size_t bits) {
   if (bits >= 24) return 3;
   if (bits >= 8) return 2;
   return 1;
+}
+
+/// Jacobi symbol (a / n) for odd n; `a` and `n` are `len`-limb
+/// little-endian scratch arrays (both clobbered). Binary algorithm: strip
+/// the twos from a (an odd count flips the sign when n = 3, 5 mod 8), swap
+/// so that a >= n (reciprocity flips it when both are 3 mod 4), subtract.
+/// The limb count shrinks with the operands; the last limb runs on scalars.
+int JacobiLimbs(uint64_t* a, uint64_t* n, size_t len) {
+  int sign = 1;
+  auto flip_for_twos = [&sign](size_t twos, uint64_t n0) {
+    if ((twos & 1) && ((n0 & 7) == 3 || (n0 & 7) == 5)) sign = -sign;
+  };
+  while (len > 1) {
+    if (a[len - 1] == 0 && n[len - 1] == 0) {
+      --len;
+      continue;
+    }
+    size_t words = 0;
+    while (words < len && a[words] == 0) ++words;
+    if (words == len) return 0;  // a == 0 and n > 1: not coprime.
+    const unsigned bits = static_cast<unsigned>(__builtin_ctzll(a[words]));
+    if (words > 0) {
+      for (size_t i = 0; i + words < len; ++i) a[i] = a[i + words];
+      for (size_t i = len - words; i < len; ++i) a[i] = 0;
+    }
+    if (bits > 0) {
+      for (size_t i = 0; i + 1 < len; ++i) {
+        a[i] = (a[i] >> bits) | (a[i + 1] << (64 - bits));
+      }
+      a[len - 1] >>= bits;
+    }
+    flip_for_twos(64 * words + bits, n[0]);
+    // a and n are both odd now; make a the larger.
+    size_t top = len - 1;
+    while (top > 0 && a[top] == n[top]) --top;
+    if (a[top] < n[top]) {
+      std::swap(a, n);
+      if ((a[0] & n[0] & 3) == 3) sign = -sign;
+    }
+    uint64_t borrow = 0;
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t d = a[i] - n[i];
+      const uint64_t b = (a[i] < n[i]) | (d < borrow);
+      a[i] = d - borrow;
+      borrow = b;
+    }
+  }
+  uint64_t x = a[0], y = n[0];
+  while (x != 0) {
+    const unsigned twos = static_cast<unsigned>(__builtin_ctzll(x));
+    x >>= twos;
+    flip_for_twos(twos, y);
+    if (x < y) {
+      std::swap(x, y);
+      if ((x & y & 3) == 3) sign = -sign;
+    }
+    x -= y;
+  }
+  return y == 1 ? sign : 0;
 }
 
 }  // namespace
@@ -238,6 +298,98 @@ MontgomeryContext::Limbs MontgomeryContext::PowMont(const Limbs& base_mont,
     i = l;
   }
   return acc;
+}
+
+MontgomeryContext::Limbs MontgomeryContext::MultiPowMont(
+    const std::vector<Limbs>& bases_mont,
+    const std::vector<BigInt>& exps) const {
+  const size_t count = bases_mont.size();
+  // Odd powers base^1, base^3, ..., base^(2^w - 1) of every base, flattened:
+  // base j's table starts at residue first[j].
+  std::vector<size_t> first(count + 1, 0);
+  size_t top = 0;
+  for (size_t j = 0; j < count; ++j) {
+    const size_t bits = exps[j].BitLength();
+    top = std::max(top, bits);
+    first[j + 1] =
+        first[j] + (bits == 0 ? 0 : size_t{1} << (WindowBits(bits) - 1));
+  }
+  if (top == 0) return one_;
+  std::vector<uint64_t> odd(first[count] * k_);
+  Limbs scratch(k_ + 2);
+  uint64_t* t = scratch.data();
+  Limbs sq(k_);
+  for (size_t j = 0; j < count; ++j) {
+    if (first[j + 1] == first[j]) continue;
+    uint64_t* table = &odd[first[j] * k_];
+    std::copy(bases_mont[j].begin(), bases_mont[j].end(), table);
+    if (first[j + 1] - first[j] == 1) continue;
+    MontMulRaw(table, table, t);
+    std::copy(t, t + k_, sq.begin());
+    for (size_t i = 1; i < first[j + 1] - first[j]; ++i) {
+      MontMulRaw(table + (i - 1) * k_, sq.data(), t);
+      std::copy(t, t + k_, table + i * k_);
+    }
+  }
+
+  // Greedy sliding windows of every exponent (as in PowMont), threaded into
+  // per-bit-position lists keyed by each window's lowest bit: the product
+  // by base^digit happens when the shared chain reaches that bit.
+  struct Window {
+    size_t entry;  ///< Residue index into `odd`.
+    size_t next;   ///< Next window ending at the same bit, or kNone.
+  };
+  constexpr size_t kNone = ~size_t{0};
+  std::vector<size_t> head(top, kNone);
+  std::vector<Window> windows;
+  for (size_t j = 0; j < count; ++j) {
+    // Bits straight off the limbs: every exponent bit is read about twice.
+    const std::vector<uint32_t>& limbs = exps[j].Limbs();
+    auto bit = [&limbs](size_t b) { return (limbs[b / 32] >> (b % 32)) & 1; };
+    const size_t bits = exps[j].BitLength();
+    const size_t w = bits == 0 ? 0 : WindowBits(bits);
+    size_t i = bits;
+    while (i > 0) {
+      if (!bit(i - 1)) {
+        --i;
+        continue;
+      }
+      size_t l = i >= w ? i - w : 0;
+      while (!bit(l)) ++l;
+      uint64_t digit = 0;
+      for (size_t b = i; b-- > l;) digit = (digit << 1) | bit(b);
+      windows.push_back({first[j] + ((digit - 1) >> 1), head[l]});
+      head[l] = windows.size() - 1;
+      i = l;
+    }
+  }
+
+  Limbs acc(k_);
+  bool started = false;
+  for (size_t pos = top; pos-- > 0;) {
+    if (started) {
+      MontMulRaw(acc.data(), acc.data(), t);
+      std::copy(t, t + k_, acc.begin());
+    }
+    for (size_t wi = head[pos]; wi != kNone; wi = windows[wi].next) {
+      const uint64_t* v = &odd[windows[wi].entry * k_];
+      if (!started) {
+        std::copy(v, v + k_, acc.begin());
+        started = true;
+        continue;
+      }
+      MontMulRaw(acc.data(), v, t);
+      std::copy(t, t + k_, acc.begin());
+    }
+  }
+  return acc;
+}
+
+int MontgomeryContext::Jacobi(const Limbs& a) const {
+  Limbs scratch(2 * k_, 0);
+  std::copy(a.begin(), a.begin() + std::min(a.size(), k_), scratch.begin());
+  std::copy(n64_.begin(), n64_.end(), scratch.begin() + k_);
+  return JacobiLimbs(scratch.data(), scratch.data() + k_, k_);
 }
 
 BigInt MontgomeryContext::PowMod(const BigInt& base, const BigInt& exp) const {

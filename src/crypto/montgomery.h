@@ -63,6 +63,19 @@ class MontgomeryContext {
   void MulMontLimbs(const Limbs& a, const Limbs& b, Limbs* out) const;
   /// Packed-domain exponentiation: base_mont^exp (result in the domain).
   Limbs PowMont(const Limbs& base_mont, const BigInt& exp) const;
+  /// Packed-domain multi-exponentiation: prod_i bases_mont[i]^exps[i].
+  /// Interleaved sliding windows (Straus): every base keeps its own odd-power
+  /// table, but all share one squaring chain as long as the widest exponent,
+  /// so n exponentiations cost one chain plus their window products.
+  /// Requires equal lengths and exps[i] >= 0.
+  Limbs MultiPowMont(const std::vector<Limbs>& bases_mont,
+                     const std::vector<BigInt>& exps) const;
+
+  /// Jacobi symbol (a / n) in {-1, 0, 1} of a k-limb value a (any value
+  /// below 2^(64k), reduced or not). The symbol is the same for a residue
+  /// and its Montgomery form: R = 2^(64k) is a square. Binary algorithm on
+  /// the raw limbs; no BigInt temporaries.
+  int Jacobi(const Limbs& a) const;
 
  private:
   friend class FixedBaseTable;

@@ -1,23 +1,32 @@
 // Differential tests for the accelerated crypto hot paths: the Montgomery
 // CIOS/sliding-window PowMod, the fixed-base tables, CRT Paillier
-// decryption and the SHA-NI SHA-256 compressor are each checked against
-// slow reference implementations whose correctness is obvious (schoolbook
+// decryption, the SHA-NI SHA-256 compressor, the Jacobi symbol and the
+// batched range-proof verifier are each checked against slow reference
+// implementations whose correctness is obvious (schoolbook
 // square-and-multiply; the direct lambda/mu decryption; the portable
-// compressor behind a whole-message pad). Run under scripts/check.sh's
-// ASan+UBSan config so kernel bugs surface as either a mismatch or a
-// sanitizer report.
+// compressor behind a whole-message pad; Euler's criterion; VerifyBit on
+// every bit). Run under scripts/check.sh's ASan+UBSan config so kernel bugs
+// surface as either a mismatch or a sanitizer report.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <random>
+#include <string>
+#include <utility>
 
 #include "crypto/bigint.h"
 #include "crypto/drbg.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
+#include "crypto/pedersen.h"
+#include "crypto/prime.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_internal.h"
+#include "crypto/zkp.h"
+#include "crypto/zkp_internal.h"
+#include "zkp_crafted.h"
 
 namespace prever::crypto {
 namespace {
@@ -363,6 +372,275 @@ TEST(Sha256DiffTest, RandomUpdateSplitsMatchPortable) {
       at += take;
     }
     ASSERT_EQ(h.Finish(), RefSha256(msg)) << "round " << round;
+  }
+}
+
+// ------------------------------------------------------------ Jacobi symbol
+
+/// x as the context's k raw 64-bit limbs, unreduced (requires x < 2^(64k)).
+MontgomeryContext::Limbs RawLimbs(const MontgomeryContext& ctx,
+                                  const BigInt& x) {
+  MontgomeryContext::Limbs out(ctx.limbs64(), 0);
+  const std::vector<uint32_t>& limbs32 = x.Limbs();
+  for (size_t i = 0; i < limbs32.size(); ++i) {
+    out[i / 2] |= uint64_t{limbs32[i]} << (32 * (i % 2));
+  }
+  return out;
+}
+
+/// Euler's criterion mod an odd prime p: x^((p-1)/2) is 1 for a nonzero
+/// square, p - 1 for a non-square and 0 for x = 0 mod p.
+int EulerSymbol(const BigInt& x, const BigInt& p) {
+  BigInt r = x.PowMod((p - BigInt(1)) >> 1, p);
+  if (r.IsZero()) return 0;
+  return r == BigInt(1) ? 1 : -1;
+}
+
+TEST(JacobiDiffTest, MatchesEulerCriterionInEveryPedersenGroup) {
+  Drbg drbg(uint64_t{0x1ac0b1});
+  struct Group {
+    const PedersenParams& params;
+    int samples;  // Euler costs one full exponentiation per sample.
+  };
+  for (const Group& group : {Group{PedersenParams::Test256(), 10000},
+                             Group{PedersenParams::Bench512(), 10000},
+                             Group{PedersenParams::Standard1536(), 500}}) {
+    const BigInt& p = group.params.p;
+    auto ctx = MontgomeryContext::Shared(p);
+    ASSERT_TRUE(ctx.ok());
+    const size_t bits = p.BitLength();
+    auto jacobi = [&](const BigInt& x) {
+      return (*ctx)->Jacobi(RawLimbs(**ctx, x));
+    };
+    int non_squares = 0;
+    for (int i = 0; i < group.samples; ++i) {
+      BigInt x = drbg.RandomBelow(p);
+      const int want = EulerSymbol(x, p);
+      ASSERT_EQ(jacobi(x), want) << bits << "-bit sample " << i;
+      // The Montgomery form carries the same symbol (R is a square).
+      ASSERT_EQ((*ctx)->Jacobi((*ctx)->PackMont(x)), want)
+          << bits << "-bit sample " << i << " in Montgomery form";
+      if (want < 0) ++non_squares;
+    }
+    EXPECT_GT(non_squares, group.samples / 3) << bits;
+    EXPECT_LT(non_squares, 2 * group.samples / 3) << bits;
+
+    EXPECT_EQ(jacobi(BigInt(0)), 0) << bits;
+    EXPECT_EQ(jacobi(BigInt(1)), 1) << bits;
+    EXPECT_EQ(jacobi(p - BigInt(1)), -1) << bits << ": p = 3 mod 4";
+    EXPECT_EQ(jacobi(BigInt(4)), 1) << bits;
+    EXPECT_EQ(jacobi(p), 0) << bits;
+    const BigInt limit = BigInt(1) << (64 * (*ctx)->limbs64());
+    for (int i = 0; i < 50; ++i) {
+      BigInt x = drbg.RandomBelow(p);
+      EXPECT_EQ(jacobi(x.MulMod(x, p)), x.IsZero() ? 0 : 1) << bits;
+      // Unreduced inputs in [p, 2^(64k)).
+      BigInt above = p + drbg.RandomBelow(limit - p);
+      EXPECT_EQ(jacobi(above), EulerSymbol(above, p)) << bits;
+    }
+  }
+}
+
+TEST(JacobiDiffTest, CompositeModulusIsProductOfLegendreSymbols) {
+  Drbg drbg(uint64_t{0x1ac0b2});
+  for (size_t half : {40u, 128u, 200u}) {
+    BigInt p1 = GeneratePrime(half, drbg);
+    BigInt p2 = GeneratePrime(half + 9, drbg);
+    BigInt n = p1 * p2;
+    auto ctx = MontgomeryContext::Create(n);
+    ASSERT_TRUE(ctx.ok());
+    for (int i = 0; i < 300; ++i) {
+      BigInt x = i == 0 ? p1 : drbg.RandomBelow(n);
+      EXPECT_EQ(ctx->Jacobi(RawLimbs(*ctx, x)),
+                EulerSymbol(x, p1) * EulerSymbol(x, p2))
+          << n.BitLength() << "-bit modulus, sample " << i;
+    }
+  }
+}
+
+// ------------------------------------------ batched range-proof verification
+//
+// VerifyRange checks all bits of a proof in one small-exponent batch plus a
+// per-bit sign check; zkp_internal::VerifyRangePerBit (VerifyBit on every
+// bit) is its oracle and must agree on every transcript.
+
+TEST(RangeBatchDiffTest, HonestProofsAgreeAtEveryWidth) {
+  const PedersenParams& params = PedersenParams::Test256();
+  Drbg drbg(uint64_t{0xba7c});
+  for (size_t bits = 1; bits <= 18; ++bits) {
+    const BigInt top = (BigInt(1) << bits) - BigInt(1);
+    for (const BigInt& m : {BigInt(0), BigInt(1), top}) {
+      auto o = PedersenCommitFresh(params, m, drbg);
+      auto proof =
+          ProveRange(params, o.commitment, m, o.randomness, bits, drbg);
+      ASSERT_TRUE(proof.ok());
+      EXPECT_TRUE(
+          zkp_internal::VerifyRangePerBit(params, o.commitment, *proof, bits));
+      EXPECT_TRUE(VerifyRange(params, o.commitment, *proof, bits))
+          << bits << " bits, m = " << m.ToDecimalString();
+    }
+  }
+}
+
+TEST(RangeBatchDiffTest, TamperedFieldsAgreeWithPerBitVerifier) {
+  const PedersenParams& params = PedersenParams::Test256();
+  const BigInt& p = params.p;
+  const BigInt& q = params.q;
+  Drbg drbg(uint64_t{0x7a3e});
+  constexpr size_t kBits = 5;
+  auto o = PedersenCommitFresh(params, BigInt(19), drbg);
+  auto honest =
+      ProveRange(params, o.commitment, BigInt(19), o.randomness, kBits, drbg);
+  ASSERT_TRUE(honest.ok());
+
+  struct Tamper {
+    const char* name;
+    std::function<BigInt(const BigInt&)> apply;
+  };
+  const Tamper kTampers[] = {
+      {"random", [&](const BigInt&) { return drbg.RandomBelow(p); }},
+      {"+1", [](const BigInt& x) { return x + BigInt(1); }},
+      {"p-x", [&](const BigInt& x) { return p - x; }},
+      {"0", [](const BigInt&) { return BigInt(0); }},
+      {"+p", [&](const BigInt& x) { return x + p; }},
+      // Same residue mod q: exponent fields keep verifying on both paths.
+      {"+q", [&](const BigInt& x) { return x + q; }},
+  };
+  using FieldRef = BigInt BitProof::*;
+  const std::pair<const char*, FieldRef> kFields[] = {
+      {"t0", &BitProof::t0}, {"t1", &BitProof::t1}, {"e0", &BitProof::e0},
+      {"e1", &BitProof::e1}, {"z0", &BitProof::z0}, {"z1", &BitProof::z1},
+  };
+  int accepted = 0;
+  auto compare = [&](const RangeProof& proof, const std::string& what) {
+    const bool oracle =
+        zkp_internal::VerifyRangePerBit(params, o.commitment, proof, kBits);
+    EXPECT_EQ(VerifyRange(params, o.commitment, proof, kBits), oracle)
+        << what;
+    if (oracle) ++accepted;
+  };
+  for (size_t i = 0; i < kBits; ++i) {
+    for (const Tamper& tamper : kTampers) {
+      for (const auto& [name, ref] : kFields) {
+        RangeProof tampered = *honest;
+        BigInt& v = tampered.bit_proofs[i].*ref;
+        v = tamper.apply(v);
+        compare(tampered, "bit " + std::to_string(i) + " " + name + " " +
+                              tamper.name);
+      }
+      RangeProof tampered = *honest;
+      BigInt& c = tampered.bit_commitments[i].c;
+      c = tamper.apply(c);
+      compare(tampered, "bit " + std::to_string(i) + " C " + tamper.name);
+    }
+  }
+  // e0 + q, e1 + q, z0 + q and z1 + q leave every equation intact.
+  EXPECT_EQ(accepted, static_cast<int>(4 * kBits));
+}
+
+TEST(RangeBatchDiffTest, NonResidueTranscriptsAgreeWithPerBitVerifier) {
+  const PedersenParams& params = PedersenParams::Test256();
+  Drbg drbg(uint64_t{0x5165});
+  int accepted = 0;
+  for (int i = 0; i < 200; ++i) {
+    PedersenCommitment statement;
+    RangeProof proof = CraftNonResidueRange(params, drbg, &statement);
+    const bool e0_odd = proof.bit_proofs[0].e0.IsOdd();
+    EXPECT_EQ(zkp_internal::VerifyRangePerBit(params, statement, proof, 1),
+              e0_odd)
+        << "transcript " << i;
+    EXPECT_EQ(VerifyRange(params, statement, proof, 1), e0_odd)
+        << "transcript " << i;
+    if (e0_odd) ++accepted;
+  }
+  EXPECT_GT(accepted, 60);
+  EXPECT_LT(accepted, 140);
+}
+
+/// ProveBit as it was before its simulator went fixed-base: the simulated
+/// nonce commitment is h^z * y^(q - e), one variable-base exponentiation of
+/// the branch statement y.
+BitProof ProveBitPowNeg(const PedersenParams& params,
+                        const PedersenCommitment& commitment, int bit,
+                        const BigInt& r, Drbg& drbg) {
+  const PedersenAccel& accel = GetPedersenAccel(params);
+  BigInt y0 = commitment.c;
+  BigInt y1 = commitment.c.MulMod(accel.g_inv, params.p);
+  auto pow_neg = [&](const BigInt& y, const BigInt& e) {
+    return y.PowMod(e.IsZero() ? BigInt(0) : params.q - e, params.p);
+  };
+  BitProof proof;
+  BigInt w = drbg.RandomBelow(params.q);
+  if (bit == 0) {
+    proof.t0 = accel.h.PowMod(w);
+    proof.e1 = drbg.RandomBelow(params.q);
+    proof.z1 = drbg.RandomBelow(params.q);
+    proof.t1 =
+        accel.h.PowMod(proof.z1).MulMod(pow_neg(y1, proof.e1), params.p);
+    BigInt e =
+        zkp_internal::BitChallenge(params, commitment.c, proof.t0, proof.t1);
+    proof.e0 = e.SubMod(proof.e1, params.q);
+    proof.z0 = (w + proof.e0 * r.Mod(params.q)).Mod(params.q);
+  } else {
+    proof.t1 = accel.h.PowMod(w);
+    proof.e0 = drbg.RandomBelow(params.q);
+    proof.z0 = drbg.RandomBelow(params.q);
+    proof.t0 =
+        accel.h.PowMod(proof.z0).MulMod(pow_neg(y0, proof.e0), params.p);
+    BigInt e =
+        zkp_internal::BitChallenge(params, commitment.c, proof.t0, proof.t1);
+    proof.e1 = e.SubMod(proof.e0, params.q);
+    proof.z1 = (w + proof.e1 * r.Mod(params.q)).Mod(params.q);
+  }
+  return proof;
+}
+
+/// ProveRange over ProveBitPowNeg: the same randomness draws in the same
+/// order as ProveRange.
+RangeProof ProveRangePowNeg(const PedersenParams& params, const BigInt& m,
+                            const BigInt& r, size_t num_bits, Drbg& drbg) {
+  std::vector<BigInt> bit_rand(num_bits);
+  BigInt weighted_tail(0);
+  for (size_t i = 1; i < num_bits; ++i) {
+    bit_rand[i] = drbg.RandomBelow(params.q);
+    weighted_tail = weighted_tail.AddMod(
+        (BigInt(1) << i).MulMod(bit_rand[i], params.q), params.q);
+  }
+  bit_rand[0] = r.Mod(params.q).SubMod(weighted_tail, params.q);
+  RangeProof proof;
+  for (size_t i = 0; i < num_bits; ++i) {
+    int bit = m.Bit(i) ? 1 : 0;
+    PedersenCommitment ci = PedersenCommit(params, BigInt(bit), bit_rand[i]);
+    proof.bit_proofs.push_back(
+        ProveBitPowNeg(params, ci, bit, bit_rand[i], drbg));
+    proof.bit_commitments.push_back(ci);
+  }
+  return proof;
+}
+
+TEST(RangeBatchDiffTest, FixedBaseSimulatorMatchesPowNegByteForByte) {
+  const PedersenParams& params = PedersenParams::Test256();
+  constexpr size_t kBits = 16;
+  Drbg values(uint64_t{0x51a1});
+  Drbg fixed_base(uint64_t{0x9e0}), pow_neg(uint64_t{0x9e0});
+  for (int i = 0; i < 200; ++i) {
+    BigInt m = values.RandomBelow(BigInt(1) << kBits);
+    auto o = PedersenCommitFresh(params, m, values);
+    auto got =
+        ProveRange(params, o.commitment, m, o.randomness, kBits, fixed_base);
+    ASSERT_TRUE(got.ok());
+    RangeProof want = ProveRangePowNeg(params, m, o.randomness, kBits, pow_neg);
+    for (size_t b = 0; b < kBits; ++b) {
+      const BitProof& g = got->bit_proofs[b];
+      const BitProof& w = want.bit_proofs[b];
+      ASSERT_EQ(got->bit_commitments[b].c.ToBytes(),
+                want.bit_commitments[b].c.ToBytes());
+      for (auto ref : {&BitProof::t0, &BitProof::t1, &BitProof::e0,
+                       &BitProof::e1, &BitProof::z0, &BitProof::z1}) {
+        ASSERT_EQ((g.*ref).ToBytes(), (w.*ref).ToBytes())
+            << "value " << i << " bit " << b;
+      }
+    }
   }
 }
 

@@ -89,5 +89,43 @@ TEST(MontgomeryTest, ZeroAndOneExponents) {
   EXPECT_EQ(ctx->PowMod(BigInt(0), BigInt(5)), BigInt(0));
 }
 
+// The interleaved multi-exponentiation must equal the product of separate
+// exponentiations, for every base count up to 64 and exponents from zero
+// through wider than the modulus (several windows, distinct lengths).
+TEST(MontgomeryTest, MultiPowMatchesProductOfPowMods) {
+  Drbg drbg(uint64_t{0x57a5});
+  for (size_t mod_bits : {64u, 200u, 256u, 520u}) {
+    BigInt m = drbg.RandomBits(mod_bits);
+    if (m.IsEven()) m = m + BigInt(1);
+    auto ctx = MontgomeryContext::Create(m);
+    ASSERT_TRUE(ctx.ok());
+    for (size_t count = 1; count <= 64; ++count) {
+      std::vector<MontgomeryContext::Limbs> bases;
+      std::vector<BigInt> exps;
+      BigInt expected(1);
+      for (size_t i = 0; i < count; ++i) {
+        BigInt base = drbg.RandomBelow(m);
+        BigInt exp;
+        switch (i % 5) {
+          case 0: exp = drbg.RandomBits(128); break;
+          case 1: exp = drbg.RandomBits(mod_bits); break;
+          case 2: exp = BigInt(i); break;  // Zero and tiny exponents.
+          case 3: exp = drbg.RandomBits(mod_bits + 40); break;
+          default: exp = drbg.RandomBits(1 + i * 7); break;
+        }
+        expected = expected.MulMod(ctx->PowMod(base, exp), m);
+        bases.push_back(ctx->PackMont(base));
+        exps.push_back(std::move(exp));
+      }
+      EXPECT_EQ(ctx->UnpackMont(ctx->MultiPowMont(bases, exps)), expected)
+          << mod_bits << "-bit modulus, " << count << " bases";
+    }
+    // All-zero exponents give one.
+    std::vector<MontgomeryContext::Limbs> bases(3, ctx->PackMont(BigInt(7)));
+    EXPECT_EQ(ctx->UnpackMont(ctx->MultiPowMont(bases, {0, 0, 0})),
+              BigInt(1));
+  }
+}
+
 }  // namespace
 }  // namespace prever::crypto

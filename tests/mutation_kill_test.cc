@@ -66,6 +66,7 @@ int main() {
 #include "crypto/sha256.h"
 #include "crypto/sha256_internal.h"
 #include "crypto/zkp.h"
+#include "crypto/zkp_internal.h"
 #include "ledger/ledger_db.h"
 #include "mutate/mutation.h"
 #include "net/sim_net.h"
@@ -73,6 +74,7 @@ int main() {
 #include "storage/database.h"
 #include "storage/wal.h"
 #include "token/token.h"
+#include "zkp_crafted.h"
 
 namespace prever {
 namespace {
@@ -257,6 +259,12 @@ struct CryptoFixture {
   // Violating commitments for the bound verifiers: 50 > 40 and 10 < 20.
   crypto::PedersenOpening c50, c10;
 
+  // A 1-bit range transcript on a non-residue commitment whose branch-0
+  // challenge e0 is even: VerifyBit rejects it on the sign alone, while
+  // every order-q component of the batched check matches.
+  crypto::PedersenCommitment nonresidue_statement;
+  crypto::RangeProof nonresidue_even;
+
   // RSA: a valid signature, the same signature with a leading zero byte
   // (valid value, wrong length), and — when the modulus leaves headroom —
   // a message whose signature survives adding n without growing a byte.
@@ -357,6 +365,13 @@ struct CryptoFixture {
     crypto::MerkleTree t;
     t.Append(merkle_leaf);
     merkle_baseline_root = t.Root();
+
+    // --- non-residue range transcript with even e0 ---
+    Drbg crafted_drbg(91);
+    do {
+      nonresidue_even = crypto::CraftNonResidueRange(params, crafted_drbg,
+                                                     &nonresidue_statement);
+    } while (nonresidue_even.bit_proofs[0].e0.IsOdd());
   }
 };
 
@@ -907,6 +922,45 @@ std::map<std::string, Detector> BuildDetectors(
       return Killed("range proof for Commit(5) accepted against Commit(9)");
     }
     return Survived("unbound transcript still rejected");
+  };
+  d["ZKP_BATCH_SIGN_SKIP"] = [&kfx] {
+    if (crypto::VerifyRange(kfx.params, kfx.nonresidue_statement,
+                            kfx.nonresidue_even, 1)) {
+      return Killed("non-residue transcript with even e0 accepted: its "
+                    "branch-0 equation is off by a factor of -1");
+    }
+    return Survived("sign of every bit equation still checked");
+  };
+  d["ZKP_BATCH_UNIT_WEIGHTS"] = [&kfx] {
+    // z0 + 1 on bit 0 and z0 - 1 on bit 1: the two h-offsets cancel in an
+    // unweighted product.
+    crypto::RangeProof tampered = kfx.range5_proof;
+    BigInt& z0_a = tampered.bit_proofs[0].z0;
+    BigInt& z0_b = tampered.bit_proofs[1].z0;
+    z0_a = z0_a.AddMod(BigInt(1), kfx.params.q);
+    z0_b = z0_b.SubMod(BigInt(1), kfx.params.q);
+    if (crypto::VerifyRange(kfx.params, kfx.range5.commitment, tampered, 4)) {
+      return Killed("offsetting z0 tampers on two bits accepted");
+    }
+    return Survived("equations still weighted independently");
+  };
+  d["ZKP_BATCH_SEED_OMITS_RESPONSES"] = [&kfx] {
+    // Offsets rho0_1 on bit 0's z0 and -rho0_0 on bit 1's z0 cancel under
+    // the untampered transcript's weights; weights that hash the responses
+    // move with the tamper and expose it. Derived here, under whichever
+    // mutant is active, not in the fixture.
+    const BigInt& q = kfx.params.q;
+    std::vector<BigInt> rho = crypto::zkp_internal::BatchWeights(
+        kfx.range5.commitment, kfx.range5_proof);
+    crypto::RangeProof tampered = kfx.range5_proof;
+    BigInt& z0_a = tampered.bit_proofs[0].z0;
+    BigInt& z0_b = tampered.bit_proofs[1].z0;
+    z0_a = z0_a.AddMod(rho[2], q);
+    z0_b = z0_b.SubMod(rho[0], q);
+    if (crypto::VerifyRange(kfx.params, kfx.range5.commitment, tampered, 4)) {
+      return Killed("z0 offsets chosen against the weights accepted");
+    }
+    return Survived("weights still bind the responses");
   };
   d["ZKP_UPPER_SLACK_ACCEPT"] = [&kfx] {
     if (crypto::VerifyUpperBound(kfx.params, kfx.c50.commitment,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/encrypted_engine.h"
 #include "token/token.h"
 
 namespace prever::crypto {
@@ -93,6 +94,22 @@ TEST_F(ZkpTest, RangeProofRejectsValueTooLarge) {
   EXPECT_FALSE(
       ProveRange(params_, o.commitment, BigInt(64), o.randomness, 6, drbg_)
           .ok());
+}
+
+// A zero-width range has no bit to pin the commitment randomness on:
+// refused up front, also through the producer-side seal that forwards its
+// value width.
+TEST_F(ZkpTest, RangeProofRejectsZeroWidth) {
+  auto o = PedersenCommitFresh(params_, BigInt(0), drbg_);
+  auto proof = ProveRange(params_, o.commitment, BigInt(0), o.randomness,
+                          /*num_bits=*/0, drbg_);
+  ASSERT_FALSE(proof.ok());
+  EXPECT_EQ(proof.status().code(), StatusCode::kInvalidArgument);
+
+  core::DataOwner owner(/*paillier_bits=*/256, params_, /*seed=*/5);
+  auto sealed = owner.Seal(0, /*value_bits=*/0, drbg_);
+  ASSERT_FALSE(sealed.ok());
+  EXPECT_EQ(sealed.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ZkpTest, RangeProofRejectsWrongOpening)  {

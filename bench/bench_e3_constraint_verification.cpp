@@ -203,14 +203,14 @@ BENCHMARK(BM_MpcCompare)
 void BM_TokenWithdrawSpend(benchmark::State& state) {
   token::TokenAuthority authority(512, 1u << 30, kWeek, 3);
   ledger::LedgerDb ledger;
-  token::TokenVerifier verifier(authority.public_key(), &ledger);
+  token::TokenVerifier verifier(authority.public_key());
   token::TokenWallet wallet(authority.public_key(), 5);
   obs::Histogram* op = benchutil::OpHistogram("e3", "token_withdraw_spend");
   for (auto _ : state) {
     PREVER_TRACE_SPAN(op);
     (void)wallet.Withdraw(authority, "w", 1, 0);
     auto t = wallet.Take();
-    Status s = verifier.Spend(*t, 0);
+    Status s = verifier.Spend(*t, ledger, 0);
     benchmark::DoNotOptimize(s);
   }
 }
@@ -220,7 +220,7 @@ BENCHMARK(BM_TokenWithdrawSpend)->Unit(benchmark::kMillisecond)
 void BM_TokenSpendOnly(benchmark::State& state) {
   token::TokenAuthority authority(512, 1u << 30, kWeek, 3);
   ledger::LedgerDb ledger;
-  token::TokenVerifier verifier(authority.public_key(), &ledger);
+  token::TokenVerifier verifier(authority.public_key());
   token::TokenWallet wallet(authority.public_key(), 5);
   (void)wallet.Withdraw(authority, "w", 2000, 0);
   for (auto _ : state) {
@@ -229,7 +229,7 @@ void BM_TokenSpendOnly(benchmark::State& state) {
       state.SkipWithError("wallet drained");
       break;
     }
-    Status s = verifier.Spend(*t, 0);
+    Status s = verifier.Spend(*t, ledger, 0);
     benchmark::DoNotOptimize(s);
   }
 }

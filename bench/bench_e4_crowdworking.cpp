@@ -150,16 +150,16 @@ void BM_SpentLedgerSync(benchmark::State& state) {
   int64_t spent = state.range(0);
   token::TokenAuthority authority(512, 1u << 20, kWeek, 43);
   ledger::LedgerDb ledger;
-  token::TokenVerifier writer(authority.public_key(), &ledger);
+  token::TokenVerifier writer(authority.public_key());
   token::TokenWallet wallet(authority.public_key(), 47);
   (void)wallet.Withdraw(authority, "w", static_cast<size_t>(spent), 0);
   for (int64_t i = 0; i < spent; ++i) {
     auto t = wallet.Take();
-    (void)writer.Spend(*t, 0);
+    (void)writer.Spend(*t, ledger, 0);
   }
   for (auto _ : state) {
-    token::TokenVerifier joiner(authority.public_key(), &ledger);
-    Status s = joiner.SyncFromLedger();
+    token::TokenVerifier joiner(authority.public_key());
+    Status s = joiner.SyncFromLedger(ledger);
     benchmark::DoNotOptimize(s);
   }
 }

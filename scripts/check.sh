@@ -64,12 +64,13 @@ scripts/mutation_smoke.sh "${MUTATION_BUILD_DIR:-build-mutation}"
 # threads (the thread pool, the lock-based observability registry, the
 # ordering layer whose histograms are recorded from pool workers in the
 # engine batch paths, the compiled verifier's shared-lock aggregate cache,
-# the recovery layer's concurrent state-transfer rebuild, and the encrypted
+# the recovery layer's concurrent state-transfer rebuild, the encrypted
 # engine's batch submit, whose pool runs the batched range verifier on
-# several proofs at once). TSan is incompatible with ASan, hence its own
-# tree.
+# several proofs at once, and the token engine, whose pool checks one
+# update's tokens against the shared spent-serial index). TSan is
+# incompatible with ASan, hence its own tree.
 TSAN_DIR="${TSAN_BUILD_DIR:-build-tsan}"
 cmake -B "$TSAN_DIR" -S . -DPREVER_SANITIZE=thread
 cmake --build "$TSAN_DIR" -j "$(nproc)" --target prever_tests
 "$TSAN_DIR"/tests/prever_tests \
-    --gtest_filter='ThreadPool*:Obs*:*Ordering*:*GroupCommit*:*Pipelined*:*AggCacheConcurrency*:*ConcurrentStateTransfer*:*EncryptedBatch*'
+    --gtest_filter='ThreadPool*:Obs*:*Ordering*:*GroupCommit*:*Pipelined*:*AggCacheConcurrency*:*ConcurrentStateTransfer*:*EncryptedBatch*:*TokenPoolSpend*'

@@ -817,7 +817,6 @@ PbftCluster::PbftCluster(const PbftConfig& config, net::SimNetwork* net) {
                                               {kCheckpoint, "checkpoint"},
                                               {kFetchState, "fetch_state"},
                                               {kStateResponse, "state_response"}});
-  executed_.resize(config.num_replicas);
   for (size_t i = 0; i < config.num_replicas; ++i) {
     auto replica = std::make_unique<PbftReplica>(
         static_cast<net::NodeId>(i), config, net);
@@ -827,12 +826,6 @@ PbftCluster::PbftCluster(const PbftConfig& config, net::SimNetwork* net) {
         [raw](const net::Message& msg) { raw->OnMessage(msg); });
     (void)node;
     replicas_.push_back(std::move(replica));
-  }
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    replicas_[i]->SetCommitCallback(
-        [this, i](uint64_t /*seq*/, const Bytes& cmd) {
-          executed_[i].push_back(cmd);
-        });
   }
 }
 
@@ -846,20 +839,10 @@ void PbftCluster::Submit(const Bytes& command) {
 void PbftCluster::SetCommitCallback(
     std::function<void(net::NodeId, uint64_t, const Bytes&)> cb) {
   for (size_t i = 0; i < replicas_.size(); ++i) {
-    replicas_[i]->SetCommitCallback(
-        [this, i, cb](uint64_t seq, const Bytes& cmd) {
-          executed_[i].push_back(cmd);
-          cb(static_cast<net::NodeId>(i), seq, cmd);
-        });
+    replicas_[i]->SetCommitCallback([i, cb](uint64_t seq, const Bytes& cmd) {
+      cb(static_cast<net::NodeId>(i), seq, cmd);
+    });
   }
-}
-
-bool PbftCluster::ReachedCommitCount(uint64_t count, size_t quorum) const {
-  size_t reached = 0;
-  for (const auto& log : executed_) {
-    if (log.size() >= count) ++reached;
-  }
-  return reached >= quorum;
 }
 
 }  // namespace prever::consensus

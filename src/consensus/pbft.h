@@ -244,21 +244,13 @@ class PbftCluster {
   size_t size() const { return replicas_.size(); }
 
   /// Sets one callback invoked per replica commit (replica id, seq, cmd).
+  /// The cluster keeps no copy of what its replicas execute.
   void SetCommitCallback(
       std::function<void(net::NodeId, uint64_t, const Bytes&)> cb);
-
-  /// Commands executed by replica i, in order.
-  const std::vector<Bytes>& ExecutedBy(size_t i) const {
-    return executed_[i];
-  }
-
-  /// True when at least `quorum` replicas executed at least `count` commands.
-  bool ReachedCommitCount(uint64_t count, size_t quorum) const;
 
  private:
   std::unique_ptr<ConsensusMetrics> metrics_;
   std::vector<std::unique_ptr<PbftReplica>> replicas_;
-  std::vector<std::vector<Bytes>> executed_;
 };
 
 }  // namespace prever::consensus

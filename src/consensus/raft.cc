@@ -441,7 +441,6 @@ void RaftReplica::HandleInstallSnapshot(const net::Message& msg) {
 }
 
 RaftCluster::RaftCluster(const RaftConfig& config, net::SimNetwork* net) {
-  applied_.resize(config.num_replicas);
   for (size_t i = 0; i < config.num_replicas; ++i) {
     auto replica = std::make_unique<RaftReplica>(
         static_cast<net::NodeId>(i), config, net, config.seed * 1000 + i);
@@ -449,13 +448,7 @@ RaftCluster::RaftCluster(const RaftConfig& config, net::SimNetwork* net) {
     net->AddNode([raw](const net::Message& msg) { raw->OnMessage(msg); });
     replicas_.push_back(std::move(replica));
   }
-  for (size_t i = 0; i < replicas_.size(); ++i) {
-    replicas_[i]->SetApplyCallback(
-        [this, i](uint64_t /*index*/, const Bytes& cmd) {
-          applied_[i].push_back(cmd);
-        });
-    replicas_[i]->Start();
-  }
+  for (auto& replica : replicas_) replica->Start();
 }
 
 Result<RaftReplica*> RaftCluster::Leader() {

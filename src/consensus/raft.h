@@ -171,12 +171,9 @@ class RaftCluster {
   /// Submits via the current leader.
   Status Submit(const Bytes& command);
 
-  const std::vector<Bytes>& AppliedBy(size_t i) const { return applied_[i]; }
-
  private:
   std::unique_ptr<ConsensusMetrics> metrics_;
   std::vector<std::unique_ptr<RaftReplica>> replicas_;
-  std::vector<std::vector<Bytes>> applied_;
 };
 
 }  // namespace prever::consensus

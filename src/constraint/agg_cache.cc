@@ -396,14 +396,4 @@ void AggregateCache::OnCommitted(const Mutation& mutation,
   }
 }
 
-void AggregateCache::InvalidateAll() {
-  for (auto& [spec, sc] : specs_) {
-    (void)spec;
-    sc->built = false;
-    sc->groups.clear();
-    sc->global = GroupState{};
-  }
-  ++stats_.invalidations;
-}
-
 }  // namespace prever::constraint

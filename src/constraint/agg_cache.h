@@ -66,9 +66,6 @@ class AggregateCache {
   void OnCommitted(const storage::Mutation& mutation,
                    const storage::Database& db);
 
-  /// Drops every cached group state (epoch bump); lazily rebuilt.
-  void InvalidateAll();
-
   const Stats& stats() const { return stats_; }
 
  private:

@@ -172,11 +172,6 @@ Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
   return v->AsInt64();
 }
 
-void CompiledVerifier::InvalidateCaches() {
-  std::unique_lock lock(mu_);
-  agg_cache_.InvalidateAll();
-}
-
 CompiledVerifier::Stats CompiledVerifier::stats() const {
   std::shared_lock lock(mu_);
   Stats s = stats_;

@@ -61,9 +61,6 @@ class CompiledVerifier {
   /// once and reusing them.
   Result<int64_t> EvaluateAggregate(const Expr& agg, const EvalContext& ctx);
 
-  /// Drops all cached aggregate state (lazily rebuilt on next use).
-  void InvalidateCaches();
-
   Stats stats() const;
 
  private:

@@ -22,10 +22,12 @@ namespace prever::core {
 /// token ledger ordered by this engine's ordering service.
 ///
 /// An update consuming `cost` units (e.g. hours) must present `cost` fresh
-/// tokens. Platforms verify signatures and double-spends; they never learn
-/// the worker's totals at other platforms. The expressiveness limit §4
-/// notes — only COUNT/budget-style regulations — is inherent and surfaced
-/// by the engine's interface: no constraint catalog, just the budget.
+/// tokens. Platforms check them through one token::TokenVerifier, the only
+/// spend check and spent-serial index; this engine adds only the ledger
+/// writes. Platforms never learn the worker's totals at other platforms.
+/// The expressiveness limit §4 notes — only COUNT/budget-style regulations
+/// — is inherent and surfaced by the engine's interface: no constraint
+/// catalog, just the budget.
 class FederatedTokenEngine : public UpdateEngine {
  public:
   /// `cost_field`: update field holding how many tokens the update costs.
@@ -47,17 +49,17 @@ class FederatedTokenEngine : public UpdateEngine {
   EngineStats stats() const override { return metrics_.Snapshot(); }
   const char* name() const override { return "federated-token-rc2"; }
 
-  uint64_t tokens_spent() const { return tokens_spent_; }
+  uint64_t tokens_spent() const { return num_burned_; }
 
-  /// Rebuilds the shared spent-serial index from the ordering ledger — the
-  /// restart path: the committed payloads ARE the burned serials, so any
-  /// platform can reconstruct the double-spend filter independently after a
-  /// crash (the same property TokenVerifier::SyncFromLedger documents).
-  Status SyncSpentFromLedger();
+  /// Rebuilds the spent-serial index from the ordering ledger — the restart
+  /// path: the committed payloads ARE the burned serials.
+  Status SyncSpentFromLedger() {
+    return verifier_.SyncFromLedger(ordering_->Ledger());
+  }
 
-  /// Optional worker pool (not owned; may be null): token signatures within
-  /// one update are independent RSA verifications, checked concurrently
-  /// when a pool is set. Wallet draws and ledger writes stay serial.
+  /// Optional worker pool (not owned; may be null): the tokens of one
+  /// update are checked concurrently when a pool is set. Wallet draws and
+  /// ledger writes stay serial.
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
  private:
@@ -66,11 +68,10 @@ class FederatedTokenEngine : public UpdateEngine {
   OrderingService* ordering_;
   std::string cost_field_;
   common::ThreadPool* pool_ = nullptr;
-  /// Shared spent-serial set, rebuilt from the ordering ledger as needed.
+  token::TokenVerifier verifier_;
   std::map<std::string, std::unique_ptr<token::TokenWallet>> wallets_;
-  std::set<Bytes> spent_;
   uint64_t next_wallet_seed_ = 1000;
-  uint64_t tokens_spent_ = 0;
+  uint64_t num_burned_ = 0;
   EngineMetrics metrics_{"federated-token-rc2"};
 };
 

@@ -174,8 +174,6 @@ class CentralizedOrdering : public OrderingService {
   const ledger::LedgerDb& Ledger() const override { return ledger_; }
   uint64_t CommittedCount() const override { return ledger_.size(); }
 
-  ledger::LedgerDb& MutableLedger() { return ledger_; }
-
  private:
   ledger::LedgerDb ledger_;
 };

@@ -28,8 +28,9 @@ struct Mutation {
 };
 
 /// Multi-table database owned by a data manager. It keeps no log of its
-/// own: crash recovery restores it from a checkpoint's database image
-/// (src/recovery/).
+/// own and no checkpoint images it: it is a function of the committed
+/// ledger, from which a restarted manager must rebuild it (no code does
+/// that yet; see ROADMAP "Order-then-apply").
 class Database {
  public:
   Database() = default;

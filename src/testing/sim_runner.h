@@ -91,10 +91,11 @@ SimReport RunRaftOrderingScenario(uint64_t seed,
 
 /// PBFT ordering under faults. Same invariants. Faults touching replica 0
 /// are filtered from the schedule and the base drop rate is forced to zero:
-/// this PBFT has no state transfer, so a replica cut off while others
-/// execute can lag forever — acceptable for backups (the prefix-digest
-/// check still covers them) but replica 0 is the commit counter Flush
-/// waits on. See DESIGN.md "Simulation testing".
+/// the scenario keeps OrderingRecoveryConfig's defaults, which leave PBFT
+/// state transfer off, so a replica cut off while others execute can lag
+/// forever — acceptable for backups (the prefix-digest check still covers
+/// them) but replica 0 is the commit counter Flush waits on. See DESIGN.md
+/// "Simulation testing".
 SimReport RunPbftOrderingScenario(uint64_t seed,
                                   const OrderingSimOptions& options);
 

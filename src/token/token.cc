@@ -66,30 +66,66 @@ Result<Token> TokenWallet::Take() {
   return t;
 }
 
-Status TokenVerifier::Spend(const Token& token, SimTime now) {
-  if (PREVER_MUTATION(
-          TOKEN_SIG_ACCEPT,
-          !crypto::RsaVerify(authority_key_, token.serial, token.signature),
-          false)) {
-    return Status::IntegrityViolation("token signature invalid");
+Status TokenVerifier::Check(const std::vector<Token>& tokens,
+                            common::ThreadPool* pool,
+                            std::vector<char>* rejected) const {
+  enum Verdict : char { kFresh, kBadSignature, kSpent };
+  const size_t n = tokens.size();
+  // Per-token checks are pure reads (RSA verification and a lookup in the
+  // spent index), so they fan out across the pool; nothing writes the index
+  // while a check runs.
+  std::vector<char> verdict(n, kFresh);
+  auto check_one = [&](size_t i) {
+    const Token& t = tokens[i];
+    if (PREVER_MUTATION(
+            TOKEN_SIG_ACCEPT,
+            !crypto::RsaVerify(authority_key_, t.serial, t.signature),
+            false)) {
+      verdict[i] = kBadSignature;
+    } else if (PREVER_MUTATION(TOKEN_DOUBLE_SPEND_SKIP,
+                               spent_.count(t.serial) != 0, false)) {
+      verdict[i] = kSpent;
+    }
+  };
+  if (pool != nullptr) {
+    pool->ParallelFor(n, check_one);
+  } else {
+    for (size_t i = 0; i < n; ++i) check_one(i);
   }
-  if (PREVER_MUTATION(TOKEN_DOUBLE_SPEND_SKIP, spent_.count(token.serial) != 0,
-                      false)) {
-    return Status::AlreadyExists("token already spent (double spend)");
+  if (rejected != nullptr) rejected->assign(n, 0);
+  Status status;
+  std::set<Bytes> seen;
+  for (size_t i = 0; i < n; ++i) {
+    // A serial presented twice within one spend is a double spend too.
+    if (verdict[i] == kFresh &&
+        PREVER_MUTATION(TOKEN_DOUBLE_SPEND_SKIP,
+                        !seen.insert(tokens[i].serial).second, false)) {
+      verdict[i] = kSpent;
+    }
+    if (verdict[i] == kFresh) continue;
+    if (rejected != nullptr) (*rejected)[i] = 1;
+    if (status.ok()) {
+      status = verdict[i] == kBadSignature
+                   ? Status::IntegrityViolation("token signature invalid")
+                   : Status::AlreadyExists("token already spent (double spend)");
+    }
   }
-  spent_.insert(token.serial);
-  if (ledger_ != nullptr) {
-    ledger_->Append(token.serial, now);
-  }
+  return status;
+}
+
+Status TokenVerifier::Spend(const Token& token, ledger::LedgerDb& ledger,
+                            SimTime now) {
+  PREVER_RETURN_IF_ERROR(Check({token}));
+  ledger.Append(token.serial, now);
+  MarkSpent(token.serial);
   return Status::Ok();
 }
 
-Status TokenVerifier::SyncFromLedger() {
-  if (ledger_ == nullptr) return Status::InvalidArgument("no ledger bound");
-  PREVER_RETURN_IF_ERROR(ledger_->Audit());
+Status TokenVerifier::SyncFromLedger(const ledger::LedgerDb& ledger) {
+  PREVER_RETURN_IF_ERROR(ledger.Audit());
   spent_.clear();
-  for (uint64_t seq = 0; seq < ledger_->size(); ++seq) {
-    PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry entry, ledger_->GetEntry(seq));
+  for (uint64_t seq = 0; seq < ledger.size(); ++seq) {
+    PREVER_ASSIGN_OR_RETURN(ledger::LedgerEntry entry, ledger.GetEntry(seq));
     spent_.insert(entry.payload);
   }
   return Status::Ok();

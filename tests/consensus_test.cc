@@ -2,6 +2,7 @@
 
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
+#include "test_util.h"
 
 namespace prever::consensus {
 namespace {
@@ -13,62 +14,67 @@ Bytes Cmd(int i) { return ToBytes("cmd-" + std::to_string(i)); }
 TEST(PbftTest, CommitsSingleCommandOnAllReplicas) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 200 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.Submit(Cmd(1));
   net.RunUntilIdle();
   for (size_t i = 0; i < 4; ++i) {
-    ASSERT_EQ(cluster.ExecutedBy(i).size(), 1u) << i;
-    EXPECT_EQ(cluster.ExecutedBy(i)[0], Cmd(1));
+    ASSERT_EQ(commits.Log(i).size(), 1u) << i;
+    EXPECT_EQ(commits.Log(i)[0], Cmd(1));
   }
 }
 
 TEST(PbftTest, CommitsManyCommandsInSameOrderEverywhere) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 500 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   for (int i = 0; i < 30; ++i) cluster.Submit(Cmd(i));
   net.RunUntilIdle();
-  ASSERT_EQ(cluster.ExecutedBy(0).size(), 30u);
+  ASSERT_EQ(commits.Log(0).size(), 30u);
   for (size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(cluster.ExecutedBy(i), cluster.ExecutedBy(0)) << i;
+    EXPECT_EQ(commits.Log(i), commits.Log(0)) << i;
   }
 }
 
 TEST(PbftTest, ToleratesOneSilentBackup) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 200 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.replica(2).SetFaultMode(PbftFaultMode::kSilent);
   for (int i = 0; i < 5; ++i) cluster.Submit(Cmd(i));
   net.RunUntilIdle();
   // 3 honest replicas (quorum 2f+1 = 3) all execute.
-  EXPECT_EQ(cluster.ExecutedBy(0).size(), 5u);
-  EXPECT_EQ(cluster.ExecutedBy(1).size(), 5u);
-  EXPECT_EQ(cluster.ExecutedBy(3).size(), 5u);
-  EXPECT_TRUE(cluster.ExecutedBy(2).empty());
+  EXPECT_EQ(commits.Log(0).size(), 5u);
+  EXPECT_EQ(commits.Log(1).size(), 5u);
+  EXPECT_EQ(commits.Log(3).size(), 5u);
+  EXPECT_TRUE(commits.Log(2).empty());
 }
 
 TEST(PbftTest, SilentPrimaryTriggersViewChange) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 100 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.replica(0).SetFaultMode(PbftFaultMode::kSilent);  // View-0 primary.
   cluster.Submit(Cmd(1));
   net.RunUntil(5 * kSecond);
   // Honest replicas must have moved to a later view and executed.
   EXPECT_GE(cluster.replica(1).view(), 1u);
-  EXPECT_EQ(cluster.ExecutedBy(1).size(), 1u);
-  EXPECT_EQ(cluster.ExecutedBy(2).size(), 1u);
-  EXPECT_EQ(cluster.ExecutedBy(3).size(), 1u);
+  EXPECT_EQ(commits.Log(1).size(), 1u);
+  EXPECT_EQ(commits.Log(2).size(), 1u);
+  EXPECT_EQ(commits.Log(3).size(), 1u);
 }
 
 TEST(PbftTest, EquivocatingPrimaryCannotCauseDivergence) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 100 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.replica(0).SetFaultMode(PbftFaultMode::kEquivocate);
   cluster.Submit(Cmd(1));
   net.RunUntil(10 * kSecond);
   // Safety: honest replicas never execute different commands at the same
   // position, whatever liveness path was taken.
-  const auto& log1 = cluster.ExecutedBy(1);
-  const auto& log2 = cluster.ExecutedBy(2);
-  const auto& log3 = cluster.ExecutedBy(3);
+  const auto& log1 = commits.Log(1);
+  const auto& log2 = commits.Log(2);
+  const auto& log3 = commits.Log(3);
   size_t common12 = std::min(log1.size(), log2.size());
   for (size_t i = 0; i < common12; ++i) EXPECT_EQ(log1[i], log2[i]);
   size_t common13 = std::min(log1.size(), log3.size());
@@ -78,13 +84,14 @@ TEST(PbftTest, EquivocatingPrimaryCannotCauseDivergence) {
 TEST(PbftTest, SevenReplicasToleratesTwoFaults) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{7, 300 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.replica(3).SetFaultMode(PbftFaultMode::kSilent);
   cluster.replica(5).SetFaultMode(PbftFaultMode::kSilent);
   for (int i = 0; i < 10; ++i) cluster.Submit(Cmd(i));
   net.RunUntilIdle();
   size_t executed = 0;
   for (size_t i = 0; i < 7; ++i) {
-    if (cluster.ExecutedBy(i).size() == 10) ++executed;
+    if (commits.Log(i).size() == 10) ++executed;
   }
   EXPECT_GE(executed, 5u);  // 2f+1 = 5 honest replicas execute everything.
 }
@@ -92,10 +99,11 @@ TEST(PbftTest, SevenReplicasToleratesTwoFaults) {
 TEST(PbftTest, DuplicateSubmissionsExecuteOnce) {
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 200 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.Submit(Cmd(1));
   cluster.Submit(Cmd(1));
   net.RunUntilIdle();
-  EXPECT_EQ(cluster.ExecutedBy(0).size(), 1u);
+  EXPECT_EQ(commits.Log(0).size(), 1u);
 }
 
 TEST(PbftTest, CascadingViewChangesSurviveTwoFaultyPrimaries) {
@@ -104,13 +112,14 @@ TEST(PbftTest, CascadingViewChangesSurviveTwoFaultyPrimaries) {
   // execute on every honest replica.
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{7, 100 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.replica(0).SetFaultMode(PbftFaultMode::kSilent);  // View 0 primary.
   cluster.replica(1).SetFaultMode(PbftFaultMode::kSilent);  // View 1 primary.
   cluster.Submit(Cmd(1));
   net.RunUntil(20 * kSecond);
   size_t executed = 0;
   for (size_t i = 2; i < 7; ++i) {
-    if (cluster.ExecutedBy(i).size() == 1) ++executed;
+    if (commits.Log(i).size() == 1) ++executed;
   }
   EXPECT_GE(executed, 5u);  // All honest replicas.
   EXPECT_GE(cluster.replica(2).view(), 2u);
@@ -122,6 +131,7 @@ TEST(PbftTest, ViewChangePreservesPreparedRequests) {
   // execute exactly once (no loss, no duplication).
   net::SimNetwork net;
   PbftCluster cluster(PbftConfig{4, 150 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   cluster.Submit(Cmd(1));
   // Let the pre-prepare/prepare exchange happen...
   net.RunUntil(4 * kMillisecond);
@@ -129,8 +139,8 @@ TEST(PbftTest, ViewChangePreservesPreparedRequests) {
   cluster.replica(0).SetFaultMode(PbftFaultMode::kSilent);
   net.RunUntil(20 * kSecond);
   for (size_t i = 1; i < 4; ++i) {
-    ASSERT_EQ(cluster.ExecutedBy(i).size(), 1u) << i;
-    EXPECT_EQ(cluster.ExecutedBy(i)[0], Cmd(1));
+    ASSERT_EQ(commits.Log(i).size(), 1u) << i;
+    EXPECT_EQ(commits.Log(i)[0], Cmd(1));
   }
 }
 
@@ -164,14 +174,15 @@ TEST(RaftTest, ElectsExactlyOneLeaderPerTerm) {
 TEST(RaftTest, ReplicatesAndAppliesEverywhere) {
   net::SimNetwork net;
   RaftCluster cluster(RaftConfig{}, &net);
+  CommitRecorder commits(cluster);
   RunUntilLeader(net, cluster);
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(cluster.Submit(Cmd(i)).ok());
   }
   net.RunUntil(net.Now() + 2 * kSecond);
   for (size_t i = 0; i < cluster.size(); ++i) {
-    ASSERT_EQ(cluster.AppliedBy(i).size(), 20u) << i;
-    EXPECT_EQ(cluster.AppliedBy(i), cluster.AppliedBy(0));
+    ASSERT_EQ(commits.Log(i).size(), 20u) << i;
+    EXPECT_EQ(commits.Log(i), commits.Log(0));
   }
 }
 
@@ -187,6 +198,7 @@ TEST(RaftTest, SurvivesLeaderCrash) {
   RaftCluster cluster(RaftConfig{5, 150 * kMillisecond, 300 * kMillisecond,
                                  50 * kMillisecond, 7},
                       &net);
+  CommitRecorder commits(cluster);
   RunUntilLeader(net, cluster);
   auto first = cluster.Leader();
   ASSERT_TRUE(first.ok());
@@ -206,15 +218,16 @@ TEST(RaftTest, SurvivesLeaderCrash) {
   // The surviving majority applied both commands in order.
   for (size_t i = 0; i < cluster.size(); ++i) {
     if (static_cast<net::NodeId>(i) == crashed) continue;
-    ASSERT_EQ(cluster.AppliedBy(i).size(), 2u) << i;
-    EXPECT_EQ(cluster.AppliedBy(i)[0], Cmd(0));
-    EXPECT_EQ(cluster.AppliedBy(i)[1], Cmd(1));
+    ASSERT_EQ(commits.Log(i).size(), 2u) << i;
+    EXPECT_EQ(commits.Log(i)[0], Cmd(0));
+    EXPECT_EQ(commits.Log(i)[1], Cmd(1));
   }
 }
 
 TEST(RaftTest, CrashedFollowerCatchesUpAfterRestart) {
   net::SimNetwork net;
   RaftCluster cluster(RaftConfig{}, &net);
+  CommitRecorder commits(cluster);
   RunUntilLeader(net, cluster);
   auto leader = cluster.Leader();
   ASSERT_TRUE(leader.ok());
@@ -223,12 +236,12 @@ TEST(RaftTest, CrashedFollowerCatchesUpAfterRestart) {
   net.Isolate(follower);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(cluster.Submit(Cmd(i)).ok());
   net.RunUntil(net.Now() + kSecond);
-  EXPECT_TRUE(cluster.AppliedBy(follower).empty());
+  EXPECT_TRUE(commits.Log(follower).empty());
 
   cluster.replica(follower).Restart();
   net.Reconnect(follower);
   net.RunUntil(net.Now() + 3 * kSecond);
-  EXPECT_EQ(cluster.AppliedBy(follower).size(), 5u);
+  EXPECT_EQ(commits.Log(follower).size(), 5u);
 }
 
 TEST(RaftTest, MinorityPartitionCannotCommit) {
@@ -264,12 +277,13 @@ TEST_P(ConsensusAgreementProperty, PbftLogsAgree) {
   cfg.seed = GetParam();
   net::SimNetwork net(cfg);
   PbftCluster cluster(PbftConfig{4, 300 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   for (int i = 0; i < 12; ++i) cluster.Submit(Cmd(i));
   net.RunUntilIdle();
   for (size_t i = 1; i < 4; ++i) {
-    EXPECT_EQ(cluster.ExecutedBy(i), cluster.ExecutedBy(0));
+    EXPECT_EQ(commits.Log(i), commits.Log(0));
   }
-  EXPECT_EQ(cluster.ExecutedBy(0).size(), 12u);
+  EXPECT_EQ(commits.Log(0).size(), 12u);
 }
 
 TEST_P(ConsensusAgreementProperty, RaftLogsAgreeAsPrefixes) {
@@ -279,6 +293,7 @@ TEST_P(ConsensusAgreementProperty, RaftLogsAgreeAsPrefixes) {
   RaftConfig rcfg;
   rcfg.seed = GetParam() + 100;
   RaftCluster cluster(rcfg, &net);
+  CommitRecorder commits(cluster);
   RunUntilLeader(net, cluster);
   for (int i = 0; i < 12; ++i) {
     if (!cluster.Submit(Cmd(i)).ok()) {
@@ -290,14 +305,14 @@ TEST_P(ConsensusAgreementProperty, RaftLogsAgreeAsPrefixes) {
   // All applied logs are prefixes of the longest one.
   size_t longest = 0;
   for (size_t i = 1; i < cluster.size(); ++i) {
-    if (cluster.AppliedBy(i).size() > cluster.AppliedBy(longest).size()) {
+    if (commits.Log(i).size() > commits.Log(longest).size()) {
       longest = i;
     }
   }
-  const auto& ref = cluster.AppliedBy(longest);
+  const auto& ref = commits.Log(longest);
   EXPECT_EQ(ref.size(), 12u);
   for (size_t i = 0; i < cluster.size(); ++i) {
-    const auto& log = cluster.AppliedBy(i);
+    const auto& log = commits.Log(i);
     for (size_t j = 0; j < log.size(); ++j) EXPECT_EQ(log[j], ref[j]);
   }
 }

@@ -447,6 +447,75 @@ TEST_F(FederatedTokenEngineTest, SpentSerialIndexRebuiltFromLedgerAfterRestart) 
   EXPECT_EQ(ordering_.CommittedCount(), committed + 2);
 }
 
+TEST_F(FederatedTokenEngineTest, TokenPresentedTwiceInOneUpdateIsRejected) {
+  auto& wallet = engine_->WalletOf("frank");
+  ASSERT_TRUE(wallet.Withdraw(*authority_, "frank", 1, kDay).ok());
+  auto token = wallet.Take();
+  ASSERT_TRUE(token.ok());
+  wallet.PutForTest(*token);  // The same serial, twice, pays a cost of 2.
+  wallet.PutForTest(*token);
+
+  Status s = engine_->SubmitVia(0, MakeWorklogUpdate("f1", "frank", 2, kDay));
+  EXPECT_EQ(s.code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(ordering_.CommittedCount(), 0u);
+  EXPECT_EQ(engine_->tokens_spent(), 0u);
+  EXPECT_EQ(wallet.NumTokens(), 1u);  // One honest copy goes back.
+}
+
+/// An ordering service whose `fail_at`-th Append (zero-based) fails and
+/// orders nothing; every other Append commits to its ledger.
+class FailingAppendOrdering : public OrderingService {
+ public:
+  explicit FailingAppendOrdering(uint64_t fail_at) : fail_at_(fail_at) {}
+
+  Status Append(const Bytes& payload, SimTime timestamp) override {
+    if (appends_++ == fail_at_) {
+      return Status::Unavailable("injected append failure");
+    }
+    ledger_.Append(payload, timestamp);
+    return Status::Ok();
+  }
+  const ledger::LedgerDb& Ledger() const override { return ledger_; }
+  uint64_t CommittedCount() const override { return ledger_.size(); }
+
+ private:
+  uint64_t fail_at_;
+  uint64_t appends_ = 0;
+  ledger::LedgerDb ledger_;
+};
+
+TEST_F(FederatedTokenEngineTest, SerialIsSpentOnlyOnceItsAppendReturnedOk) {
+  FailingAppendOrdering ordering(/*fail_at=*/1);
+  std::vector<FederatedPlatform*> raw;
+  for (auto& p : platforms_) raw.push_back(p.get());
+  FederatedTokenEngine engine(raw, authority_, &ordering, "hours");
+  auto& wallet = engine.WalletOf("gina");
+  ASSERT_EQ(wallet.Withdraw(*authority_, "gina", 2, kDay).value(), 2u);
+  auto first = wallet.Take();
+  auto second = wallet.Take();
+  ASSERT_TRUE(first.ok() && second.ok());
+  wallet.PutForTest(*second);  // The spend draws `first`, then `second`.
+  wallet.PutForTest(*first);
+
+  Status s = engine.SubmitVia(0, MakeWorklogUpdate("g1", "gina", 2, kDay));
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  ASSERT_EQ(ordering.CommittedCount(), 1u);
+  EXPECT_EQ(ordering.Ledger().GetEntry(0)->payload, first->serial);
+  EXPECT_EQ(engine.tokens_spent(), 1u);
+
+  // The spent index equals the ledger: the ledgered serial is spent, the
+  // serial whose append failed is not.
+  wallet.PutForTest(*first);
+  EXPECT_EQ(
+      engine.SubmitVia(0, MakeWorklogUpdate("g2", "gina", 1, kDay)).code(),
+      StatusCode::kAlreadyExists);
+  wallet.PutForTest(*second);
+  EXPECT_TRUE(
+      engine.SubmitVia(0, MakeWorklogUpdate("g3", "gina", 1, kDay)).ok());
+  EXPECT_EQ(ordering.CommittedCount(), 2u);
+  EXPECT_EQ(engine.tokens_spent(), 2u);
+}
+
 // ------------------------------------------------- RC3 public-data engine
 
 class PublicDataEngineTest : public ::testing::Test {

@@ -8,6 +8,7 @@
 #include "consensus/raft.h"
 #include "constraint/parser.h"
 #include "storage/wal.h"
+#include "test_util.h"
 
 namespace prever {
 namespace {
@@ -24,6 +25,7 @@ TEST(LossyRaftTest, CommitsDespiteMessageLoss) {
   cfg.seed = 31;
   net::SimNetwork net(cfg);
   consensus::RaftCluster cluster(consensus::RaftConfig{}, &net);
+  CommitRecorder commits(cluster);
   // Elect.
   for (SimTime t = 50 * kMillisecond; t < 10 * kSecond;
        t += 50 * kMillisecond) {
@@ -43,15 +45,14 @@ TEST(LossyRaftTest, CommitsDespiteMessageLoss) {
   // longest covers everything that was submitted.
   size_t longest_idx = 0;
   for (size_t i = 1; i < cluster.size(); ++i) {
-    if (cluster.AppliedBy(i).size() >
-        cluster.AppliedBy(longest_idx).size()) {
+    if (commits.Log(i).size() > commits.Log(longest_idx).size()) {
       longest_idx = i;
     }
   }
-  const auto& reference = cluster.AppliedBy(longest_idx);
+  const auto& reference = commits.Log(longest_idx);
   EXPECT_EQ(reference.size(), static_cast<size_t>(submitted));
   for (size_t i = 0; i < cluster.size(); ++i) {
-    const auto& log = cluster.AppliedBy(i);
+    const auto& log = commits.Log(i);
     for (size_t j = 0; j < log.size(); ++j) {
       EXPECT_EQ(log[j], reference[j]) << "replica " << i << " pos " << j;
     }
@@ -72,6 +73,7 @@ TEST_P(LossyPbftProperty, SafetyHoldsUnderDropsAndPartitions) {
   net::SimNetwork net(cfg);
   consensus::PbftCluster cluster(
       consensus::PbftConfig{4, 150 * kMillisecond}, &net);
+  CommitRecorder commits(cluster);
   for (int i = 0; i < 8; ++i) cluster.Submit(Cmd(i));
   net.RunUntil(2 * kSecond);
   net.Partition(0, 2);
@@ -82,8 +84,8 @@ TEST_P(LossyPbftProperty, SafetyHoldsUnderDropsAndPartitions) {
 
   for (size_t a = 0; a < 4; ++a) {
     for (size_t b = a + 1; b < 4; ++b) {
-      const auto& la = cluster.ExecutedBy(a);
-      const auto& lb = cluster.ExecutedBy(b);
+      const auto& la = commits.Log(a);
+      const auto& lb = commits.Log(b);
       size_t common = std::min(la.size(), lb.size());
       for (size_t i = 0; i < common; ++i) {
         EXPECT_EQ(la[i], lb[i]) << "divergence at " << i << " between "

@@ -612,6 +612,31 @@ Status CreateWorklogTable(storage::Database& db) {
   return db.CreateTable("worklog", worklog);
 }
 
+/// A one-platform token engine over a centralized ledger.
+struct TokenEngineRig {
+  explicit TokenEngineRig(EngineFixture& efx)
+      : engine({&platform}, &efx.authority, &ordering, "hours") {
+    platform.id = "p0";
+    setup = CreateWorklogTable(platform.db);
+  }
+  core::FederatedPlatform platform;
+  core::CentralizedOrdering ordering;
+  core::FederatedTokenEngine engine;
+  Status setup;
+};
+
+/// The TOKEN_* sites sit behind both TokenVerifier::Spend and
+/// FederatedTokenEngine, which spends through the same verifier. A mutant
+/// counts as killed only when both probes notice it; unmutated, either
+/// probe firing is a detector bug the clean pass must report.
+Detection KilledThroughBoth(const Detection& verifier,
+                            const Detection& engine) {
+  const bool clean = mutate::ActiveSite() == mutate::MutationSite::kNumSites;
+  return {clean ? verifier.killed || engine.killed
+                : verifier.killed && engine.killed,
+          "verifier: " + verifier.rationale + "; engine: " + engine.rationale};
+}
+
 // ===================================================================
 // Detector registry.
 // ===================================================================
@@ -1644,19 +1669,38 @@ std::map<std::string, Detector> BuildDetectors(
     if (!got.ok() && wallet.NumTokens() == 0) {
       return Killed("withdrawal failed outright: " + got.status().message());
     }
-    if (wallet.NumTokens() > 3) {
-      return Killed("authority issued past the period budget");
-    }
-    return Survived("issuance still capped at the period budget");
+    Detection direct =
+        wallet.NumTokens() > 3
+            ? Killed("authority issued past the period budget")
+            : Survived("issuance still capped at the period budget");
+    TokenEngineRig rig(efx);
+    if (!rig.setup.ok()) return Killed("platform setup failed");
+    std::string worker = efx.FreshName("ftebudget");
+    Status s = rig.engine.SubmitVia(
+        0, MakeWorklogUpdate("u-" + worker, worker, 4, 10));
+    Detection engine =
+        s.ok() ? Killed("engine spent past the period budget")
+               : Survived("engine still rejects a spend past the budget");
+    return KilledThroughBoth(direct, engine);
   };
   d["TOKEN_SIG_ACCEPT"] = [&efx] {
-    token::TokenVerifier verifier(efx.authority.public_key(), nullptr);
     token::Token forged;
-    forged.serial = ToBytes("forged-serial");
+    forged.serial = ToBytes(efx.FreshName("forged-serial"));
     forged.signature = Bytes(efx.authority.public_key().ModulusBytes(), 0x5a);
-    Status s = verifier.Spend(forged, 10);
-    if (s.ok()) return Killed("forged token signature accepted");
-    return Survived("forged token signature still rejected");
+    token::TokenVerifier verifier(efx.authority.public_key());
+    ledger::LedgerDb ledger;
+    Detection direct = verifier.Spend(forged, ledger, 10).ok()
+                           ? Killed("forged token signature accepted")
+                           : Survived("forged token signature still rejected");
+    TokenEngineRig rig(efx);
+    if (!rig.setup.ok()) return Killed("platform setup failed");
+    std::string who = efx.FreshName("ftesig");
+    rig.engine.WalletOf(who).PutForTest(forged);
+    Status s =
+        rig.engine.SubmitVia(0, MakeWorklogUpdate("u-" + who, who, 1, 10));
+    Detection engine = s.ok() ? Killed("spend with a forged signature accepted")
+                              : Survived("forged token spend still rejected");
+    return KilledThroughBoth(direct, engine);
   };
   d["TOKEN_DOUBLE_SPEND_SKIP"] = [&efx] {
     token::TokenWallet wallet(efx.authority.public_key(),
@@ -1668,54 +1712,36 @@ std::map<std::string, Detector> BuildDetectors(
     }
     auto tok = wallet.Take();
     if (!tok.ok()) return Killed("wallet take failed");
-    token::TokenVerifier verifier(efx.authority.public_key(), nullptr);
-    if (!verifier.Spend(*tok, 10).ok()) return Killed("first spend rejected");
-    Status again = verifier.Spend(*tok, 10);
-    if (again.ok()) return Killed("same serial spent twice");
-    return Survived("double spend still detected");
-  };
-  d["FTE_SIG_ACCEPT"] = [&efx] {
-    core::FederatedPlatform platform;
-    platform.id = "p0";
-    if (!CreateWorklogTable(platform.db).ok()) {
-      return Killed("platform setup failed");
+    token::TokenVerifier verifier(efx.authority.public_key());
+    ledger::LedgerDb ledger;
+    if (!verifier.Spend(*tok, ledger, 10).ok()) {
+      return Killed("first spend rejected");
     }
-    core::CentralizedOrdering ordering;
-    core::FederatedTokenEngine engine({&platform}, &efx.authority, &ordering,
-                                      "hours");
-    std::string who = efx.FreshName("ftesig");
-    token::Token forged;
-    forged.serial = ToBytes("forged-" + who);
-    forged.signature = Bytes(efx.authority.public_key().ModulusBytes(), 0x5a);
-    engine.WalletOf(who).PutForTest(forged);
-    Status s = engine.SubmitVia(0, MakeWorklogUpdate("u-" + who, who, 1, 10));
-    if (s.ok()) return Killed("spend with a forged signature accepted");
-    return Survived("forged token spend still rejected");
-  };
-  d["FTE_DOUBLE_SPEND_SKIP"] = [&efx] {
-    core::FederatedPlatform platform;
-    platform.id = "p0";
-    if (!CreateWorklogTable(platform.db).ok()) {
-      return Killed("platform setup failed");
+    Detection direct = verifier.Spend(*tok, ledger, 10).ok()
+                           ? Killed("same serial spent twice")
+                           : Survived("double spend still detected");
+
+    // The engine replays one serial across two updates.
+    TokenEngineRig rig(efx);
+    if (!rig.setup.ok()) return Killed("platform setup failed");
+    std::string replayer = efx.FreshName("ftedup");
+    token::TokenWallet& engine_wallet = rig.engine.WalletOf(replayer);
+    auto fresh = engine_wallet.Withdraw(efx.authority, replayer, 1, 10);
+    if (!fresh.ok() || engine_wallet.NumTokens() != 1) {
+      return Killed("engine withdrawal failed");
     }
-    core::CentralizedOrdering ordering;
-    core::FederatedTokenEngine engine({&platform}, &efx.authority, &ordering,
-                                      "hours");
-    std::string who = efx.FreshName("ftedup");
-    token::TokenWallet& wallet = engine.WalletOf(who);
-    auto got = wallet.Withdraw(efx.authority, who, 1, 10);
-    if (!got.ok() || wallet.NumTokens() != 1) {
-      return Killed("withdrawal failed");
-    }
-    auto tok = wallet.Take();
-    if (!tok.ok()) return Killed("wallet take failed");
-    wallet.PutForTest(*tok);  // Same serial, twice.
-    wallet.PutForTest(*tok);
-    Status s1 = engine.SubmitVia(0, MakeWorklogUpdate("a-" + who, who, 1, 10));
-    if (!s1.ok()) return Killed("first spend rejected: " + s1.message());
-    Status s2 = engine.SubmitVia(0, MakeWorklogUpdate("b-" + who, who, 1, 11));
-    if (s2.ok()) return Killed("replayed serial accepted by the engine");
-    return Survived("replayed serial still rejected");
+    auto replayed = engine_wallet.Take();
+    if (!replayed.ok()) return Killed("engine wallet take failed");
+    engine_wallet.PutForTest(*replayed);  // Same serial, twice.
+    engine_wallet.PutForTest(*replayed);
+    Status s1 = rig.engine.SubmitVia(
+        0, MakeWorklogUpdate("a-" + replayer, replayer, 1, 10));
+    if (!s1.ok()) return Killed("first engine spend rejected: " + s1.message());
+    Status s2 = rig.engine.SubmitVia(
+        0, MakeWorklogUpdate("b-" + replayer, replayer, 1, 11));
+    Detection engine = s2.ok() ? Killed("replayed serial accepted by the engine")
+                               : Survived("replayed serial still rejected");
+    return KilledThroughBoth(direct, engine);
   };
 
   return d;

@@ -2,8 +2,12 @@
 #define PREVER_TESTS_TEST_UTIL_H_
 
 #include <string>
+#include <vector>
 
+#include "common/bytes.h"
 #include "common/sim_clock.h"
+#include "consensus/pbft.h"
+#include "consensus/raft.h"
 #include "core/update.h"
 #include "storage/database.h"
 #include "storage/schema.h"
@@ -41,5 +45,38 @@ inline Update MakeWorklogUpdate(const std::string& id,
 }
 
 }  // namespace prever::core
+
+namespace prever {
+
+/// Records, per replica, the commands a consensus cluster commits (PBFT) or
+/// applies (Raft), in order, for tests that compare replica logs. Hooks the
+/// cluster's commit callbacks, so it replaces any callback set before it.
+class CommitRecorder {
+ public:
+  explicit CommitRecorder(consensus::PbftCluster& cluster)
+      : logs_(cluster.size()) {
+    cluster.SetCommitCallback(
+        [this](net::NodeId replica, uint64_t /*seq*/, const Bytes& cmd) {
+          logs_[replica].push_back(cmd);
+        });
+  }
+  explicit CommitRecorder(consensus::RaftCluster& cluster)
+      : logs_(cluster.size()) {
+    for (size_t i = 0; i < cluster.size(); ++i) {
+      cluster.replica(i).SetApplyCallback(
+          [this, i](uint64_t /*index*/, const Bytes& cmd) {
+            logs_[i].push_back(cmd);
+          });
+    }
+  }
+
+  /// Commands replica `i` committed, in order.
+  const std::vector<Bytes>& Log(size_t i) const { return logs_[i]; }
+
+ private:
+  std::vector<std::vector<Bytes>> logs_;
+};
+
+}  // namespace prever
 
 #endif  // PREVER_TESTS_TEST_UTIL_H_

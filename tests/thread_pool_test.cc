@@ -10,6 +10,7 @@
 #include "core/prever.h"
 #include "crypto/drbg.h"
 #include "storage/value.h"
+#include "test_util.h"
 
 namespace prever {
 namespace {
@@ -80,6 +81,68 @@ TEST(DrbgForkTest, ChildStreamsAreDeterministicAndDistinct) {
   Bytes a = child1a.Generate(64);
   EXPECT_NE(a, child1b.Generate(64));
   EXPECT_NE(a, parent1.Generate(64));
+}
+
+// The token engine checks one update's tokens on its pool: signatures and
+// spent-index lookups run on the workers. A forged token among honest ones
+// must give the same status, wallet and ledger as the serial path.
+TEST(TokenPoolSpendTest, ForgedTokenAmongHonestMatchesSerialPath) {
+  token::TokenAuthority authority(512, 40, kWeek, 21);
+  struct Outcome {
+    std::vector<StatusCode> codes;
+    size_t wallet_after_reject = 0;
+    std::vector<Bytes> ledger;
+  };
+  auto run = [&authority](common::ThreadPool* pool) {
+    core::FederatedPlatform platform;
+    platform.id = "p0";
+    EXPECT_TRUE(
+        platform.db.CreateTable("worklog", core::WorklogSchema()).ok());
+    core::CentralizedOrdering ordering;
+    core::FederatedTokenEngine engine({&platform}, &authority, &ordering,
+                                      "hours");
+    engine.set_thread_pool(pool);
+    Outcome out;
+    // A first spend fills the spent index the pooled lookups then read.
+    out.codes.push_back(
+        engine.SubmitVia(0, core::MakeWorklogUpdate("u1", "w", 2, kDay))
+            .code());
+    // Four honest tokens with a forged one in the middle.
+    token::TokenWallet& wallet = engine.WalletOf("w");
+    EXPECT_EQ(wallet.Withdraw(authority, "w", 4, kDay).value(), 4u);
+    auto top = wallet.Take();
+    auto below = wallet.Take();
+    token::Token forged;
+    forged.serial = ToBytes("forged-serial");
+    forged.signature = Bytes(authority.public_key().ModulusBytes(), 0x5a);
+    wallet.PutForTest(forged);
+    wallet.PutForTest(*below);
+    wallet.PutForTest(*top);
+    out.codes.push_back(
+        engine.SubmitVia(0, core::MakeWorklogUpdate("u2", "w", 5, kDay))
+            .code());
+    out.wallet_after_reject = wallet.NumTokens();
+    out.codes.push_back(
+        engine.SubmitVia(0, core::MakeWorklogUpdate("u3", "w", 4, kDay))
+            .code());
+    for (uint64_t seq = 0; seq < ordering.Ledger().size(); ++seq) {
+      out.ledger.push_back(ordering.Ledger().GetEntry(seq)->payload);
+    }
+    return out;
+  };
+  Outcome serial = run(nullptr);
+  common::ThreadPool pool(3);
+  Outcome pooled = run(&pool);
+
+  EXPECT_EQ(serial.codes,
+            (std::vector<StatusCode>{StatusCode::kOk,
+                                     StatusCode::kIntegrityViolation,
+                                     StatusCode::kOk}));
+  EXPECT_EQ(serial.wallet_after_reject, 4u);  // Only the forgery dropped.
+  EXPECT_EQ(serial.ledger.size(), 6u);
+  EXPECT_EQ(pooled.codes, serial.codes);
+  EXPECT_EQ(pooled.wallet_after_reject, serial.wallet_after_reject);
+  EXPECT_EQ(pooled.ledger, serial.ledger);
 }
 
 TEST(EncryptedBatchTest, BatchSubmitAcceptsAndStoresAllRows) {

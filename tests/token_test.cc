@@ -22,10 +22,10 @@ TEST_F(TokenTest, WithdrawAndSpend) {
   EXPECT_EQ(wallet.NumTokens(), 3u);
   EXPECT_EQ(authority_.RemainingBudget("worker-1", 0), 37u);
 
-  TokenVerifier verifier(authority_.public_key(), &spent_ledger_);
+  TokenVerifier verifier(authority_.public_key());
   auto token = wallet.Take();
   ASSERT_TRUE(token.ok());
-  EXPECT_TRUE(verifier.Spend(*token, 100).ok());
+  EXPECT_TRUE(verifier.Spend(*token, spent_ledger_, 100).ok());
   EXPECT_EQ(verifier.num_spent(), 1u);
   EXPECT_EQ(spent_ledger_.size(), 1u);
 }
@@ -33,22 +33,42 @@ TEST_F(TokenTest, WithdrawAndSpend) {
 TEST_F(TokenTest, DoubleSpendDetected) {
   TokenWallet wallet(authority_.public_key(), 2);
   ASSERT_TRUE(wallet.Withdraw(authority_, "worker-1", 1, 0).ok());
-  TokenVerifier verifier(authority_.public_key(), &spent_ledger_);
+  TokenVerifier verifier(authority_.public_key());
   auto token = wallet.Take();
   ASSERT_TRUE(token.ok());
-  ASSERT_TRUE(verifier.Spend(*token, 100).ok());
-  Status again = verifier.Spend(*token, 200);
+  ASSERT_TRUE(verifier.Spend(*token, spent_ledger_, 100).ok());
+  Status again = verifier.Spend(*token, spent_ledger_, 200);
   EXPECT_EQ(again.code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(spent_ledger_.size(), 1u);
 }
 
+TEST_F(TokenTest, CheckRejectsRepeatedSerialWithinOneSpend) {
+  TokenWallet wallet(authority_.public_key(), 11);
+  ASSERT_TRUE(wallet.Withdraw(authority_, "worker-1", 2, 0).ok());
+  auto t1 = wallet.Take();
+  auto t2 = wallet.Take();
+  ASSERT_TRUE(t1.ok() && t2.ok());
+  TokenVerifier verifier(authority_.public_key());
+  std::vector<char> rejected;
+  EXPECT_EQ(verifier.Check({*t1, *t2, *t1}, nullptr, &rejected).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rejected, (std::vector<char>{0, 0, 1}));  // Only the repeat.
+  // A check records nothing: both serials are still unspent.
+  EXPECT_EQ(verifier.num_spent(), 0u);
+  EXPECT_TRUE(verifier.Check({*t1, *t2}).ok());
+  verifier.MarkSpent(t1->serial);
+  EXPECT_EQ(verifier.Check({*t2, *t1}, nullptr, &rejected).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(rejected, (std::vector<char>{0, 1}));
+}
+
 TEST_F(TokenTest, ForgedTokenRejected) {
-  TokenVerifier verifier(authority_.public_key(), &spent_ledger_);
+  TokenVerifier verifier(authority_.public_key());
   crypto::Drbg drbg(uint64_t{3});
   Token forged;
   forged.serial = drbg.Generate(32);
   forged.signature = drbg.Generate(64);
-  EXPECT_EQ(verifier.Spend(forged, 0).code(),
+  EXPECT_EQ(verifier.Spend(forged, spent_ledger_, 0).code(),
             StatusCode::kIntegrityViolation);
   EXPECT_EQ(spent_ledger_.size(), 0u);
 }
@@ -86,24 +106,24 @@ TEST_F(TokenTest, CrossPlatformDoubleSpendCaughtViaSharedLedger) {
   auto token = wallet.Take();
   ASSERT_TRUE(token.ok());
 
-  TokenVerifier platform_a(authority_.public_key(), &spent_ledger_);
-  TokenVerifier platform_b(authority_.public_key(), &spent_ledger_);
-  ASSERT_TRUE(platform_a.Spend(*token, 100).ok());
+  TokenVerifier platform_a(authority_.public_key());
+  TokenVerifier platform_b(authority_.public_key());
+  ASSERT_TRUE(platform_a.Spend(*token, spent_ledger_, 100).ok());
   // Platform B syncs from the shared ledger before accepting.
-  ASSERT_TRUE(platform_b.SyncFromLedger().ok());
-  EXPECT_EQ(platform_b.Spend(*token, 200).code(),
+  ASSERT_TRUE(platform_b.SyncFromLedger(spent_ledger_).ok());
+  EXPECT_EQ(platform_b.Spend(*token, spent_ledger_, 200).code(),
             StatusCode::kAlreadyExists);
 }
 
 TEST_F(TokenTest, SyncFromLedgerDetectsTampering) {
   TokenWallet wallet(authority_.public_key(), 9);
   ASSERT_TRUE(wallet.Withdraw(authority_, "worker-1", 2, 0).ok());
-  TokenVerifier verifier(authority_.public_key(), &spent_ledger_);
+  TokenVerifier verifier(authority_.public_key());
   auto t1 = wallet.Take();
-  ASSERT_TRUE(verifier.Spend(*t1, 0).ok());
+  ASSERT_TRUE(verifier.Spend(*t1, spent_ledger_, 0).ok());
   ASSERT_TRUE(spent_ledger_.TamperWithEntryForTest(0, ToBytes("evil")).ok());
-  TokenVerifier late_joiner(authority_.public_key(), &spent_ledger_);
-  EXPECT_EQ(late_joiner.SyncFromLedger().code(),
+  TokenVerifier late_joiner(authority_.public_key());
+  EXPECT_EQ(late_joiner.SyncFromLedger(spent_ledger_).code(),
             StatusCode::kIntegrityViolation);
 }
 
@@ -118,9 +138,9 @@ TEST_F(TokenTest, UnlinkabilityMechanics) {
   EXPECT_NE(t1->serial, t2->serial);
   // Both verify under the authority key even though it signed only blinded
   // values.
-  TokenVerifier verifier(authority_.public_key(), &spent_ledger_);
-  EXPECT_TRUE(verifier.Spend(*t1, 0).ok());
-  EXPECT_TRUE(verifier.Spend(*t2, 0).ok());
+  TokenVerifier verifier(authority_.public_key());
+  EXPECT_TRUE(verifier.Spend(*t1, spent_ledger_, 0).ok());
+  EXPECT_TRUE(verifier.Spend(*t2, spent_ledger_, 0).ok());
 }
 
 }  // namespace

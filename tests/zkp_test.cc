@@ -241,17 +241,19 @@ TEST_F(ZkpTest, TamperedRsaTokenIsRejected) {
   auto tok = wallet.Take();
   ASSERT_TRUE(tok.ok());
 
-  token::TokenVerifier verifier(authority.public_key(), nullptr);
+  token::TokenVerifier verifier(authority.public_key());
+  ledger::LedgerDb ledger;
   token::Token bad_sig = *tok;
   bad_sig.signature.front() ^= 0x01;
-  EXPECT_EQ(verifier.Spend(bad_sig, 10).code(),
+  EXPECT_EQ(verifier.Spend(bad_sig, ledger, 10).code(),
             StatusCode::kIntegrityViolation);
   token::Token bad_serial = *tok;
   bad_serial.serial.push_back(0x00);
-  EXPECT_EQ(verifier.Spend(bad_serial, 10).code(),
+  EXPECT_EQ(verifier.Spend(bad_serial, ledger, 10).code(),
             StatusCode::kIntegrityViolation);
   EXPECT_EQ(verifier.num_spent(), 0u);
-  EXPECT_TRUE(verifier.Spend(*tok, 10).ok());
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_TRUE(verifier.Spend(*tok, ledger, 10).ok());
 }
 
 class RangeProofProperty : public ::testing::TestWithParam<int> {};

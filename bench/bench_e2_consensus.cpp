@@ -111,6 +111,37 @@ void BM_Pbft(benchmark::State& state) {
 BENCHMARK(BM_Pbft)->Arg(4)->Arg(7)->Arg(10)->Arg(16)
     ->Unit(benchmark::kMicrosecond)->Iterations(200);
 
+// Per-append cost of a default PbftOrdering (stable checkpoints every
+// consensus::kDefaultCheckpointInterval executions) once `range(0)` payloads
+// are committed: 512 further blocking appends, spanning four checkpoints.
+// A checkpoint certificate is fixed-size, so the time per append at 2^13
+// stays within 2x of that at 2^10; scripts/bench_smoke.sh gates the ratio
+// of the fastest of three repetitions, which a passing slowdown of the
+// machine cannot inflate.
+void BM_PbftAppendAtHistory(benchmark::State& state) {
+  const uint64_t history = static_cast<uint64_t>(state.range(0));
+  core::PbftOrdering ordering(4, net::SimNetConfig{});
+  for (uint64_t i = 0; i < history; ++i) {
+    if (Status s = ordering.Append(Payload(i), i); !s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      return;
+    }
+  }
+  uint64_t i = history;
+  for (auto _ : state) {
+    Status s = ordering.Append(Payload(i), i);
+    if (!s.ok()) state.SkipWithError(s.ToString().c_str());
+    ++i;
+  }
+  state.counters["history"] = static_cast<double>(history);
+  state.counters["stable_checkpoint_seq"] = static_cast<double>(
+      ordering.cluster().replica(0).stable_checkpoint_seq());
+  state.counters["log_slots"] =
+      static_cast<double>(ordering.cluster().replica(0).log_slots());
+}
+BENCHMARK(BM_PbftAppendAtHistory)->Arg(1 << 10)->Arg(1 << 13)
+    ->Unit(benchmark::kMicrosecond)->Iterations(512)->Repetitions(3);
+
 // Ablation: batching — one PBFT instance carries `batch` updates
 // (StreamChain/FastFabric-style amortization of Fabric's overhead, §4).
 void BM_PbftBatched(benchmark::State& state) {

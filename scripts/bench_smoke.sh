@@ -275,6 +275,42 @@ else
 fi
 rm -f "$append_json"
 
+# PBFT append cost must not grow with history either: a default
+# PbftOrdering checkpoints every 128 executions, and each checkpoint votes
+# on a fixed-size certificate, so per-append time after 2^13 committed
+# payloads stays within 2x of that after 2^10. A checkpoint that encodes the
+# executed history or the whole ledger costs several times that at 2^13.
+# Each size runs three repetitions; the fastest one counts.
+pbft_json="$(mktemp)"
+if "$BENCH_DIR/bench_e2_consensus" \
+      --benchmark_filter='BM_PbftAppendAtHistory/' \
+      --benchmark_out="$pbft_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$pbft_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+per_append = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate" and not b.get("error_occurred"):
+        assert b["stable_checkpoint_seq"] > 0, f"{b['name']}: no checkpoint"
+        size = int(b["name"].split("/")[1])
+        per_append[size] = min(per_append.get(size, b["cpu_time"]),
+                               b["cpu_time"])
+small, large = per_append.get(1 << 10), per_append.get(1 << 13)
+assert small and large, \
+    f"BM_PbftAppendAtHistory sizes missing: {sorted(per_append)}"
+ratio = large / small
+print(f"pbft append {small:.1f}us at 2^10, {large:.1f}us at 2^13 "
+      f"({ratio:.2f}x)")
+assert ratio <= 2.0, f"per-append PBFT time grows {ratio:.2f}x with history"
+EOF
+then
+  echo "bench_smoke: OK PBFT append cost flat in history"
+else
+  echo "bench_smoke: FAIL PBFT append cost grows with history" >&2
+  fail=1
+fi
+rm -f "$pbft_json"
+
 # SHA-256 dispatch: on a CPU whose /proc/cpuinfo lists sha_ni, Sha256 must
 # actually run the SHA-NI compressor. Hashing 1 KiB through the dispatched
 # compressor must take at most half the portable compressor's time (about a

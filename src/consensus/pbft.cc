@@ -1,5 +1,7 @@
 #include "consensus/pbft.h"
 
+#include <algorithm>
+
 #include "common/serial.h"
 #include "crypto/sha256.h"
 #include "mutate/mutation.h"
@@ -81,11 +83,75 @@ Result<std::pair<uint64_t, std::vector<PreparedEntry>>> DecodeViewChange(
   return std::make_pair(new_view, std::move(entries));
 }
 
+/// Running hash over executed request digests: H(prev || digest), seeded
+/// with 32 zero bytes. Fixed-size however long the history.
+Bytes ChainDigest(const Bytes& prev, const Bytes& digest) {
+  crypto::Sha256 h;
+  h.Update(prev);
+  h.Update(digest);
+  return h.Finish();
+}
+
+Bytes ChainSeed() { return Bytes(32, 0); }
+
+/// Checkpoint certificate: [u64 seq][u64 executed][chain][app summary].
+struct Certificate {
+  uint64_t seq = 0;
+  uint64_t num_executed = 0;
+  Bytes exec_chain;
+  Bytes app_summary;
+};
+
+Bytes EncodeCertificate(const Certificate& c) {
+  BinaryWriter w;
+  w.WriteU64(c.seq);
+  w.WriteU64(c.num_executed);
+  w.WriteBytes(c.exec_chain);
+  w.WriteBytes(c.app_summary);
+  return w.Take();
+}
+
+Result<Certificate> DecodeCertificate(const Bytes& payload) {
+  BinaryReader r(payload);
+  Certificate c;
+  PREVER_ASSIGN_OR_RETURN(c.seq, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(c.num_executed, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(c.exec_chain, r.ReadBytes());
+  PREVER_ASSIGN_OR_RETURN(c.app_summary, r.ReadBytes());
+  return c;
+}
+
+/// Full state behind a certificate: [cert][u64 n][n digests][app state].
+struct StableState {
+  Bytes cert;
+  std::vector<Bytes> digests;  // Execution order.
+  Bytes app_state;
+};
+
+Result<StableState> DecodeStableState(const Bytes& blob) {
+  BinaryReader r(blob);
+  StableState st;
+  PREVER_ASSIGN_OR_RETURN(st.cert, r.ReadBytes());
+  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
+  for (uint64_t i = 0; i < n; ++i) {  // No reserve(n): n is untrusted input.
+    PREVER_ASSIGN_OR_RETURN(Bytes d, r.ReadBytes());
+    st.digests.push_back(std::move(d));
+  }
+  PREVER_ASSIGN_OR_RETURN(st.app_state, r.ReadBytes());
+  return st;
+}
+
 }  // namespace
 
 PbftReplica::PbftReplica(net::NodeId id, const PbftConfig& config,
                          net::SimNetwork* net)
-    : id_(id), config_(config), net_(net) {}
+    : id_(id),
+      config_(config),
+      net_(net),
+      exec_chain_(ChainSeed()),
+      peer_checkpoint_seq_(config.num_replicas, 0) {
+  if (config_.checkpoint_interval == 0) config_.checkpoint_interval = 1;
+}
 
 void PbftReplica::SendMsg(net::NodeId to, uint32_t type,
                           const Bytes& payload) {
@@ -213,6 +279,8 @@ void PbftReplica::HandlePrePrepare(const net::Message& msg) {
     return;
   }
 
+  if (*seq <= stable_seq_) return;  // Below the low watermark: collected.
+
   SlotState& slot = Slot(*seq);
   Bytes digest = DigestOf(*command);
   if (PREVER_MUTATION(PBFT_CONFLICTING_DIGEST_ACCEPT,
@@ -225,6 +293,9 @@ void PbftReplica::HandlePrePrepare(const net::Message& msg) {
   slot.digest = digest;
   slot.command = *command;
   slot.pre_prepared = true;
+  // The pre-prepare is the primary's prepare (it sends no other), so
+  // 2f+1 = the primary plus 2f backups, this one included.
+  slot.prepares[digest].insert(msg.from);
   slot.prepares[digest].insert(id_);
   if (*seq >= next_seq_) next_seq_ = *seq + 1;
   for (net::NodeId to = 0; to < config_.num_replicas; ++to) {
@@ -247,6 +318,7 @@ void PbftReplica::HandlePrepare(const net::Message& msg) {
     return;
   }
   if (*view != view_ || view_changing_) return;
+  if (*seq <= stable_seq_) return;  // Below the low watermark: collected.
   SlotState& slot = Slot(*seq);
   slot.prepares[*digest].insert(msg.from);
   MaybeSendCommit(*seq);
@@ -276,6 +348,7 @@ void PbftReplica::HandleCommit(const net::Message& msg) {
   auto digest = r.ReadBytes();
   if (!view.ok() || !seq.ok() || !digest.ok()) return;
   PREVER_CAUSAL_INSTANT(obs::TraceStage::kPbftCommit, *seq);
+  if (*seq <= stable_seq_) return;  // Below the low watermark: collected.
   SlotState& slot = Slot(*seq);
   slot.commits[*digest].insert(msg.from);
   TryExecute();
@@ -333,75 +406,94 @@ void PbftReplica::ExecuteLoop() {
       MaybeCreateCheckpoint();
       continue;
     }
-    ++num_executed_;
-    executed_digests_.insert(slot.digest);
-    pending_requests_.erase(slot.digest);
-    pending_timers_.erase(slot.digest);
+    RecordExecution(slot.digest);
     if (commit_cb_) commit_cb_(last_executed_, slot.command);
     MaybeCreateCheckpoint();
   }
 }
 
-Bytes PbftReplica::BuildCheckpointBlob() const {
-  // Deterministic across replicas at equal execution points: the executed
-  // digests are a sorted set and the app snapshot is a pure function of the
-  // executed prefix.
+void PbftReplica::RecordExecution(const Bytes& digest) {
+  executed_digests_.emplace(digest, num_executed_++);
+  exec_chain_ = ChainDigest(exec_chain_, digest);
+  pending_requests_.erase(digest);
+  pending_timers_.erase(digest);
+}
+
+Bytes PbftReplica::EncodeStableState() const {
+  if (stable_seq_ == 0) return {};
+  auto cert = DecodeCertificate(stable_cert_);
+  if (!cert.ok()) return {};
+  Bytes app;
+  if (state_encode_) {
+    app = state_encode_(cert->app_summary);
+    if (app.empty()) return {};
+  }
+  // The digests executed up to the certificate are the first
+  // `num_executed` ordinals.
+  std::vector<const Bytes*> ordered(cert->num_executed, nullptr);
+  for (const auto& [digest, ordinal] : executed_digests_) {
+    if (ordinal < ordered.size()) ordered[ordinal] = &digest;
+  }
   BinaryWriter w;
-  w.WriteU64(last_executed_);
-  w.WriteU32(static_cast<uint32_t>(executed_digests_.size()));
-  for (const Bytes& d : executed_digests_) w.WriteBytes(d);
-  w.WriteBytes(state_snapshot_ ? state_snapshot_() : Bytes{});
+  w.WriteBytes(stable_cert_);
+  w.WriteU64(ordered.size());
+  for (const Bytes* d : ordered) {
+    if (d == nullptr) return {};
+    w.WriteBytes(*d);
+  }
+  w.WriteBytes(app);
   return w.Take();
 }
 
-void PbftReplica::InstallCheckpointBlob(const Bytes& blob) {
-  BinaryReader r(blob);
-  auto seq = r.ReadU64();
-  auto n = r.ReadU32();
-  if (!seq.ok() || !n.ok()) return;
-  std::set<Bytes> digests;
-  for (uint32_t i = 0; i < *n; ++i) {
-    auto d = r.ReadBytes();
-    if (!d.ok()) return;
-    digests.insert(std::move(*d));
+bool PbftReplica::InstallStableState(const Bytes& blob) {
+  auto st = DecodeStableState(blob);
+  if (!st.ok()) return false;
+  auto cert = DecodeCertificate(st->cert);
+  if (!cert.ok() || st->digests.size() != cert->num_executed) return false;
+  // The digests must reproduce the certificate's running hash, and the
+  // application state its summary; either mismatch changes nothing.
+  std::map<Bytes, uint64_t> executed;
+  Bytes chain = ChainSeed();
+  for (const Bytes& d : st->digests) {
+    if (!executed.emplace(d, executed.size()).second) return false;
+    chain = ChainDigest(chain, d);
   }
-  auto app = r.ReadBytes();
-  if (!app.ok()) return;
+  if (chain != cert->exec_chain) return false;
+  if (state_install_ &&
+      !state_install_(cert->seq, cert->app_summary, st->app_state)) {
+    return false;
+  }
 
-  last_executed_ = *seq;
-  num_executed_ = digests.size();
-  executed_digests_ = std::move(digests);
-  if (next_seq_ <= *seq) next_seq_ = *seq + 1;
-  stable_seq_ = *seq;
-  stable_blob_ = blob;
-  stable_digest_ = DigestOf(blob);
-  // Everything at or below the installed point is already reflected in the
-  // snapshot; drop those slots (and any pending executions they held).
-  for (auto it = log_.begin(); it != log_.end() && it->first <= *seq;) {
+  last_executed_ = cert->seq;
+  num_executed_ = cert->num_executed;
+  executed_digests_ = std::move(executed);
+  exec_chain_ = std::move(chain);
+  if (next_seq_ <= cert->seq) next_seq_ = cert->seq + 1;
+  stable_seq_ = cert->seq;
+  stable_cert_ = std::move(st->cert);
+  // Everything at or below the installed point is reflected in the
+  // installed state; drop those slots (and any pending executions they
+  // held).
+  for (auto it = log_.begin(); it != log_.end() && it->first <= cert->seq;) {
     it = log_.erase(it);
   }
-  for (const Bytes& d : executed_digests_) {
+  for (const auto& [d, ordinal] : executed_digests_) {
     pending_requests_.erase(d);
     pending_timers_.erase(d);
   }
-  if (state_install_) state_install_(*seq, *app);
+  return true;
 }
 
 void PbftReplica::MaybeCreateCheckpoint() {
-  if (config_.checkpoint_interval == 0) return;
-  if (last_executed_ == 0 || last_executed_ <= stable_seq_) return;
+  if (last_executed_ <= stable_seq_) return;
   if (last_executed_ % config_.checkpoint_interval != 0) return;
   PendingCheckpoint& cp = checkpoints_[last_executed_];
-  if (cp.has_own) return;
-  cp.has_own = true;
-  cp.own_blob = BuildCheckpointBlob();
-  cp.own_digest = DigestOf(cp.own_blob);
-  cp.votes[cp.own_digest].insert(id_);
-
-  BinaryWriter w;
-  w.WriteU64(last_executed_);
-  w.WriteBytes(cp.own_digest);
-  Broadcast(kCheckpoint, w.bytes());
+  if (!cp.own_cert.empty()) return;
+  cp.own_cert = EncodeCertificate(
+      Certificate{last_executed_, num_executed_, exec_chain_,
+                  state_summary_ ? state_summary_() : Bytes{}});
+  cp.votes[id_] = cp.own_cert;
+  Broadcast(kCheckpoint, cp.own_cert);
   MaybeStabilize(last_executed_);
 }
 
@@ -410,14 +502,14 @@ void PbftReplica::MaybeStabilize(uint64_t seq) {
   auto it = checkpoints_.find(seq);
   if (it == checkpoints_.end()) return;
   PendingCheckpoint& cp = it->second;
-  if (!cp.has_own) return;  // Our own state at seq anchors the certificate.
-  auto votes = cp.votes.find(cp.own_digest);
-  if (votes == cp.votes.end() || votes->second.size() < quorum2f1()) return;
-  // 2f+1 matching digests: the checkpoint is stable; advance the low
+  if (cp.own_cert.empty()) return;  // Our own state anchors the certificate.
+  size_t matching = 0;
+  for (const auto& [voter, cert] : cp.votes) matching += cert == cp.own_cert;
+  if (matching < quorum2f1()) return;
+  // 2f+1 matching certificates: the checkpoint is stable; advance the low
   // watermark and garbage-collect the message log below it.
   stable_seq_ = seq;
-  stable_blob_ = cp.own_blob;
-  stable_digest_ = cp.own_digest;
+  stable_cert_ = cp.own_cert;
   CollectGarbage();
 }
 
@@ -432,28 +524,53 @@ void PbftReplica::CollectGarbage() {
   }
   for (auto it = checkpoints_.begin();
        it != checkpoints_.end() && it->first <= stable_seq_;) {
-    reclaimed += it->second.own_blob.size();
+    reclaimed += it->second.own_cert.size();
     it = checkpoints_.erase(it);
   }
   PbftLogBytesReclaimedCounter().Inc(reclaimed);
 }
 
+uint64_t PbftReplica::VouchedCheckpointSeq() const {
+  // The (f+1)-th highest seq among the peers' latest checkpoints: f+1
+  // replicas, so at least one correct one, reached it.
+  std::vector<uint64_t> seqs;
+  for (net::NodeId peer = 0; peer < peer_checkpoint_seq_.size(); ++peer) {
+    if (peer != id_) seqs.push_back(peer_checkpoint_seq_[peer]);
+  }
+  if (seqs.size() < f() + 1) return 0;
+  std::nth_element(seqs.begin(), seqs.begin() + f(), seqs.end(),
+                   std::greater<uint64_t>());
+  return seqs[f()];
+}
+
+bool PbftReplica::LagsFullInterval() const {
+  return VouchedCheckpointSeq() >=
+         last_executed_ + config_.checkpoint_interval;
+}
+
 void PbftReplica::HandleCheckpoint(const net::Message& msg) {
-  BinaryReader r(msg.payload);
-  auto seq = r.ReadU64();
-  auto digest = r.ReadBytes();
-  if (!seq.ok() || !digest.ok()) return;
-  if (*seq > max_seen_checkpoint_seq_) max_seen_checkpoint_seq_ = *seq;
-  if (*seq > stable_seq_) {
-    checkpoints_[*seq].votes[*digest].insert(msg.from);
-    MaybeStabilize(*seq);
+  if (msg.from >= peer_checkpoint_seq_.size()) return;
+  auto cert = DecodeCertificate(msg.payload);
+  if (!cert.ok()) return;
+  const uint64_t seq = cert->seq;
+  uint64_t& latest = peer_checkpoint_seq_[msg.from];
+  if (seq > latest) latest = seq;
+  // Votes count only at checkpoint seqs this replica can still reach by
+  // executing: above the stable one, and within an interval plus the
+  // backups' pre-prepare window of its execution point. Further ahead it
+  // catches up by state transfer instead, so a faulty peer cannot grow
+  // checkpoints_ with far-future seqs.
+  const uint64_t horizon = last_executed_ + config_.checkpoint_interval +
+                           2 * config_.high_watermark_window;
+  if (seq > stable_seq_ && seq <= horizon &&
+      seq % config_.checkpoint_interval == 0) {
+    checkpoints_[seq].votes.emplace(msg.from, msg.payload);
+    MaybeStabilize(seq);
   }
-  // Peers checkpointing past our execution point means we fell behind more
-  // than a full interval (crash, partition): catch up via state transfer.
-  if (config_.enable_state_transfer &&
-      max_seen_checkpoint_seq_ > last_executed_) {
-    RequestStateTransfer();
-  }
+  // f+1 replicas checkpointing a full interval past our execution point
+  // means we missed instances nobody re-sends (crash, partition): catch up
+  // by state transfer. A smaller lag is ordinary pipeline skew.
+  if (LagsFullInterval()) RequestStateTransfer();
 }
 
 void PbftReplica::RequestStateTransfer() {
@@ -468,7 +585,7 @@ void PbftReplica::RequestStateTransfer() {
   net_->ScheduleAfter(config_.view_change_timeout, [this] {
     if (crashed_ || fault_mode_ == PbftFaultMode::kSilent) return;
     fetch_inflight_ = false;
-    if (max_seen_checkpoint_seq_ > last_executed_) RequestStateTransfer();
+    if (LagsFullInterval()) RequestStateTransfer();
   });
 }
 
@@ -479,15 +596,16 @@ void PbftReplica::HandleFetchState(const net::Message& msg) {
   if (last_executed_ <= *their_executed) return;  // Nothing to offer.
   BinaryWriter w;
   w.WriteU64(view_);
-  w.WriteU64(stable_seq_);
-  w.WriteBytes(stable_blob_);
-  // Executed suffix above the stable checkpoint, in sequence order; the
-  // requester certifies each command against f+1 matching responses.
+  // The full stable state only when the requester is behind it.
+  w.WriteBytes(stable_seq_ > *their_executed ? EncodeStableState() : Bytes{});
+  // Executed suffix past both the stable checkpoint and the requester, in
+  // sequence order; the requester certifies each command against f+1
+  // matching responses.
+  const uint64_t from = std::max(stable_seq_, *their_executed);
   std::vector<std::pair<uint64_t, const Bytes*>> suffix;
-  for (const auto& [seq, slot] : log_) {
-    if (slot.executed && seq > stable_seq_ && seq <= last_executed_) {
-      suffix.emplace_back(seq, &slot.command);
-    }
+  for (auto it = log_.upper_bound(from);
+       it != log_.end() && it->first <= last_executed_; ++it) {
+    if (it->second.executed) suffix.emplace_back(it->first, &it->second.command);
   }
   w.WriteU32(static_cast<uint32_t>(suffix.size()));
   for (const auto& [seq, cmd] : suffix) {
@@ -501,13 +619,16 @@ void PbftReplica::HandleStateResponse(const net::Message& msg) {
   BinaryReader r(msg.payload);
   StateResponse resp;
   auto view = r.ReadU64();
-  auto stable_seq = r.ReadU64();
-  auto blob = r.ReadBytes();
+  auto state = r.ReadBytes();
   auto n = r.ReadU32();
-  if (!view.ok() || !stable_seq.ok() || !blob.ok() || !n.ok()) return;
+  if (!view.ok() || !state.ok() || !n.ok()) return;
   resp.view = *view;
-  resp.stable_seq = *stable_seq;
-  resp.stable_blob = std::move(*blob);
+  if (!state->empty()) {
+    auto cert = BinaryReader(*state).ReadBytes();  // The blob's first field.
+    if (!cert.ok()) return;
+    resp.cert = std::move(*cert);
+    resp.state = std::move(*state);
+  }
   for (uint32_t i = 0; i < *n; ++i) {
     auto seq = r.ReadU64();
     auto cmd = r.ReadBytes();
@@ -520,43 +641,41 @@ void PbftReplica::HandleStateResponse(const net::Message& msg) {
 
 void PbftReplica::TryInstallState() {
   // Certify the stable checkpoint: f+1 responders vouching for the same
-  // (seq, blob digest) guarantees at least one honest voucher, and the
-  // checkpoint it vouches for carries a 2f+1 certificate at its origin.
+  // certificate guarantees at least one honest voucher, and the certificate
+  // it vouches for carries 2f+1 matching votes at its origin. The full
+  // state installed must then reproduce that certificate.
   size_t needed =
       PREVER_MUTATION(PBFT_STATE_MATCH_QUORUM_MINUS_ONE, f() + 1, f());
   if (needed == 0) needed = 1;
-  std::map<std::pair<uint64_t, Bytes>, std::set<net::NodeId>> groups;
+  std::map<Bytes, std::vector<const StateResponse*>> groups;
   for (const auto& [from, resp] : state_responses_) {
-    if (resp.stable_seq > last_executed_) {
-      groups[{resp.stable_seq, DigestOf(resp.stable_blob)}].insert(from);
+    if (!resp.cert.empty()) groups[resp.cert].push_back(&resp);
+  }
+  uint64_t best_seq = last_executed_;
+  const std::vector<const StateResponse*>* best = nullptr;
+  for (const auto& [cert, voters] : groups) {
+    auto c = DecodeCertificate(cert);
+    if (c.ok() && voters.size() >= needed && c->seq > best_seq) {
+      best_seq = c->seq;
+      best = &voters;
     }
   }
-  const Bytes* install_blob = nullptr;
-  uint64_t install_seq = 0;
-  for (const auto& [key, voters] : groups) {
-    if (voters.size() >= needed && key.first > install_seq) {
-      install_seq = key.first;
-      for (const auto& [from, resp] : state_responses_) {
-        if (resp.stable_seq == key.first && voters.count(from)) {
-          install_blob = &resp.stable_blob;
-          break;
+  if (best != nullptr) {
+    for (const StateResponse* resp : *best) {
+      const uint64_t bytes = resp->state.size();
+      if (!InstallStableState(resp->state)) continue;
+      // Adopt the highest view among the responders so we do not trigger
+      // spurious view changes against a cluster that moved on.
+      for (const auto& [from, other] : state_responses_) {
+        if (other.view > view_) {
+          view_ = other.view;
+          view_changing_ = false;
         }
       }
+      PbftStateTransferBytesCounter().Inc(bytes);
+      PREVER_CAUSAL_INSTANT(obs::TraceStage::kStateTransfer, bytes);
+      break;
     }
-  }
-  if (install_blob != nullptr) {
-    uint64_t bytes = install_blob->size();
-    InstallCheckpointBlob(*install_blob);
-    // Adopt the highest view among the vouching responders so we do not
-    // trigger spurious view changes against a cluster that moved on.
-    for (const auto& [from, resp] : state_responses_) {
-      if (resp.view > view_) {
-        view_ = resp.view;
-        view_changing_ = false;
-      }
-    }
-    PbftStateTransferBytesCounter().Inc(bytes);
-    PREVER_CAUSAL_INSTANT(obs::TraceStage::kStateTransfer, bytes);
   }
   ExecuteCertifiedSuffix();
 }
@@ -595,10 +714,7 @@ void PbftReplica::ExecuteCertifiedSuffix() {
     PbftStateTransferBytesCounter().Inc(command->size());
     if (next_seq_ <= seq) next_seq_ = seq + 1;
     if (executed_digests_.count(digest) == 0) {
-      ++num_executed_;
-      executed_digests_.insert(digest);
-      pending_requests_.erase(digest);
-      pending_timers_.erase(digest);
+      RecordExecution(digest);
       if (commit_cb_) commit_cb_(last_executed_, *command);
     }
     MaybeCreateCheckpoint();
@@ -615,15 +731,15 @@ void PbftReplica::Crash() {
   deferred_.clear();
   deferred_digests_.clear();
   executed_digests_.clear();
+  exec_chain_ = ChainSeed();
   pending_timers_.clear();
   pending_requests_.clear();
   view_change_entries_.clear();
   checkpoints_.clear();
   state_responses_.clear();
   stable_seq_ = 0;
-  stable_blob_.clear();
-  stable_digest_.clear();
-  max_seen_checkpoint_seq_ = 0;
+  stable_cert_.clear();
+  std::fill(peer_checkpoint_seq_.begin(), peer_checkpoint_seq_.end(), 0);
   fetch_inflight_ = false;
   view_changing_ = false;
   next_seq_ = 1;
@@ -631,13 +747,10 @@ void PbftReplica::Crash() {
   num_executed_ = 0;
 }
 
-void PbftReplica::Restart(const Bytes& checkpoint_blob) {
+void PbftReplica::Restart(const Bytes& stable_state) {
   crashed_ = false;
-  if (!checkpoint_blob.empty()) InstallCheckpointBlob(checkpoint_blob);
-  if (config_.enable_state_transfer) {
-    fetch_inflight_ = false;
-    RequestStateTransfer();
-  }
+  if (!stable_state.empty()) (void)InstallStableState(stable_state);
+  RequestStateTransfer();
 }
 
 void PbftReplica::Stash(const net::Message& msg) {
@@ -654,8 +767,27 @@ void PbftReplica::ArmRequestTimer(const Bytes& digest) {
     if (executed_digests_.count(digest)) return;
     if (!pending_timers_.count(digest)) return;
     if (view_ != armed_view) return;  // Already moved on; a fresh timer runs.
+    if (MissedCommittedSeq()) {
+      // The cluster committed a sequence number this replica cannot execute
+      // (its messages were lost while it was down or cut off, or refused
+      // past its window), and nobody re-sends them: the primary is not at
+      // fault. Fetch the executed suffix and wait again.
+      RequestStateTransfer();
+      pending_timers_.erase(digest);
+      ArmRequestTimer(digest);
+      return;
+    }
     StartViewChange(view_ + 1);
   });
+}
+
+bool PbftReplica::MissedCommittedSeq() const {
+  for (auto it = log_.upper_bound(last_executed_); it != log_.end(); ++it) {
+    for (const auto& [digest, voters] : it->second.commits) {
+      if (voters.size() >= quorum2f1()) return true;
+    }
+  }
+  return false;
 }
 
 void PbftReplica::StartViewChange(uint64_t new_view) {

@@ -30,6 +30,9 @@ enum class PbftFaultMode {
                  ///< replicas for the same sequence number.
 };
 
+/// Castro–Liskov's checkpoint period K: executions between two checkpoints.
+inline constexpr uint64_t kDefaultCheckpointInterval = 128;
+
 struct PbftConfig {
   size_t num_replicas = 4;
   SimTime view_change_timeout = 200 * kMillisecond;
@@ -41,31 +44,38 @@ struct PbftConfig {
   /// 2x the window past their own execution point (their view of the low
   /// watermark may lag the primary's).
   uint64_t high_watermark_window = 128;
-  /// Castro–Liskov stable checkpoints (§4.3): every `checkpoint_interval`
-  /// executions a replica broadcasts a checkpoint digest; 2f+1 matching
-  /// digests advance the stable low watermark and garbage-collect the
-  /// message log below it. 0 disables checkpointing (legacy behavior).
-  uint64_t checkpoint_interval = 0;
-  /// Lets a restarted or lagging replica fetch a peer's stable checkpoint
-  /// plus the executed suffix and catch up (§4.3's state transfer).
-  bool enable_state_transfer = false;
+  /// Stable checkpoints (§4.3) run on every replica: every
+  /// `checkpoint_interval` executions (at least 1; 0 is read as 1) a replica
+  /// broadcasts a fixed-size checkpoint certificate, and 2f+1 matching
+  /// certificates make it stable, advance the low watermark and
+  /// garbage-collect the message log below it.
+  uint64_t checkpoint_interval = kDefaultCheckpointInterval;
 };
 
 /// One PBFT replica (Castro–Liskov three-phase protocol over the simulated
 /// network): pre-prepare → prepare (2f matching) → commit (2f+1 matching),
-/// with view changes on primary failure. With checkpoint_interval set, the
-/// replica also runs §4.3 stable checkpoints: 2f+1 matching checkpoint
-/// digests advance the low watermark, garbage-collect the message log below
-/// it, and anchor state transfer for restarted/lagging replicas. Commands
+/// with view changes on primary failure, and §4.3 stable checkpoints with
+/// state transfer. A checkpoint certificate is fixed-size: the sequence
+/// number, the number of executed requests, a running hash over their
+/// digests in execution order, and the application's fixed-size state
+/// summary. The full state behind a stable certificate (executed digests
+/// plus application state) is encoded only when a peer fetches it or a
+/// caller saves it; a replica fetches on restart and when f+1 peers have
+/// checkpointed a full interval past its own execution point. Commands
 /// travel in full rather than digest-only.
 class PbftReplica {
  public:
-  /// Snapshot of the application state at the current execution point;
-  /// embedded in checkpoint blobs and shipped during state transfer.
-  using StateSnapshotFn = std::function<Bytes()>;
-  /// Installs a transferred application snapshot taken at `sequence`.
-  using StateInstallFn =
-      std::function<void(uint64_t sequence, const Bytes& app_state)>;
+  /// Fixed-size summary of the application state at the current execution
+  /// point; embedded in every checkpoint certificate.
+  using StateSummaryFn = std::function<Bytes()>;
+  /// Full application state as of `summary`, a summary this replica
+  /// produced at an earlier execution point; empty when it cannot be
+  /// rebuilt. Shipped by state transfer.
+  using StateEncodeFn = std::function<Bytes(const Bytes& summary)>;
+  /// Checks `app_state` against the certified `summary` taken at
+  /// `sequence` and installs it; false (with nothing changed) on mismatch.
+  using StateInstallFn = std::function<bool(
+      uint64_t sequence, const Bytes& summary, const Bytes& app_state)>;
 
   PbftReplica(net::NodeId id, const PbftConfig& config, net::SimNetwork* net);
 
@@ -76,18 +86,29 @@ class PbftReplica {
   bool IsPrimary() const { return view_ % config_.num_replicas == id_; }
   bool crashed() const { return crashed_; }
 
-  /// Stable-checkpoint observables (0 / empty before the first one).
+  /// Stable-checkpoint observables (0 / empty before the first one). The
+  /// certificate is exactly the payload of a checkpoint message.
   uint64_t stable_checkpoint_seq() const { return stable_seq_; }
-  const Bytes& stable_checkpoint_blob() const { return stable_blob_; }
-  /// Message-log occupancy; bounded by checkpoint_interval + watermarks
-  /// once checkpointing runs.
+  const Bytes& stable_checkpoint_cert() const { return stable_cert_; }
+  /// Message-log occupancy; bounded by checkpoint_interval + watermarks.
   size_t log_slots() const { return log_.size(); }
+  /// Checkpoint seqs above the stable one that hold votes; bounded by the
+  /// window HandleCheckpoint accepts votes in.
+  size_t pending_checkpoints() const { return checkpoints_.size(); }
   bool HasSlot(uint64_t seq) const { return log_.count(seq) != 0; }
+
+  /// The full state behind the stable certificate: the certificate, the
+  /// executed request digests up to it in execution order, and the
+  /// application state as of it. Empty before the first stable checkpoint.
+  /// This is what state transfer ships and what Restart installs.
+  Bytes EncodeStableState() const;
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
   void SetFaultMode(PbftFaultMode mode) { fault_mode_ = mode; }
-  void SetStateCallbacks(StateSnapshotFn snapshot, StateInstallFn install) {
-    state_snapshot_ = std::move(snapshot);
+  void SetStateCallbacks(StateSummaryFn summary, StateEncodeFn encode,
+                         StateInstallFn install) {
+    state_summary_ = std::move(summary);
+    state_encode_ = std::move(encode);
     state_install_ = std::move(install);
   }
 
@@ -106,11 +127,11 @@ class PbftReplica {
   /// modeling the durable view counter.
   void Crash();
 
-  /// Restarts through the recovery path: installs `checkpoint_blob` (a
-  /// stable-checkpoint blob saved durably before the crash; empty = cold
-  /// start) and, when enabled, requests state transfer from peers to cover
-  /// the executions past the checkpoint.
-  void Restart(const Bytes& checkpoint_blob);
+  /// Restarts through the recovery path: installs `stable_state` (an
+  /// EncodeStableState blob saved durably before the crash; empty = cold
+  /// start), then requests state transfer from peers to cover the
+  /// executions past it.
+  void Restart(const Bytes& stable_state);
 
  public:
   /// A prepared-but-unexecuted slot carried across a view change. Public so
@@ -155,15 +176,21 @@ class PbftReplica {
   void TryExecute();
   void ExecuteLoop();
   void DrainDeferred();
-  Bytes BuildCheckpointBlob() const;
-  void InstallCheckpointBlob(const Bytes& blob);
+  void RecordExecution(const Bytes& digest);
+  bool InstallStableState(const Bytes& blob);
   void MaybeCreateCheckpoint();
   void MaybeStabilize(uint64_t seq);
   void CollectGarbage();
+  uint64_t VouchedCheckpointSeq() const;
+  bool LagsFullInterval() const;
   void RequestStateTransfer();
   void TryInstallState();
   void ExecuteCertifiedSuffix();
   void ArmRequestTimer(const Bytes& digest);
+  /// True when some slot past the execution point holds 2f+1 matching
+  /// commits: the cluster committed it, so a stalled request means this
+  /// replica is behind, not that the primary failed.
+  bool MissedCommittedSeq() const;
   void Stash(const net::Message& msg);
   void StartViewChange(uint64_t new_view);
   void MaybeBecomeNewPrimary(uint64_t new_view);
@@ -176,7 +203,8 @@ class PbftReplica {
   PbftConfig config_;
   net::SimNetwork* net_;
   CommitCallback commit_cb_;
-  StateSnapshotFn state_snapshot_;
+  StateSummaryFn state_summary_;
+  StateEncodeFn state_encode_;
   StateInstallFn state_install_;
   PbftFaultMode fault_mode_ = PbftFaultMode::kHonest;
   ConsensusMetrics* metrics_ = nullptr;
@@ -195,7 +223,10 @@ class PbftReplica {
   /// them).
   std::deque<Bytes> deferred_;
   std::set<Bytes> deferred_digests_;  // Dedup for deferred_.
-  std::set<Bytes> executed_digests_; // For timer cancellation.
+  /// Executed request digest -> its execution ordinal (0, 1, ...): the
+  /// reply cache, and the order the running hash below consumed them in.
+  std::map<Bytes, uint64_t> executed_digests_;
+  Bytes exec_chain_;  // Running hash over executed digests, in order.
   std::map<Bytes, bool> pending_timers_;  // digest -> armed.
   std::map<Bytes, Bytes> pending_requests_;  // digest -> command.
   // View-change bookkeeping: new_view -> sender -> prepared entries.
@@ -209,24 +240,26 @@ class PbftReplica {
 
   // ---- Stable checkpoints & state transfer (§4.3) ----
   struct PendingCheckpoint {
-    bool has_own = false;  ///< We produced our own blob at this seq.
-    Bytes own_blob;
-    Bytes own_digest;
-    std::map<Bytes, std::set<net::NodeId>> votes;  // digest -> voters
+    Bytes own_cert;  ///< Our certificate at this seq; empty until produced.
+    /// Voter -> its certificate at this seq; one vote per voter (the
+    /// first), so a faulty peer cannot grow it.
+    std::map<net::NodeId, Bytes> votes;
   };
   /// A peer's reply to our fetch-state request, parsed.
   struct StateResponse {
     uint64_t view = 0;
-    uint64_t stable_seq = 0;
-    Bytes stable_blob;
+    Bytes cert;   ///< Certificate of the shipped stable state (may be empty).
+    Bytes state;  ///< EncodeStableState blob (may be empty).
     std::map<uint64_t, Bytes> suffix;  // seq -> command (executed).
   };
 
   std::map<uint64_t, PendingCheckpoint> checkpoints_;
   uint64_t stable_seq_ = 0;
-  Bytes stable_blob_;
-  Bytes stable_digest_;
-  uint64_t max_seen_checkpoint_seq_ = 0;
+  Bytes stable_cert_;
+  /// Highest checkpoint seq each replica has sent us (indexed by id). Only
+  /// a seq that f+1 of them reached counts as progress (no faulty replica
+  /// alone can claim it), so these feed the fetch trigger.
+  std::vector<uint64_t> peer_checkpoint_seq_;
   std::map<net::NodeId, StateResponse> state_responses_;
   bool fetch_inflight_ = false;
 };

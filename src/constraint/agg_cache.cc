@@ -219,8 +219,7 @@ void AggregateCache::AdvanceCursor(GroupState& g, SimTime start,
   g.cur_now = now;
 }
 
-Result<Value> AggregateCache::FinishGroup(const SpecCache& sc,
-                                          const AggregateSpec& spec,
+Result<Value> AggregateCache::FinishGroup(const AggregateSpec& spec,
                                           const GroupState* g, SimTime start,
                                           SimTime now,
                                           bool* needs_write) const {
@@ -320,7 +319,7 @@ Result<Value> AggregateCache::Evaluate(const AggregateSpec& spec,
   const SimTime start = WindowStart(spec.window, ctx.now);
   if (g != nullptr && spec.window != 0) AdvanceCursor(*g, start, ctx.now);
   ++stats_.cache_hits;
-  return FinishGroup(sc, spec, g, start, ctx.now, nullptr);
+  return FinishGroup(spec, g, start, ctx.now, nullptr);
 }
 
 bool AggregateCache::TryReadEvaluate(const AggregateSpec& spec,
@@ -355,7 +354,7 @@ bool AggregateCache::TryReadEvaluate(const AggregateSpec& spec,
   }
   const SimTime start = WindowStart(spec.window, ctx.now);
   bool needs_write = false;
-  Result<Value> r = FinishGroup(sc, spec, g, start, ctx.now, &needs_write);
+  Result<Value> r = FinishGroup(spec, g, start, ctx.now, &needs_write);
   if (needs_write) return false;
   *out = std::move(r);
   return true;

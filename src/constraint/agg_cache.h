@@ -107,8 +107,7 @@ class AggregateCache {
                  const storage::Row& row, bool is_delta);
   void AdvanceCursor(GroupState& g, SimTime start, SimTime now) const;
   static void PushWindowIndex(GroupState& g, size_t idx);
-  Result<storage::Value> FinishGroup(const SpecCache& sc,
-                                     const AggregateSpec& spec,
+  Result<storage::Value> FinishGroup(const AggregateSpec& spec,
                                      const GroupState* g, SimTime start,
                                      SimTime now, bool* needs_write) const;
 

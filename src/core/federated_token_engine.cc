@@ -1,5 +1,8 @@
 #include "core/federated_token_engine.h"
 
+#include "common/serial.h"
+#include "crypto/sha256.h"
+
 namespace prever::core {
 
 FederatedTokenEngine::FederatedTokenEngine(
@@ -16,10 +19,20 @@ token::TokenWallet& FederatedTokenEngine::WalletOf(
     const std::string& producer) {
   auto it = wallets_.find(producer);
   if (it == wallets_.end()) {
+    // Seed from the producer and the spent-serial ledger as it stands now:
+    // an engine restarted over the same ledger after spends draws serials
+    // no earlier instance drew, so its fresh tokens are not already burned.
+    ledger::LedgerDigest digest = ordering_->Ledger().Digest();
+    BinaryWriter w;
+    w.WriteString(producer);
+    w.WriteU64(digest.size);
+    w.WriteBytes(digest.root);
+    const Bytes seed = crypto::Sha256::Hash(w.bytes());
+    BinaryReader r(seed);
     it = wallets_
-             .emplace(producer, std::make_unique<token::TokenWallet>(
-                                    authority_->public_key(),
-                                    next_wallet_seed_++))
+             .emplace(producer,
+                      std::make_unique<token::TokenWallet>(
+                          authority_->public_key(), r.ReadU64().value()))
              .first;
   }
   return *it->second;
@@ -78,18 +91,54 @@ Status FederatedTokenEngine::SubmitVia(size_t platform_index,
     }
     spend.End();
 
-    // Apply locally, then order the spent serials so every platform learns
-    // the tokens are burned (and nothing else). A serial joins the spent
-    // index only once its append returned OK.
+    // Order the spent serials so every platform learns the tokens are
+    // burned (and nothing else), then apply locally: an update whose
+    // serials did not all reach the ledger leaves the platform database
+    // untouched, so a failed spend cannot keep its update and its tokens.
+    // A serial joins the spent index only once it is known to be ledgered.
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    PREVER_RETURN_IF_ERROR(home->db.Apply(update.mutation));
-    for (const token::Token& t : to_spend) {
-      PREVER_RETURN_IF_ERROR(ordering_->Append(t.serial, update.timestamp));
-      verifier_.MarkSpent(t.serial);
+    for (size_t i = 0; i < need; ++i) {
+      const uint64_t from = ordering_->Ledger().size();
+      Status appended = ordering_->Append(to_spend[i].serial, update.timestamp);
+      if (!appended.ok()) {
+        // Serial i is in doubt: a pipelined service that gave up waiting
+        // still holds it and may commit it later. After a Flush that
+        // returns OK nothing submitted is outstanding, so the serial is
+        // spent exactly when the ledger holds it; if that Flush fails too,
+        // the token stays out of the wallet (lost, never spent twice).
+        bool unspent = false;
+        if (ordering_->Flush().ok()) {
+          if (LedgeredSince(from, to_spend[i].serial)) {
+            verifier_.MarkSpent(to_spend[i].serial);
+            ++num_burned_;
+          } else {
+            unspent = true;
+          }
+        }
+        // Unspent tokens go back to the wallet, in reverse draw order as
+        // above.
+        const size_t first_unspent = unspent ? i : i + 1;
+        for (size_t j = need; j-- > first_unspent;) {
+          wallet.Return(std::move(to_spend[j]));
+        }
+        return appended;
+      }
+      verifier_.MarkSpent(to_spend[i].serial);
       ++num_burned_;
     }
+    PREVER_RETURN_IF_ERROR(home->db.Apply(update.mutation));
     return Status::Ok();
   });
+}
+
+bool FederatedTokenEngine::LedgeredSince(uint64_t from,
+                                         const Bytes& serial) const {
+  const ledger::LedgerDb& ledger = ordering_->Ledger();
+  for (uint64_t seq = from; seq < ledger.size(); ++seq) {
+    auto entry = ledger.GetEntry(seq);
+    if (entry.ok() && entry->payload == serial) return true;
+  }
+  return false;
 }
 
 }  // namespace prever::core

@@ -35,12 +35,16 @@ class FederatedTokenEngine : public UpdateEngine {
                        token::TokenAuthority* authority,
                        OrderingService* ordering, std::string cost_field);
 
-  /// Producer-side: a wallet per producer, lazily created.
+  /// Producer-side: a wallet per producer, lazily created and seeded from
+  /// the producer id and the ordering ledger's digest at creation.
   token::TokenWallet& WalletOf(const std::string& producer);
 
   /// Submits via a platform, paying with tokens drawn from the producer's
-  /// wallet (withdrawing on demand from the authority). PermissionDenied
-  /// when the period budget cannot cover the cost.
+  /// wallet (withdrawing on demand from the authority). ConstraintViolation
+  /// when the period budget cannot cover the cost. The spent serials are
+  /// ordered before the update is applied; when an append fails, the
+  /// update is not applied and the tokens whose serials are known not to
+  /// be ledgered go back to the wallet.
   Status SubmitVia(size_t platform_index, const Update& update);
   Status SubmitUpdate(const Update& update) override {
     return SubmitVia(0, update);
@@ -63,6 +67,9 @@ class FederatedTokenEngine : public UpdateEngine {
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
  private:
+  /// True when the ordering ledger holds `serial` at or after entry `from`.
+  bool LedgeredSince(uint64_t from, const Bytes& serial) const;
+
   std::vector<FederatedPlatform*> platforms_;
   token::TokenAuthority* authority_;
   OrderingService* ordering_;
@@ -70,7 +77,6 @@ class FederatedTokenEngine : public UpdateEngine {
   common::ThreadPool* pool_ = nullptr;
   token::TokenVerifier verifier_;
   std::map<std::string, std::unique_ptr<token::TokenWallet>> wallets_;
-  uint64_t next_wallet_seed_ = 1000;
   uint64_t num_burned_ = 0;
   EngineMetrics metrics_{"federated-token-rc2"};
 };

@@ -19,11 +19,27 @@ std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
   return out;
 }
 
-/// The ledger part of both replica-state blobs: [u64 n][entries...].
-void WriteLedgerEntries(const ledger::LedgerDb& ledger, BinaryWriter& w) {
-  std::vector<Bytes> entries = ledger.EncodeEntries();
-  w.WriteU64(entries.size());
-  for (const Bytes& e : entries) w.WriteBytes(e);
+/// The ledger part of both replica-state blobs, the first `n` entries:
+/// [u64 n][entries...].
+void WriteLedgerEntries(const ledger::LedgerDb& ledger, uint64_t n,
+                        BinaryWriter& w) {
+  w.WriteU64(n);
+  for (uint64_t k = 0; k < n; ++k) w.WriteBytes(ledger.GetEntry(k)->Encode());
+}
+
+/// PbftOrdering's state summary, decoded.
+struct PbftSummary {
+  uint64_t applied_seq = 0;
+  ledger::LedgerDigest ledger;
+};
+
+Result<PbftSummary> DecodePbftSummary(const Bytes& summary) {
+  BinaryReader r(summary);
+  PbftSummary out;
+  PREVER_ASSIGN_OR_RETURN(out.applied_seq, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(out.ledger.size, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(out.ledger.root, r.ReadBytes());
+  return out;
 }
 
 Result<ledger::LedgerDb> ReadLedgerEntries(BinaryReader& r) {
@@ -282,7 +298,7 @@ Status ReplicatedOrdering::Flush() {
 PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            const std::string& proto_label,
                            OrderingPipelineConfig pipeline,
-                           OrderingRecoveryConfig recovery)
+                           uint64_t checkpoint_interval)
     : ReplicatedOrdering(num_replicas, net_config, pipeline, proto_label,
                          "PBFT"),
       applied_seq_(num_replicas, 0) {
@@ -292,14 +308,14 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
   // phases concurrently without the primary deferring our own submissions.
   config.high_watermark_window =
       std::max<uint64_t>(pipeline.max_inflight, 1);
-  config.checkpoint_interval = recovery.checkpoint_interval;
-  config.enable_state_transfer = recovery.enable_state_transfer;
+  config.checkpoint_interval = checkpoint_interval;
   cluster_ = std::make_unique<consensus::PbftCluster>(config, &network());
   for (size_t i = 0; i < num_replicas; ++i) {
     cluster_->replica(i).SetStateCallbacks(
-        [this, i] { return EncodeReplicaState(i); },
-        [this, i](uint64_t /*seq*/, const Bytes& app_state) {
-          if (!app_state.empty()) (void)RestoreReplicaState(i, app_state);
+        [this, i] { return StateSummary(i); },
+        [this, i](const Bytes& summary) { return EncodeStateAt(i, summary); },
+        [this, i](uint64_t, const Bytes& summary, const Bytes& state) {
+          return InstallState(i, summary, state);
         });
   }
   cluster_->SetCommitCallback(
@@ -308,18 +324,36 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
       });
 }
 
-Bytes PbftOrdering::EncodeReplicaState(size_t i) const {
+Bytes PbftOrdering::StateSummary(size_t i) const {
+  ledger::LedgerDigest digest = ReplicaLedger(i).Digest();
   BinaryWriter w;
   w.WriteU64(applied_seq_[i]);
-  WriteLedgerEntries(ReplicaLedger(i), w);
+  w.WriteU64(digest.size);
+  w.WriteBytes(digest.root);
   return w.Take();
 }
 
-Status PbftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
-  BinaryReader r(blob);
-  PREVER_ASSIGN_OR_RETURN(uint64_t applied_seq, r.ReadU64());
-  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored, ReadLedgerEntries(r));
-  return RestoreReplica(i, std::move(restored), applied_seq);
+Bytes PbftOrdering::EncodeStateAt(size_t i, const Bytes& summary) const {
+  auto s = DecodePbftSummary(summary);
+  if (!s.ok()) return {};
+  const ledger::LedgerDb& ledger = ReplicaLedger(i);
+  // The ledger only grows, so the summarized state is its prefix; DigestAt
+  // confirms it still is before anything ships.
+  auto at = ledger.DigestAt(s->ledger.size);
+  if (!at.ok() || !(*at == s->ledger)) return {};
+  BinaryWriter w;
+  WriteLedgerEntries(ledger, s->ledger.size, w);
+  return w.Take();
+}
+
+bool PbftOrdering::InstallState(size_t i, const Bytes& summary,
+                                const Bytes& state) {
+  auto s = DecodePbftSummary(summary);
+  if (!s.ok()) return false;
+  BinaryReader r(state);
+  auto restored = ReadLedgerEntries(r);
+  if (!restored.ok() || !(restored->Digest() == s->ledger)) return false;
+  return RestoreReplica(i, std::move(*restored), s->applied_seq).ok();
 }
 
 Status PbftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
@@ -431,7 +465,7 @@ Bytes RaftOrdering::EncodeReplicaState(size_t i) const {
   w.WriteU64(applied_floor_[i]);
   w.WriteU64(applied_batches_[i].size());
   for (uint64_t id : applied_batches_[i]) w.WriteU64(id);
-  WriteLedgerEntries(ReplicaLedger(i), w);
+  WriteLedgerEntries(ReplicaLedger(i), ReplicaLedger(i).size(), w);
   return w.Take();
 }
 

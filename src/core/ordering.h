@@ -37,16 +37,6 @@ struct OrderingPipelineConfig {
   SimTime retry_interval = 500 * kMillisecond;
 };
 
-/// Recovery knobs for the consensus-backed ordering services (DESIGN.md
-/// "Crash recovery & state transfer").
-struct OrderingRecoveryConfig {
-  /// PBFT stable-checkpoint interval (executions between checkpoints);
-  /// 0 disables checkpointing and message-log GC.
-  uint64_t checkpoint_interval = 0;
-  /// PBFT fetch-state path for restarted/lagging replicas.
-  bool enable_state_transfer = false;
-};
-
 /// Ledger timestamps for batch envelopes encode (consensus position,
 /// intra-batch index) so they are deterministic across replicas and
 /// collision-free: the low `kBatchStampIndexBits` bits hold the index, the
@@ -258,27 +248,37 @@ class ReplicatedOrdering : public OrderingService {
 /// PBFT-replicated ordering for mutually distrustful managers. One consensus
 /// instance carries a whole batch envelope (the StreamChain/FastFabric
 /// batching lever §4 alludes to for Fabric's overhead), and up to
-/// `max_inflight` instances run the three phases at once.
+/// `max_inflight` instances run the three phases at once. Every replica
+/// runs stable checkpoints and state transfer (DESIGN.md "Crash recovery &
+/// state transfer").
 class PbftOrdering : public ReplicatedOrdering {
  public:
   /// `proto_label` tags this cluster's pipeline histograms in the default
   /// registry (sharded deployments use "pbft-sharded").
+  /// `checkpoint_interval` is the number of executions between stable
+  /// checkpoints; every value checkpoints (0 is read as 1). Small values
+  /// reach message-log GC within a short run.
   PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                const std::string& proto_label = "pbft",
                OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
-               OrderingRecoveryConfig recovery = OrderingRecoveryConfig());
+               uint64_t checkpoint_interval =
+                   consensus::kDefaultCheckpointInterval);
 
   consensus::PbftCluster& cluster() { return *cluster_; }
 
-  /// Application state for checkpoints/state transfer: the replica's ledger
-  /// plus its applied watermark ([u64 applied_seq][u64 n][entries...]);
-  /// deterministic across replicas at equal execution points.
-  Bytes EncodeReplicaState(size_t i) const;
-  /// Installs an EncodeReplicaState blob (PBFT state-transfer landing).
-  Status RestoreReplicaState(size_t i, const Bytes& blob);
+  /// Fixed-size summary of replica i's state, embedded in its checkpoint
+  /// certificates: [u64 applied_seq][u64 ledger size][ledger Merkle root].
+  Bytes StateSummary(size_t i) const;
+  /// Replica i's state as of an earlier StateSummary: the ledger prefix of
+  /// the summarized size ([u64 n][entries...]), checked against the
+  /// summary's root with LedgerDb::DigestAt. Empty when it does not match.
+  Bytes EncodeStateAt(size_t i, const Bytes& summary) const;
+  /// Installs an EncodeStateAt blob on replica i if it rebuilds to exactly
+  /// `summary` (size, root); false with nothing changed otherwise.
+  bool InstallState(size_t i, const Bytes& summary, const Bytes& state);
   /// Crash-recovery restore from durable state: replaces replica i's ledger
-  /// and watermark (the caller then drives
-  /// cluster().replica(i).Restart(...)).
+  /// and watermark (after cluster().replica(i).Restart(...) installed the
+  /// saved stable state).
   Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
                         uint64_t applied_seq);
   uint64_t replica_applied_seq(size_t i) const { return applied_seq_[i]; }

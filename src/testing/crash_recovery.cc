@@ -572,11 +572,8 @@ CrashRecoveryReport RunPbftCrashRecoveryScenario(
   core::OrderingPipelineConfig pipeline;
   pipeline.max_batch = 4;
   pipeline.max_inflight = 2;
-  core::OrderingRecoveryConfig recovery_config;
-  recovery_config.checkpoint_interval = opts.pbft_checkpoint_interval;
-  recovery_config.enable_state_transfer = true;
   core::PbftOrdering ordering(opts.num_replicas, net_config, "pbft-crashrec",
-                              pipeline, recovery_config);
+                              pipeline, opts.pbft_checkpoint_interval);
 
   Rng rng(seed);
   ordering.SetReplicaCommitObserver([&](size_t replica, uint64_t position,
@@ -590,11 +587,11 @@ CrashRecoveryReport RunPbftCrashRecoveryScenario(
     recovery::CheckpointContents contents;
     contents.ledger = &ordering.ReplicaLedger(replica);
     contents.consensus_seq = position;
-    // The durable app blob is the protocol-level stable checkpoint: on
-    // restart it re-anchors the replica's low watermark; state transfer
-    // covers executions past it.
+    // The durable app blob is the full state behind the replica's stable
+    // checkpoint: on restart it re-anchors the replica's low watermark;
+    // state transfer covers executions past it.
     contents.app_state =
-        ordering.cluster().replica(replica).stable_checkpoint_blob();
+        ordering.cluster().replica(replica).EncodeStableState();
     if (d.store->Save(contents).ok()) {
       ++report.checkpoints_saved;
       d.prev_ckpt_seq = d.last_ckpt_seq;
@@ -605,18 +602,25 @@ CrashRecoveryReport RunPbftCrashRecoveryScenario(
   });
 
   // Override the ordering's stock install callback so transferred state is
-  // also made durable (see PersistInstalledState). The snapshot side must
-  // stay EncodeReplicaState: it is what peers embed in checkpoint blobs.
+  // also made durable (see PersistInstalledState). The replica adopts the
+  // installed stable state only once the callback returns, so the save runs
+  // as the next simulated event. The summary and encode sides stay the
+  // ordering's own.
   for (size_t i = 0; i < opts.num_replicas; ++i) {
     ordering.cluster().replica(i).SetStateCallbacks(
-        [&, i] { return ordering.EncodeReplicaState(i); },
-        [&, i](uint64_t /*seq*/, const Bytes& app) {
-          if (app.empty()) return;
-          if (!ordering.RestoreReplicaState(i, app).ok()) return;
-          PersistInstalledState(
-              ordering, i, ordering.replica_applied_seq(i),
-              ordering.cluster().replica(i).stable_checkpoint_blob(),
-              durable[i], &report);
+        [&, i] { return ordering.StateSummary(i); },
+        [&, i](const Bytes& summary) {
+          return ordering.EncodeStateAt(i, summary);
+        },
+        [&, i](uint64_t, const Bytes& summary, const Bytes& state) {
+          if (!ordering.InstallState(i, summary, state)) return false;
+          ordering.network().ScheduleAfter(0, [&, i] {
+            PersistInstalledState(
+                ordering, i, ordering.replica_applied_seq(i),
+                ordering.cluster().replica(i).EncodeStableState(), durable[i],
+                &report);
+          });
+          return true;
         });
   }
 
@@ -638,7 +642,7 @@ CrashRecoveryReport RunPbftCrashRecoveryScenario(
     d.crashed = false;
     d.events_since_ckpt = 0;
     ordering.network().RestartNode(static_cast<net::NodeId>(victim));
-    // Protocol restart first (installs the stable blob, broadcasts a
+    // Protocol restart first (installs the saved stable state, broadcasts a
     // fetch-state request), then overlay the fuller journal-replayed ledger
     // so commits at or below the durable floor are not re-appended.
     ordering.cluster().replica(victim).Restart(rebuilt->app_state);

@@ -38,8 +38,9 @@ struct CrashRecoveryOptions {
   /// Max payloads committed by the survivors while a victim is down — forces
   /// the restarted replica to catch up past its own durable state.
   size_t max_gap = 4;
-  /// PBFT stable-checkpoint interval (protocol-level; enables message-log GC
-  /// and state transfer). Ignored by the Raft scenario.
+  /// PBFT stable-checkpoint interval (protocol-level; paces message-log GC
+  /// and the state a restarted replica fetches). Ignored by the Raft
+  /// scenario.
   uint64_t pbft_checkpoint_interval = 4;
   /// Root directory for per-replica durable state (checkpoints + journal);
   /// the harness creates `<work_dir>/r<i>/` under it and removes the tree at
@@ -74,10 +75,11 @@ CrashRecoveryReport RunRaftCrashRecoveryScenario(
     uint64_t seed, const CrashRecoveryOptions& options);
 
 /// PBFT: same shape; victims are backups (replica 0 is the commit counter
-/// the pipeline waits on). Restart installs the durably saved stable
-/// checkpoint blob, then fetches peer state (2f+1-certified checkpoint +
-/// f+1-certified suffix) to cover the gap. Also checks the message log is
-/// garbage-collected below the stable checkpoint.
+/// the pipeline waits on). Restart installs the durably saved stable state
+/// (PbftReplica::EncodeStableState), then fetches peer state (the full
+/// state behind an f+1-vouched stable certificate + f+1-certified suffix)
+/// to cover the gap. Also checks the message log is garbage-collected below
+/// the stable checkpoint.
 CrashRecoveryReport RunPbftCrashRecoveryScenario(
     uint64_t seed, const CrashRecoveryOptions& options);
 

@@ -503,8 +503,9 @@ RunOutcome RunPbftOrderingOnce(uint64_t seed, const FaultSchedule& schedule,
   core::PbftOrdering ordering(o.num_replicas, ncfg, "pbft-sim",
                               PipelineFor(seed));
 
-  // Replica 0 is the commit counter Flush waits on; without state transfer
-  // it must see every instance, so faults touching it are filtered.
+  // Replica 0 is the commit counter Flush waits on; with no retransmission
+  // or gap filling it must see every instance, so faults touching it are
+  // filtered.
   FaultSchedule filtered = schedule;
   filtered.actions.erase(
       std::remove_if(filtered.actions.begin(), filtered.actions.end(),

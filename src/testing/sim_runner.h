@@ -91,11 +91,14 @@ SimReport RunRaftOrderingScenario(uint64_t seed,
 
 /// PBFT ordering under faults. Same invariants. Faults touching replica 0
 /// are filtered from the schedule and the base drop rate is forced to zero:
-/// the scenario keeps OrderingRecoveryConfig's defaults, which leave PBFT
-/// state transfer off, so a replica cut off while others execute can lag
-/// forever — acceptable for backups (the prefix-digest check still covers
-/// them) but replica 0 is the commit counter Flush waits on. See DESIGN.md
-/// "Simulation testing".
+/// PBFT here has no message retransmission and no null-request gap filling,
+/// so a replica that misses an instance cannot execute past it until state
+/// transfer covers the gap: when one of its request timers expires while it
+/// holds 2f+1 commits for a later seq, or when f+1 peers checkpoint a full
+/// interval later. A replica cut off while others execute can therefore
+/// lag until the run ends — acceptable for backups (the
+/// prefix-digest check still covers them) but replica 0 is the commit
+/// counter Flush waits on. See DESIGN.md "Simulation testing".
 SimReport RunPbftOrderingScenario(uint64_t seed,
                                   const OrderingSimOptions& options);
 

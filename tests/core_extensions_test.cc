@@ -477,6 +477,185 @@ TYPED_TEST(ReplicatedApplyTest, MalformedEnvelopeAppendsNothing) {
   EXPECT_EQ(ordering.CommittedCount(), 2u);
 }
 
+// ------------------------------------- PBFT checkpoints & state transfer --
+
+uint64_t StateTransferBytes() {
+  return obs::Registry::Default()
+      .GetCounter("prever_recovery_state_transfer_bytes")
+      ->value();
+}
+
+bool LedgersAgree(const PbftOrdering& ordering) {
+  for (size_t r = 1; r < ordering.num_replicas(); ++r) {
+    if (!(ordering.ReplicaLedger(r).Digest() ==
+          ordering.ReplicaLedger(0).Digest())) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// A restarted replica and a replica cut off for several intervals both
+// catch up by installing the full state behind a peer's stable certificate
+// plus the certified suffix; afterwards every ledger is digest-identical.
+TEST(PbftStateTransferTest, LaggingReplicasInstallCertifiedState) {
+  constexpr uint64_t kInterval = 8;
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-transfer-test",
+                        OrderingPipelineConfig(), kInterval);
+  auto append = [&ordering](int n) {
+    for (int k = 0; k < n; ++k) {
+      ASSERT_TRUE(ordering.Append(ToBytes("t" + std::to_string(
+                                      ordering.CommittedCount())), 0)
+                      .ok());
+    }
+  };
+  append(10);
+  // Crash-stop replica 3 while the others run five intervals, then restart
+  // it from nothing: Restart fetches state.
+  ordering.network().CrashNode(3);
+  ordering.cluster().replica(3).Crash();
+  append(40);
+  const uint64_t transferred = StateTransferBytes();
+  ordering.network().RestartNode(3);
+  ordering.cluster().replica(3).Restart(Bytes{});
+  append(2);
+  ordering.network().RunUntil(ordering.network().Now() + 2 * kSecond);
+  EXPECT_GT(StateTransferBytes(), transferred);
+  EXPECT_GE(ordering.cluster().replica(3).stable_checkpoint_seq(), 48u);
+  EXPECT_EQ(ordering.cluster().replica(3).last_executed(), 52u);
+  EXPECT_TRUE(LedgersAgree(ordering));
+
+  // Cut replica 2 off for three intervals. Once reconnected, the next peer
+  // checkpoint a full interval past its execution point makes it fetch.
+  ordering.network().Isolate(2);
+  append(3 * kInterval);
+  ordering.network().Reconnect(2);
+  append(2 * kInterval);
+  ordering.network().RunUntil(ordering.network().Now() + 2 * kSecond);
+  EXPECT_EQ(ordering.cluster().replica(2).last_executed(),
+            ordering.cluster().replica(0).last_executed());
+  EXPECT_TRUE(LedgersAgree(ordering));
+}
+
+// The full state behind a certificate installs only if it reproduces the
+// certificate: the executed digests its running hash, the ledger prefix its
+// size and Merkle root. A tampered state changes nothing.
+TEST(PbftStateTransferTest, StateMustMatchItsCertificate) {
+  constexpr uint64_t kInterval = 4;
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-cert-test",
+                        OrderingPipelineConfig(), kInterval);
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(ordering.Append(ToBytes("c" + std::to_string(k)), 0).ok());
+  }
+  ASSERT_EQ(ordering.cluster().replica(1).stable_checkpoint_seq(), 8u);
+
+  // Application level: the ledger prefix against the summary.
+  const Bytes summary = ordering.StateSummary(0);
+  const Bytes state = ordering.EncodeStateAt(0, summary);
+  ASSERT_FALSE(state.empty());
+  Bytes tampered = state;
+  tampered.back() ^= 0x01;  // Last byte of the last ledger entry.
+  const ledger::LedgerDigest before = ordering.ReplicaLedger(3).Digest();
+  EXPECT_FALSE(ordering.InstallState(3, summary, tampered));
+  EXPECT_TRUE(ordering.ReplicaLedger(3).Digest() == before);
+  EXPECT_TRUE(ordering.InstallState(3, summary, state));
+  Bytes wrong_root = summary;
+  wrong_root.back() ^= 0x01;  // Last byte of the Merkle root.
+  EXPECT_TRUE(ordering.EncodeStateAt(0, wrong_root).empty());
+
+  // Protocol level: a saved stable state restores a crashed replica; the
+  // same state with one executed digest flipped does not.
+  consensus::PbftReplica& replica = ordering.cluster().replica(3);
+  const Bytes blob = ordering.cluster().replica(1).EncodeStableState();
+  ASSERT_FALSE(blob.empty());
+  const size_t cert_bytes = replica.stable_checkpoint_cert().size();
+  ASSERT_GT(cert_bytes, 0u);
+  Bytes bad_digest = blob;
+  // [u32 len][cert][u64 n][u32 len][first digest]...
+  bad_digest[4 + cert_bytes + 8 + 4] ^= 0x01;
+  replica.Crash();
+  replica.Restart(bad_digest);
+  EXPECT_EQ(replica.stable_checkpoint_seq(), 0u);
+  EXPECT_EQ(replica.last_executed(), 0u);
+  replica.Crash();
+  replica.Restart(blob);
+  EXPECT_EQ(replica.stable_checkpoint_seq(), 8u);
+  EXPECT_EQ(replica.last_executed(), 8u);
+  EXPECT_EQ(replica.stable_checkpoint_cert(),
+            ordering.cluster().replica(1).stable_checkpoint_cert());
+}
+
+constexpr uint32_t kPbftPrePrepareType = 2;
+constexpr uint32_t kPbftCheckpointType = 7;
+
+uint64_t PbftMsgsSent(const std::string& type) {
+  return obs::Registry::Default()
+      .GetCounter("prever_consensus_msgs_total",
+                  {{"proto", "pbft"}, {"type", type}, {"dir", "sent"}})
+      ->value();
+}
+
+// One faulty replica claiming checkpoints far past everyone's execution
+// point is not f+1 replicas: no correct replica fetches state because of
+// it, and none keeps the forged seqs as pending checkpoints.
+TEST(PbftStateTransferTest, ForgedFarFutureCheckpointTriggersNoFetch) {
+  constexpr uint64_t kInterval = 8;
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-forged-cp-test",
+                        OrderingPipelineConfig(), kInterval);
+  for (int k = 0; k < 20; ++k) {
+    ASSERT_TRUE(ordering.Append(ToBytes("f" + std::to_string(k)), 0).ok());
+  }
+  const uint64_t fetches = PbftMsgsSent("fetch_state");
+  for (uint64_t k = 0; k < 100; ++k) {
+    BinaryWriter cert;
+    cert.WriteU64((uint64_t{1} << 40) + k * kInterval);
+    cert.WriteU64(0);
+    cert.WriteBytes(Bytes(32, 0));
+    cert.WriteBytes(Bytes{});
+    for (net::NodeId to = 0; to < 3; ++to) {
+      ordering.network().Send(3, to, kPbftCheckpointType, cert.bytes());
+    }
+  }
+  for (int k = 0; k < 4 * static_cast<int>(kInterval); ++k) {
+    ASSERT_TRUE(ordering.Append(ToBytes("g" + std::to_string(k)), 0).ok());
+  }
+  ordering.network().RunUntil(ordering.network().Now() + 2 * kSecond);
+  EXPECT_EQ(PbftMsgsSent("fetch_state"), fetches)
+      << "a single replica's checkpoint made a correct replica fetch";
+  for (size_t i = 0; i < 3; ++i) {
+    const consensus::PbftReplica& r = ordering.cluster().replica(i);
+    EXPECT_GE(r.stable_checkpoint_seq(), 48u) << "replica " << i;
+    EXPECT_LE(r.pending_checkpoints(), 4u) << "replica " << i;
+  }
+}
+
+// A pre-prepare for a sequence number at or below the stable checkpoint
+// arrives after its slot was collected: it must not re-create the slot or
+// draw prepares.
+TEST(PbftStateTransferTest, LatePrePrepareBelowStableIsDropped) {
+  constexpr uint64_t kInterval = 4;
+  PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-late-pp-test",
+                        OrderingPipelineConfig(), kInterval);
+  for (int k = 0; k < 10; ++k) {
+    ASSERT_TRUE(ordering.Append(ToBytes("l" + std::to_string(k)), 0).ok());
+  }
+  consensus::PbftReplica& backup = ordering.cluster().replica(1);
+  ASSERT_EQ(backup.view(), 0u);
+  ASSERT_EQ(backup.stable_checkpoint_seq(), 8u);
+  ASSERT_FALSE(backup.HasSlot(1));
+  const size_t slots = backup.log_slots();
+  const uint64_t prepares = PbftMsgsSent("prepare");
+  BinaryWriter w;
+  w.WriteU64(0);  // view
+  w.WriteU64(1);  // seq, collected at stable checkpoint 8
+  w.WriteBytes(ToBytes("late"));
+  ordering.network().Send(0, 1, kPbftPrePrepareType, w.bytes());
+  ordering.network().RunUntil(ordering.network().Now() + 100 * kMillisecond);
+  EXPECT_FALSE(backup.HasSlot(1));
+  EXPECT_EQ(backup.log_slots(), slots);
+  EXPECT_EQ(PbftMsgsSent("prepare"), prepares);
+}
+
 // ------------------------------------------------ String escape round trip
 
 TEST(StringEscapeTest, QuotesAndBackslashesRoundTrip) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/prever.h"
 #include "test_util.h"
 
@@ -427,11 +429,6 @@ TEST_F(FederatedTokenEngineTest, SpentSerialIndexRebuiltFromLedgerAfterRestart) 
   FederatedTokenEngine restarted(raw, authority_, &ordering_, "hours");
   ASSERT_TRUE(restarted.SyncSpentFromLedger().ok());
 
-  // Wallet seeds are engine-local and deterministic; without this skew the
-  // restarted dave wallet would regenerate the original wallet's serials
-  // verbatim (a fixture artifact — real producers keep their wallet state).
-  restarted.WalletOf("seed-skew");
-
   // The double-spend attempt straddles the restart: the token was burned by
   // the old instance, the replay hits the new one.
   restarted.WalletOf("dave").PutForTest(*replayed);
@@ -503,17 +500,121 @@ TEST_F(FederatedTokenEngineTest, SerialIsSpentOnlyOnceItsAppendReturnedOk) {
   EXPECT_EQ(ordering.Ledger().GetEntry(0)->payload, first->serial);
   EXPECT_EQ(engine.tokens_spent(), 1u);
 
+  // The token whose append failed went back to the wallet, and the update
+  // was not applied.
+  EXPECT_EQ(wallet.NumTokens(), 1u);
+  EXPECT_EQ((*platforms_[0]->db.GetTable("worklog"))->size(), 0u);
+
   // The spent index equals the ledger: the ledgered serial is spent, the
   // serial whose append failed is not.
   wallet.PutForTest(*first);
   EXPECT_EQ(
       engine.SubmitVia(0, MakeWorklogUpdate("g2", "gina", 1, kDay)).code(),
       StatusCode::kAlreadyExists);
-  wallet.PutForTest(*second);
   EXPECT_TRUE(
       engine.SubmitVia(0, MakeWorklogUpdate("g3", "gina", 1, kDay)).ok());
   EXPECT_EQ(ordering.CommittedCount(), 2u);
   EXPECT_EQ(engine.tokens_spent(), 2u);
+  EXPECT_EQ((*platforms_[0]->db.GetTable("worklog"))->size(), 1u);
+}
+
+/// An ordering service whose `fail_at`-th Append (zero-based) gives up the
+/// way a pipeline whose Flush timed out does: Unavailable, with the payload
+/// still queued. Queued payloads commit, in order, on the next Flush that
+/// succeeds or before the next Append; the first `failing_flushes` Flush
+/// calls fail.
+class DeferredAppendOrdering : public OrderingService {
+ public:
+  DeferredAppendOrdering(uint64_t fail_at, int failing_flushes)
+      : fail_at_(fail_at), failing_flushes_(failing_flushes) {}
+
+  Status Append(const Bytes& payload, SimTime timestamp) override {
+    if (appends_++ == fail_at_) {
+      queued_.push_back(payload);
+      return Status::Unavailable("injected flush timeout");
+    }
+    CommitQueued();
+    ledger_.Append(payload, timestamp);
+    return Status::Ok();
+  }
+  Status Flush() override {
+    if (failing_flushes_ > 0) {
+      --failing_flushes_;
+      return Status::Unavailable("injected flush timeout");
+    }
+    CommitQueued();
+    return Status::Ok();
+  }
+  const ledger::LedgerDb& Ledger() const override { return ledger_; }
+  uint64_t CommittedCount() const override { return ledger_.size(); }
+
+ private:
+  void CommitQueued() {
+    for (const Bytes& p : queued_) ledger_.Append(p, 0);
+    queued_.clear();
+  }
+
+  uint64_t fail_at_;
+  int failing_flushes_;
+  uint64_t appends_ = 0;
+  std::vector<Bytes> queued_;
+  ledger::LedgerDb ledger_;
+};
+
+bool SerialsAreDistinct(const ledger::LedgerDb& ledger) {
+  std::set<Bytes> serials;
+  for (uint64_t seq = 0; seq < ledger.size(); ++seq) {
+    if (!serials.insert(ledger.GetEntry(seq)->payload).second) return false;
+  }
+  return true;
+}
+
+// The failed append's serial commits while the engine settles it: the
+// token is spent, not refunded, and is never ledgered twice.
+TEST_F(FederatedTokenEngineTest, SerialCommittedAfterFailedAppendIsSpent) {
+  DeferredAppendOrdering ordering(/*fail_at=*/1, /*failing_flushes=*/0);
+  std::vector<FederatedPlatform*> raw;
+  for (auto& p : platforms_) raw.push_back(p.get());
+  FederatedTokenEngine engine(raw, authority_, &ordering, "hours");
+  auto& wallet = engine.WalletOf("hana");
+  Status s = engine.SubmitVia(0, MakeWorklogUpdate("h1", "hana", 3, kDay));
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ordering.CommittedCount(), 2u);
+  EXPECT_EQ(engine.tokens_spent(), 2u);
+  EXPECT_EQ(wallet.NumTokens(), 1u);  // Only the token never appended.
+  EXPECT_EQ((*platforms_[0]->db.GetTable("worklog"))->size(), 0u);
+
+  ASSERT_TRUE(
+      engine.SubmitVia(0, MakeWorklogUpdate("h2", "hana", 2, kDay)).ok());
+  EXPECT_EQ(ordering.CommittedCount(), 4u);
+  EXPECT_EQ(engine.tokens_spent(), 4u);
+  EXPECT_TRUE(SerialsAreDistinct(ordering.Ledger()));
+}
+
+// The failed append stays in doubt (the settling Flush fails too) and
+// commits with a later spend: the in-doubt token left the wallet, so its
+// serial is still ledgered only once.
+TEST_F(FederatedTokenEngineTest, InDoubtSerialStaysOutOfWallet) {
+  DeferredAppendOrdering ordering(/*fail_at=*/1, /*failing_flushes=*/1);
+  std::vector<FederatedPlatform*> raw;
+  for (auto& p : platforms_) raw.push_back(p.get());
+  FederatedTokenEngine engine(raw, authority_, &ordering, "hours");
+  auto& wallet = engine.WalletOf("iris");
+  Status s = engine.SubmitVia(0, MakeWorklogUpdate("i1", "iris", 3, kDay));
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(ordering.CommittedCount(), 1u);
+  EXPECT_EQ(engine.tokens_spent(), 1u);
+  EXPECT_EQ(wallet.NumTokens(), 1u);
+
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_TRUE(engine
+                    .SubmitVia(0, MakeWorklogUpdate("i" + std::to_string(k + 2),
+                                                    "iris", 1, kDay))
+                    .ok());
+  }
+  EXPECT_EQ(ordering.CommittedCount(), 5u);  // Includes the in-doubt serial.
+  EXPECT_TRUE(SerialsAreDistinct(ordering.Ledger()));
+  ASSERT_TRUE(engine.SyncSpentFromLedger().ok());
 }
 
 // ------------------------------------------------- RC3 public-data engine

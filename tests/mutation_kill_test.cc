@@ -487,8 +487,9 @@ struct PbftRig {
   std::vector<net::Message> captured;
   std::unique_ptr<consensus::PbftReplica> replica;  // Backup, node id 1.
 
-  explicit PbftRig(uint64_t watermark_window = 128,
-                   uint64_t checkpoint_interval = 0) {
+  explicit PbftRig(
+      uint64_t watermark_window = 128,
+      uint64_t checkpoint_interval = consensus::kDefaultCheckpointInterval) {
     consensus::PbftConfig cfg;
     cfg.num_replicas = 4;
     cfg.high_watermark_window = watermark_window;
@@ -1257,10 +1258,9 @@ std::map<std::string, Detector> BuildDetectors(
   d["PBFT_PREPARE_QUORUM_MINUS_ONE"] = [] {
     PbftRig rig;
     Bytes cmd = ToBytes("cmd");
-    Bytes digest = crypto::Sha256::Hash(cmd);
+    // The pre-prepare is the primary's vote: prepares = {0, 1}, one short
+    // of 3.
     rig.SendPrePrepare(0, 0, 1, cmd);
-    rig.Run(10 * kMillisecond);
-    rig.SendPrepare(2, 0, 1, digest);  // prepares = {1, 2}: one short of 3.
     rig.Run(10 * kMillisecond);
     if (rig.CountFromReplica(kPbftCommit) > 0) {
       return Killed("commit sent with 2f prepares");
@@ -1479,14 +1479,20 @@ std::map<std::string, Detector> BuildDetectors(
   };
   d["PBFT_STATE_MATCH_QUORUM_MINUS_ONE"] = [] {
     PbftRig rig;  // f = 1: state install requires f+1 = 2 vouchers.
-    BinaryWriter blob;
-    blob.WriteU64(4);        // Claimed last-executed sequence.
-    blob.WriteU32(0);        // No executed digests.
-    blob.WriteBytes(Bytes{});  // Empty app snapshot.
+    // A self-consistent stable state at seq 4 with nothing executed: the
+    // certificate's running hash over zero digests is its 32-byte seed.
+    BinaryWriter cert;
+    cert.WriteU64(4);  // Claimed stable sequence.
+    cert.WriteU64(0);  // No executed digests...
+    cert.WriteBytes(Bytes(32, 0));  // ...so the running hash is the seed.
+    cert.WriteBytes(Bytes{});       // No app-summary callback set.
+    BinaryWriter state;
+    state.WriteBytes(cert.bytes());
+    state.WriteU64(0);         // Digest list.
+    state.WriteBytes(Bytes{});  // Empty app state.
     BinaryWriter w;
     w.WriteU64(0);  // view
-    w.WriteU64(4);  // stable_seq
-    w.WriteBytes(blob.bytes());
+    w.WriteBytes(state.bytes());
     w.WriteU32(0);  // Empty executed suffix.
     rig.net.Send(0, 1, kPbftStateResponse, w.bytes());
     rig.Run(8 * kMillisecond);
@@ -1518,21 +1524,16 @@ std::map<std::string, Detector> BuildDetectors(
       return Killed("execution never reached seq 3");
     }
     if (!rig.replica->HasSlot(3)) return Killed("slot 3 missing before GC");
-    // Forge the two missing checkpoint votes for the replica's OWN digest
-    // at seq 2 (reconstructed from the deterministic blob encoding);
+    // Forge the two missing checkpoint votes for the replica's OWN
+    // certificate at seq 2 by echoing the checkpoint it broadcast;
     // stabilization then garbage-collects the log below the watermark.
-    std::set<Bytes> digests{crypto::Sha256::Hash(c1),
-                            crypto::Sha256::Hash(c2)};
-    BinaryWriter blob;
-    blob.WriteU64(2);
-    blob.WriteU32(2);
-    for (const Bytes& dig : digests) blob.WriteBytes(dig);
-    blob.WriteBytes(Bytes{});  // No app-snapshot callback set.
-    BinaryWriter vote;
-    vote.WriteU64(2);
-    vote.WriteBytes(crypto::Sha256::Hash(blob.bytes()));
-    rig.net.Send(0, 1, kPbftCheckpoint, vote.bytes());
-    rig.net.Send(2, 1, kPbftCheckpoint, vote.bytes());
+    Bytes own_cert;
+    for (const net::Message& m : rig.captured) {
+      if (m.type == kPbftCheckpoint && m.from == 1) own_cert = m.payload;
+    }
+    if (own_cert.empty()) return Killed("no checkpoint broadcast at seq 2");
+    rig.net.Send(0, 1, kPbftCheckpoint, own_cert);
+    rig.net.Send(2, 1, kPbftCheckpoint, own_cert);
     rig.Run(8 * kMillisecond);
     if (rig.replica->stable_checkpoint_seq() != 2) {
       return Killed("checkpoint at seq 2 never stabilized");

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
 #include "core/ordering.h"
+#include "obs/registry.h"
 #include "testing/crash_recovery.h"
 #include "testing/sim_runner.h"
 
@@ -278,10 +280,9 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
   core::OrderingPipelineConfig pipeline;
   pipeline.max_batch = 512;  // One envelope per Flush below.
   pipeline.max_inflight = 8;
-  core::OrderingRecoveryConfig recovery;
-  recovery.checkpoint_interval = 16;  // Executions between stable checkpoints.
+  constexpr uint64_t kInterval = 16;  // Executions between checkpoints.
   core::PbftOrdering ordering(4, net_config, "pbft-bounded", pipeline,
-                              recovery);
+                              kInterval);
   constexpr uint64_t kPayloads = 100000;
   size_t max_slots = 0;
   for (uint64_t k = 0; k < kPayloads; ++k) {
@@ -303,9 +304,53 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
   // 2f+1 checkpoint certificates advance the low watermark and GC the log
   // below it: occupancy is bounded by interval + the watermark window, never
   // by the 100k history.
-  EXPECT_LE(max_slots,
-            recovery.checkpoint_interval + 2 * pipeline.max_inflight + 16)
+  EXPECT_LE(max_slots, kInterval + 2 * pipeline.max_inflight + 16)
       << "PBFT message log grew unboundedly";
+}
+
+// The production configuration: a default PbftOrdering (checkpoints every
+// kDefaultCheckpointInterval executions) driven by blocking appends over 11
+// intervals without faults. Checkpoints must stabilize everywhere, bound the
+// message log, never trigger a state fetch (no replica lags a full
+// interval), and vote on a certificate whose size does not grow with
+// history.
+TEST(SimConsensusTest, PbftDefaultCheckpointsFaultFree) {
+  constexpr uint64_t kInterval = consensus::kDefaultCheckpointInterval;
+  constexpr uint64_t kAppends = 11 * kInterval;
+  obs::Counter* fetches = obs::Registry::Default().GetCounter(
+      "prever_consensus_msgs_total",
+      {{"proto", "pbft"}, {"type", "fetch_state"}, {"dir", "sent"}});
+  obs::Counter* checkpoints = obs::Registry::Default().GetCounter(
+      "prever_consensus_msgs_total",
+      {{"proto", "pbft"}, {"type", "checkpoint"}, {"dir", "sent"}});
+  const uint64_t fetches0 = fetches->value();
+  const uint64_t checkpoints0 = checkpoints->value();
+  core::PbftOrdering ordering(4, net::SimNetConfig{});
+  const core::OrderingPipelineConfig pipeline;
+  // The checkpoint message payload is the certificate itself.
+  size_t first_cert_bytes = 0;
+  size_t max_slots = 0;
+  for (uint64_t k = 0; k < kAppends; ++k) {
+    ASSERT_TRUE(ordering.Append(ToBytes("pay-" + std::to_string(k)), k).ok());
+    for (size_t i = 0; i < 4; ++i) {
+      const consensus::PbftReplica& r = ordering.cluster().replica(i);
+      max_slots = std::max(max_slots, r.log_slots());
+      if (first_cert_bytes == 0 && r.stable_checkpoint_seq() > 0) {
+        first_cert_bytes = r.stable_checkpoint_cert().size();
+      }
+    }
+  }
+  EXPECT_EQ(fetches->value(), fetches0) << "fault-free run fetched state";
+  EXPECT_GE(checkpoints->value() - checkpoints0, 4 * 3 * 10u);
+  ASSERT_GT(first_cert_bytes, 0u);
+  for (size_t i = 0; i < 4; ++i) {
+    const consensus::PbftReplica& r = ordering.cluster().replica(i);
+    EXPECT_GE(r.stable_checkpoint_seq(), 10 * kInterval) << "replica " << i;
+    EXPECT_EQ(r.stable_checkpoint_cert().size(), first_cert_bytes)
+        << "checkpoint certificate grew with history on replica " << i;
+  }
+  EXPECT_LE(max_slots, kInterval + 2 * pipeline.max_inflight + 16)
+      << "PBFT message log grew past the checkpoint interval";
 }
 
 TEST(SimConsensusTest, CrashRecoveryTraceIsDeterministic) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
+#include "constraint/eval.h"
 #include "constraint/parser.h"
 #include "constraint/verifier.h"
 #include "core/prever.h"
@@ -83,7 +84,7 @@ void BM_CompiledVerifyCommit(benchmark::State& state) {
                     constraint::ConstraintVisibility::kPublic,
                     "SUM(worklog.hours WHERE worker = update.worker "
                     "WINDOW 7d) + update.hours <= 1000000000");
-  constraint::CompiledVerifier verifier(&catalog, &db);
+  constraint::CompiledVerifier verifier(catalog, db);
   auto insert = [&db](int64_t i) {
     storage::Mutation m;
     m.op = storage::Mutation::Op::kInsert;
@@ -141,7 +142,7 @@ void BM_CompiledVerifySteady(benchmark::State& state) {
                     constraint::ConstraintVisibility::kPublic,
                     "SUM(worklog.hours WHERE worker = update.worker "
                     "WINDOW 7d) + update.hours <= 1000000000");
-  constraint::CompiledVerifier verifier(&catalog, &db);
+  constraint::CompiledVerifier verifier(catalog, db);
   for (int64_t i = 0; i < rows; ++i) {
     storage::Mutation m;
     m.op = storage::Mutation::Op::kInsert;

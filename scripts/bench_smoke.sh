@@ -375,8 +375,8 @@ fi
 rm -f "$zk_json"
 
 # Compiled-verification path: a short verify-and-commit run must actually
-# take the compiled route (compiled > 0, nothing silently falling back to
-# the interpreter) and the aggregate cache must ride its O(1) delta path —
+# compile its catalog (compiled > 0; the bytecode is the verifier's only
+# evaluator) and the aggregate cache must ride its O(1) delta path —
 # exactly one full rebuild no matter how many iterations committed, every
 # subsequent verify a cache hit, and no evaluation on the row-scan path.
 verify_json="$(mktemp)"

@@ -360,9 +360,7 @@ bool AggregateCache::TryReadEvaluate(const AggregateSpec& spec,
   return true;
 }
 
-void AggregateCache::OnCommitted(const Mutation& mutation,
-                                 const storage::Database& db) {
-  (void)db;
+void AggregateCache::OnCommitted(const Mutation& mutation) {
   for (auto& [spec, sc] : specs_) {
     if (spec->table != mutation.table) continue;
     if (!sc->bound_ok || !sc->cacheable || !sc->built) continue;

@@ -25,17 +25,18 @@ namespace prever::constraint {
 ///     regression (time moving backwards, out-of-order insert) rebuilds the
 ///     cursor from the sorted entries instead of corrupting it.
 ///
-/// Deltas arrive through Database commit observers: inserts fold into the
-/// group state directly; updates/upserts/deletes epoch-invalidate every
-/// spec on that table (lazy rebuild on next query). Anything outside the
-/// cacheable class evaluates per query through EvaluateSpecByScan, the
-/// scalar row loop with the interpreter's exact semantics.
+/// One cache serves one database: deltas arrive through the owning
+/// CompiledVerifier's commit observer on it. Inserts fold into the group
+/// state directly; updates/upserts/deletes epoch-invalidate every spec on
+/// that table (lazy rebuild on next query). Anything outside the cacheable
+/// class evaluates per query through EvaluateSpecByScan, the scalar row
+/// loop with the interpreter's exact semantics.
 ///
 /// Lifetime: state is keyed by AggregateSpec address and OnCommitted
 /// dereferences those keys, so every spec ever passed to Evaluate /
-/// TryReadEvaluate must outlive the cache (or the cache must be dropped
-/// with the spec's CompiledConstraint, as the CompiledVerifier does on
-/// catalog refresh).
+/// TryReadEvaluate must outlive the cache. The CompiledVerifier owns every
+/// spec it passes (catalog entries and ad-hoc aggregates alike) and drops
+/// them together with the cache on catalog refresh.
 ///
 /// Not internally synchronized: the CompiledVerifier serializes mutating
 /// access and uses TryReadEvaluate under a shared lock for the steady-state
@@ -63,8 +64,7 @@ class AggregateCache {
 
   /// Commit observer: folds an insert delta into every affected spec, or
   /// epoch-invalidates on anything that is not a plain insert.
-  void OnCommitted(const storage::Mutation& mutation,
-                   const storage::Database& db);
+  void OnCommitted(const storage::Mutation& mutation);
 
   const Stats& stats() const { return stats_; }
 

@@ -131,6 +131,18 @@ ExprPtr Expr::Clone() const {
   return e;
 }
 
+bool Expr::operator==(const Expr& o) const {
+  auto same = [](const ExprPtr& a, const ExprPtr& b) {
+    return a == nullptr ? b == nullptr : b != nullptr && *a == *b;
+  };
+  return kind == o.kind && literal == o.literal && qualifier == o.qualifier &&
+         field == o.field && unary_op == o.unary_op &&
+         same(operand, o.operand) && binary_op == o.binary_op &&
+         same(lhs, o.lhs) && same(rhs, o.rhs) && agg_kind == o.agg_kind &&
+         table == o.table && column == o.column && same(where, o.where) &&
+         window == o.window;
+}
+
 namespace {
 std::string WindowToString(SimTime window) {
   // Render in the largest unit that divides evenly.

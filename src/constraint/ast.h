@@ -99,6 +99,9 @@ struct Expr {
   /// Deep copy.
   ExprPtr Clone() const;
 
+  /// Deep structural equality (a clone equals its source).
+  bool operator==(const Expr& o) const;
+
   /// Canonical textual form (parseable back by the parser).
   std::string ToString() const;
 };

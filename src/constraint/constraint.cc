@@ -1,6 +1,8 @@
 #include "constraint/constraint.h"
 
+#include "constraint/eval.h"
 #include "constraint/parser.h"
+#include "constraint/program.h"
 #include "mutate/mutation.h"
 
 namespace prever::constraint {
@@ -18,6 +20,11 @@ Status ConstraintCatalog::AddParsed(Constraint constraint) {
       return Status::AlreadyExists("constraint '" + constraint.name +
                                    "' already registered");
     }
+  }
+  auto compiled = CompileConstraint(*constraint.expr);
+  if (!compiled.ok()) {
+    return Status::NotSupported("constraint '" + constraint.name +
+                                "': " + compiled.status().message());
   }
   constraints_.push_back(std::move(constraint));
   ++revision_;

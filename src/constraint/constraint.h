@@ -6,7 +6,7 @@
 
 #include "common/status.h"
 #include "constraint/ast.h"
-#include "constraint/eval.h"
+#include "constraint/context.h"
 
 namespace prever::constraint {
 
@@ -56,11 +56,14 @@ struct Constraint {
 /// entry against each incoming update.
 class ConstraintCatalog {
  public:
-  /// Parses and registers a constraint; fails on parse error or name clash.
+  /// Parses and registers a constraint; fails on parse error, name clash,
+  /// or a shape the compiler rejects.
   Status Add(const std::string& name, ConstraintScope scope,
              ConstraintVisibility visibility, std::string_view text);
 
-  /// Registers a pre-built constraint.
+  /// Registers a pre-built constraint. A constraint that does not compile
+  /// (FORALL, `outer.`, bare `group`, nested aggregates) is NotSupported
+  /// and leaves the catalog unchanged: engines evaluate only bytecode.
   Status AddParsed(Constraint constraint);
 
   Status Remove(const std::string& name);
@@ -75,9 +78,11 @@ class ConstraintCatalog {
   /// added after the first verification are picked up lazily.
   uint64_t revision() const { return revision_; }
 
-  /// Evaluates every constraint against (db, update, now). Returns OK if all
-  /// pass, ConstraintViolation naming the first failed constraint otherwise,
-  /// or the evaluation error for ill-typed constraints.
+  /// Evaluates every constraint against (db, update, now) with the
+  /// tree-walking interpreter — the oracle CompiledVerifier::VerifyAll is
+  /// tested against, never an engine's path. Returns OK if all pass,
+  /// ConstraintViolation naming the first failed constraint otherwise, or
+  /// the evaluation error for ill-typed constraints.
   Status CheckAll(const EvalContext& ctx) const;
 
  private:

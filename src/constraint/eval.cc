@@ -356,12 +356,4 @@ Result<bool> EvaluateBool(const Expr& expr, const EvalContext& ctx) {
   return v.AsBool();
 }
 
-Result<int64_t> EvaluateAggregate(const Expr& agg, const EvalContext& ctx) {
-  if (agg.kind != ExprKind::kAggregate) {
-    return Status::InvalidArgument("expression is not an aggregate");
-  }
-  PREVER_ASSIGN_OR_RETURN(storage::Value v, Evaluate(agg, ctx));
-  return v.AsInt64();
-}
-
 }  // namespace prever::constraint

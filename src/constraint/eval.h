@@ -1,41 +1,21 @@
 #ifndef PREVER_CONSTRAINT_EVAL_H_
 #define PREVER_CONSTRAINT_EVAL_H_
 
-#include <map>
-#include <string>
-
-#include "common/sim_clock.h"
 #include "common/status.h"
 #include "constraint/ast.h"
-#include "storage/database.h"
+#include "constraint/context.h"
 
 namespace prever::constraint {
 
-/// Named fields of the incoming update visible to constraints as
-/// `update.<name>` (or bare `<name>` at top level).
-using UpdateFields = std::map<std::string, storage::Value>;
-
-/// Everything a constraint evaluation can see: current database state, the
-/// candidate update's fields, and the current (simulated) time for WINDOW
-/// aggregates.
-struct EvalContext {
-  const storage::Database* db = nullptr;
-  const UpdateFields* update = nullptr;
-  SimTime now = 0;
-  /// Bound by FORALL evaluation: the current group value, visible in the
-  /// body as the reserved identifier `group`.
-  const storage::Value* group = nullptr;
-};
+// The tree-walking interpreter: the differential oracle for the compiled
+// path (program.h), and the only evaluator of FORALL and `outer.` shapes,
+// which the catalog refuses to admit.
 
 /// Evaluates an arbitrary expression to a Value.
 Result<storage::Value> Evaluate(const Expr& expr, const EvalContext& ctx);
 
 /// Evaluates a constraint; error if the expression is not Boolean-typed.
 Result<bool> EvaluateBool(const Expr& expr, const EvalContext& ctx);
-
-/// Evaluates just an aggregate node to its int64 value (used by the crypto
-/// engines that need the aggregate separately from the comparison).
-Result<int64_t> EvaluateAggregate(const Expr& agg, const EvalContext& ctx);
 
 }  // namespace prever::constraint
 

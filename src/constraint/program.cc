@@ -89,19 +89,19 @@ class Compiler {
   Compiler(bool row_mode, std::vector<std::unique_ptr<AggregateSpec>>* aggs)
       : row_mode_(row_mode), aggs_(aggs) {}
 
-  bool ok() const { return ok_; }
-
-  Program Take() {
+  /// Compiles `e` and appends the final kReturn.
+  Result<Program> Compile(const Expr& e) {
+    PREVER_ASSIGN_OR_RETURN(uint16_t result, CompileExpr(e));
+    Emit({OpCode::kReturn, 0, result, 0, 0});
     prog_.num_regs = next_reg_;
-    prog_.bound = !has_names_;
     return std::move(prog_);
   }
 
-  uint16_t CompileExpr(const Expr& e) {
-    if (!ok_) return 0;
+ private:
+  Result<uint16_t> CompileExpr(const Expr& e) {
     switch (e.kind) {
       case ExprKind::kLiteral: {
-        uint16_t dst = NewReg();
+        PREVER_ASSIGN_OR_RETURN(uint16_t dst, NewReg());
         uint16_t idx = static_cast<uint16_t>(prog_.consts.size());
         prog_.consts.push_back(e.literal);
         Emit({OpCode::kLoadConst, dst, idx, 0, 0});
@@ -110,8 +110,8 @@ class Compiler {
       case ExprKind::kField:
         return CompileField(e);
       case ExprKind::kUnary: {
-        uint16_t src = CompileExpr(*e.operand);
-        uint16_t dst = NewReg();
+        PREVER_ASSIGN_OR_RETURN(uint16_t src, CompileExpr(*e.operand));
+        PREVER_ASSIGN_OR_RETURN(uint16_t dst, NewReg());
         Emit({e.unary_op == UnaryOp::kNot ? OpCode::kNot : OpCode::kNeg, dst,
               src, 0, 0});
         return dst;
@@ -122,17 +122,15 @@ class Compiler {
       case ExprKind::kExists:
         return CompileAggregate(e);
       case ExprKind::kForAll:
-        // Group quantification stays on the interpreter.
-        ok_ = false;
-        return 0;
+        return Status::NotSupported("FORALL does not compile");
     }
-    ok_ = false;
-    return 0;
+    return Status::Internal("unknown expression kind");
   }
 
- private:
-  uint16_t NewReg() {
-    if (next_reg_ == std::numeric_limits<uint16_t>::max()) ok_ = false;
+  Result<uint16_t> NewReg() {
+    if (next_reg_ == std::numeric_limits<uint16_t>::max()) {
+      return Status::NotSupported("expression needs more than 65535 registers");
+    }
     return next_reg_++;
   }
 
@@ -146,51 +144,44 @@ class Compiler {
     return static_cast<uint16_t>(prog_.names.size() - 1);
   }
 
-  uint16_t CompileField(const Expr& e) {
-    uint16_t dst = NewReg();
+  Result<uint16_t> CompileField(const Expr& e) {
+    if (!e.qualifier.empty() && e.qualifier != "update") {
+      return Status::NotSupported("'" + e.qualifier + "." + e.field +
+                                  "' does not compile");
+    }
+    if (!row_mode_ && e.qualifier.empty() && e.field == "group") {
+      // `group` is bound only inside FORALL bodies.
+      return Status::NotSupported("bare 'group' does not compile");
+    }
+    PREVER_ASSIGN_OR_RETURN(uint16_t dst, NewReg());
     if (e.qualifier == "update") {
       Emit({OpCode::kLoadUpdate, dst, NameIndex(e.field), 0, 0});
-      return dst;
-    }
-    if (!e.qualifier.empty()) {
-      // `outer.` (correlated) and unknown qualifiers keep the interpreter.
-      ok_ = false;
-      return 0;
-    }
-    if (row_mode_) {
+    } else if (row_mode_) {
       // Bare name: row column vs update field is schema-dependent —
       // resolved once at Bind time instead of per scanned row.
-      has_names_ = true;
       Emit({OpCode::kLoadName, dst, NameIndex(e.field), 0, 0});
-      return dst;
+    } else {
+      Emit({OpCode::kLoadUpdate, dst, NameIndex(e.field), 1, 0});
     }
-    if (e.field == "group") {
-      // Only bound inside FORALL bodies, which are interpreted.
-      ok_ = false;
-      return 0;
-    }
-    Emit({OpCode::kLoadUpdate, dst, NameIndex(e.field), 1, 0});
     return dst;
   }
 
-  uint16_t CompileBinary(const Expr& e) {
+  Result<uint16_t> CompileBinary(const Expr& e) {
     if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
       // Short-circuit lowering: the lhs register doubles as the result.
-      uint16_t ra = CompileExpr(*e.lhs);
+      PREVER_ASSIGN_OR_RETURN(uint16_t ra, CompileExpr(*e.lhs));
       size_t jump_at = prog_.insns.size();
       Emit({e.binary_op == BinaryOp::kAnd ? OpCode::kJumpIfFalse
                                           : OpCode::kJumpIfTrue,
             0, ra, 0, 0});
-      uint16_t rb = CompileExpr(*e.rhs);
+      PREVER_ASSIGN_OR_RETURN(uint16_t rb, CompileExpr(*e.rhs));
       Emit({OpCode::kCoerceBool, ra, rb, 0, 0});
-      if (ok_) {
-        prog_.insns[jump_at].imm = static_cast<int32_t>(prog_.insns.size());
-      }
+      prog_.insns[jump_at].imm = static_cast<int32_t>(prog_.insns.size());
       return ra;
     }
-    uint16_t ra = CompileExpr(*e.lhs);
-    uint16_t rb = CompileExpr(*e.rhs);
-    uint16_t dst = NewReg();
+    PREVER_ASSIGN_OR_RETURN(uint16_t ra, CompileExpr(*e.lhs));
+    PREVER_ASSIGN_OR_RETURN(uint16_t rb, CompileExpr(*e.rhs));
+    PREVER_ASSIGN_OR_RETURN(uint16_t dst, NewReg());
     OpCode op;
     switch (e.binary_op) {
       case BinaryOp::kEq: op = OpCode::kCmpEq; break;
@@ -205,30 +196,24 @@ class Compiler {
       case BinaryOp::kDiv: op = OpCode::kDiv; break;
       case BinaryOp::kMod: op = OpCode::kMod; break;
       default:
-        ok_ = false;
-        return 0;
+        return Status::Internal("unknown binary operator");
     }
     Emit({op, dst, ra, rb, 0});
     return dst;
   }
 
-  uint16_t CompileAggregate(const Expr& e);
+  Result<uint16_t> CompileAggregate(const Expr& e);
 
   bool row_mode_;
   std::vector<std::unique_ptr<AggregateSpec>>* aggs_;
   Program prog_;
   uint16_t next_reg_ = 0;
-  bool has_names_ = false;
-  bool ok_ = true;
 };
 
-/// Compiles a row-mode predicate program; null result means unsupported.
-std::unique_ptr<Program> CompileRowProgram(const Expr& expr) {
-  Compiler c(/*row_mode=*/true, /*aggs=*/nullptr);
-  uint16_t result = c.CompileExpr(expr);
-  if (!c.ok()) return nullptr;
-  Program prog = c.Take();
-  prog.insns.push_back({OpCode::kReturn, 0, result, 0, 0});
+/// Compiles a row-mode predicate program.
+Result<std::unique_ptr<Program>> CompileRowProgram(const Expr& expr) {
+  Compiler compiler(/*row_mode=*/true, /*aggs=*/nullptr);
+  PREVER_ASSIGN_OR_RETURN(Program prog, compiler.Compile(expr));
   return std::make_unique<Program>(std::move(prog));
 }
 
@@ -303,18 +288,18 @@ void ClassifyWhere(const Expr& where, AggregateSpec* spec) {
       residual = Expr::Binary(BinaryOp::kAnd, std::move(residual),
                               row_only[i]->Clone());
     }
-    spec->row_pred = CompileRowProgram(*residual);
-    if (!spec->row_pred) return;
+    // A sub-conjunction of a WHERE that compiled always compiles too.
+    auto row_pred = CompileRowProgram(*residual);
+    if (!row_pred.ok()) return;
+    spec->row_pred = std::move(*row_pred);
   }
   spec->cache_candidate = true;
 }
 
-uint16_t Compiler::CompileAggregate(const Expr& e) {
+Result<uint16_t> Compiler::CompileAggregate(const Expr& e) {
   if (row_mode_ || aggs_ == nullptr) {
-    // Aggregates nested inside aggregate predicates keep the interpreter
-    // (they are O(n^2) under any execution strategy anyway).
-    ok_ = false;
-    return 0;
+    return Status::NotSupported(
+        "an aggregate inside an aggregate's WHERE does not compile");
   }
   auto spec = std::make_unique<AggregateSpec>();
   spec->exists = e.kind == ExprKind::kExists;
@@ -322,18 +307,13 @@ uint16_t Compiler::CompileAggregate(const Expr& e) {
   spec->table = e.table;
   spec->column = e.column;
   spec->window = e.window;
-  spec->expr = &e;
   if (e.where) {
-    spec->where = CompileRowProgram(*e.where);
-    if (!spec->where) {
-      ok_ = false;
-      return 0;
-    }
+    PREVER_ASSIGN_OR_RETURN(spec->where, CompileRowProgram(*e.where));
     ClassifyWhere(*e.where, spec.get());
   } else {
     spec->cache_candidate = true;  // Unfiltered aggregate: one global group.
   }
-  uint16_t dst = NewReg();
+  PREVER_ASSIGN_OR_RETURN(uint16_t dst, NewReg());
   Emit({OpCode::kAggregate, dst, static_cast<uint16_t>(aggs_->size()), 0, 0});
   aggs_->push_back(std::move(spec));
   return dst;
@@ -365,21 +345,13 @@ Program Program::Bind(const storage::Schema& schema) const {
       insn.b = 1;  // Bare-name lookup: fall through to update fields.
     }
   }
-  out.bound = true;
   return out;
 }
 
-CompiledConstraint CompileConstraint(const Expr& expr) {
+Result<CompiledConstraint> CompileConstraint(const Expr& expr) {
   CompiledConstraint out;
-  Compiler c(/*row_mode=*/false, &out.aggs);
-  uint16_t result = c.CompileExpr(expr);
-  if (!c.ok()) {
-    out.aggs.clear();
-    return out;
-  }
-  out.top = c.Take();
-  out.top.insns.push_back({OpCode::kReturn, 0, result, 0, 0});
-  out.ok = true;
+  Compiler compiler(/*row_mode=*/false, &out.aggs);
+  PREVER_ASSIGN_OR_RETURN(out.top, compiler.Compile(expr));
   return out;
 }
 

@@ -9,21 +9,21 @@
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "constraint/ast.h"
-#include "constraint/eval.h"
+#include "constraint/context.h"
 
 namespace prever::constraint {
 
-/// Flat register-based bytecode for one constraint expression, compiled
-/// once at DefineConstraint time. The AST's recursive tree walk becomes a
-/// linear instruction stream over a small register file; short-circuit
-/// AND/OR lower to forward jumps; aggregates become references into a side
-/// table of AggregateSpec entries evaluated through the AggregateCache (or
-/// a scalar row scan when the shape is not cacheable).
+/// Flat register-based bytecode for one constraint expression: the only
+/// evaluator engines run. The AST's recursive tree walk becomes a linear
+/// instruction stream over a small register file; short-circuit AND/OR
+/// lower to forward jumps; aggregates become references into a side table
+/// of AggregateSpec entries evaluated through the AggregateCache (or a
+/// scalar row scan when the shape is not cacheable).
 ///
-/// The compiler is deliberately partial: FORALL, `outer.`-correlated
-/// predicates, and aggregates nested inside aggregate predicates stay on
-/// the tree-walking interpreter, which is also retained as the differential
-/// oracle for everything the compiler does accept.
+/// The compiler is partial: FORALL, `outer.`-correlated predicates, a bare
+/// `group`, and aggregates nested inside aggregate predicates are
+/// NotSupported, so ConstraintCatalog refuses them at Add. The tree-walking
+/// interpreter (eval.h) remains as the differential oracle.
 enum class OpCode : uint8_t {
   kLoadConst,   ///< dst = consts[a]
   kLoadUpdate,  ///< dst = update[names[a]]; b != 0 → bare-name lookup
@@ -72,8 +72,6 @@ struct Program {
   std::vector<storage::Value> consts;
   std::vector<std::string> names;
   uint16_t num_regs = 0;
-  /// True once every kLoadName has been resolved against a schema.
-  bool bound = false;
 
   /// Resolves bare names against `schema`: names that are columns become
   /// kLoadRow, the rest fall back to update-field lookups — the same
@@ -91,8 +89,6 @@ struct AggregateSpec {
   SimTime window = 0;
   /// Full WHERE predicate in row mode (scalar, short-circuit); null if none.
   std::unique_ptr<Program> where;
-  /// Original AST node (borrowed from the owning constraint).
-  const Expr* expr = nullptr;
 
   // --- incremental-cache classification (structural part; the schema-
   // dependent half happens at bind time inside the AggregateCache) ---
@@ -107,16 +103,15 @@ struct AggregateSpec {
   bool cache_candidate = false;
 };
 
-/// A constraint lowered to bytecode. `ok == false` means the expression
-/// uses a shape the compiler does not accept — callers keep the interpreter.
+/// A constraint lowered to bytecode. It owns everything it needs: no
+/// pointer back into the AST it was compiled from.
 struct CompiledConstraint {
-  bool ok = false;
   Program top;
   std::vector<std::unique_ptr<AggregateSpec>> aggs;
 };
 
-/// Compiles `expr`; never fails hard — unsupported shapes yield ok=false.
-CompiledConstraint CompileConstraint(const Expr& expr);
+/// Compiles `expr`, or NotSupported naming the first shape it rejects.
+Result<CompiledConstraint> CompileConstraint(const Expr& expr);
 
 /// Row view for scalar row-mode execution.
 struct RowView {

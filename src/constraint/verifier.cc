@@ -2,79 +2,72 @@
 
 #include <mutex>
 
-#include "constraint/eval.h"
 #include "mutate/mutation.h"
 #include "obs/tracing.h"
 
 namespace prever::constraint {
 
-CompiledVerifier::CompiledVerifier(const ConstraintCatalog* catalog,
-                                   storage::Database* db)
+CompiledVerifier::CompiledVerifier(const ConstraintCatalog& catalog,
+                                   storage::Database& db)
     : catalog_(catalog), db_(db) {
-  if (db_ != nullptr) {
-    observer_id_ = db_->AddCommitObserver(
-        [this](const storage::Mutation& mutation, uint64_t /*version*/) {
-          PREVER_CAUSAL_SPAN(causal_agg, obs::TraceStage::kVerifyAggUpdate);
-          std::unique_lock lock(mu_);
-          agg_cache_.OnCommitted(mutation, *db_);
-        });
-  }
+  observer_id_ = db_.AddCommitObserver(
+      [this](const storage::Mutation& mutation, uint64_t /*version*/) {
+        PREVER_CAUSAL_SPAN(causal_agg, obs::TraceStage::kVerifyAggUpdate);
+        std::unique_lock lock(mu_);
+        agg_cache_.OnCommitted(mutation);
+      });
 }
 
 CompiledVerifier::~CompiledVerifier() {
-  if (db_ != nullptr) db_->RemoveCommitObserver(observer_id_);
+  db_.RemoveCommitObserver(observer_id_);
 }
 
-void CompiledVerifier::RefreshLocked() {
-  if (compiled_once_ && compiled_revision_ == catalog_->revision()) return;
+Status CompiledVerifier::RefreshLocked() {
+  if (compiled_once_ && compiled_revision_ == catalog_.revision()) {
+    return Status::Ok();
+  }
   PREVER_CAUSAL_SPAN(causal_compile, obs::TraceStage::kVerifyCompile);
+  std::vector<Entry> entries;
+  for (const Constraint& c : catalog_.constraints()) {
+    PREVER_ASSIGN_OR_RETURN(CompiledConstraint compiled,
+                            CompileConstraint(*c.expr));
+    entries.push_back({&c, std::move(compiled)});
+  }
   // Every AggregateSpec pointer is about to die; the cache keyed on them
   // goes with it (TryReadEvaluate is revision-gated, so readers never see
   // the stale generation).
   agg_cache_ = AggregateCache();
-  entries_.clear();
   adhoc_.clear();
-  stats_.compiled_constraints = 0;
-  stats_.interpreted_constraints = 0;
-  for (const Constraint& c : catalog_->constraints()) {
-    Entry e;
-    e.constraint = &c;
-    e.compiled = CompileConstraint(*c.expr);
-    if (e.compiled.ok) {
-      ++stats_.compiled_constraints;
-    } else {
-      ++stats_.interpreted_constraints;
-    }
-    entries_.push_back(std::move(e));
-  }
-  compiled_revision_ = catalog_->revision();
+  entries_ = std::move(entries);
+  stats_.compiled_constraints = entries_.size();
+  compiled_revision_ = catalog_.revision();
   compiled_once_ = true;
   ++stats_.recompiles;
+  return Status::Ok();
 }
 
 namespace {
 
-/// Checks one constraint with aggregates resolved by `agg_fn`: the
-/// bytecode when `compiled` is ok, the interpreter otherwise — and also
-/// when the bytecode result is not a bool, because the interpreter owns the
-/// exact "value is not bool, is <type>" message (a RegVal number cannot
-/// tell int64 from timestamp). An `agg_fn` error (including the shared
-/// path's cache-miss signal) is returned as the bytecode's error.
+Status SameDatabase(const EvalContext& ctx, const storage::Database& db) {
+  if (ctx.db != &db) {
+    return Status::InvalidArgument(
+        "evaluation context names a database other than the verifier's");
+  }
+  return Status::Ok();
+}
+
+/// Checks one constraint with aggregates resolved by `agg_fn`. An `agg_fn`
+/// error (including the shared path's cache-miss signal) is returned as the
+/// bytecode's error.
 Status CheckConstraint(const Constraint& c, const CompiledConstraint& compiled,
                        const EvalContext& ctx, const AggFn& agg_fn) {
-  bool ok;
-  if (!compiled.ok) {
-    PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*c.expr, ctx));
-  } else {
-    PREVER_ASSIGN_OR_RETURN(RegVal r,
-                            RunScalar(compiled.top, ctx, nullptr, &agg_fn));
-    if (r.tag != RegVal::Tag::kBool) {
-      PREVER_ASSIGN_OR_RETURN(ok, EvaluateBool(*c.expr, ctx));
-    } else {
-      ok = r.b;
-    }
+  PREVER_ASSIGN_OR_RETURN(RegVal r,
+                          RunScalar(compiled.top, ctx, nullptr, &agg_fn));
+  if (r.tag != RegVal::Tag::kBool) {
+    return Status::InvalidArgument("constraint '" + c.name +
+                                   "' is not boolean");
   }
-  if (PREVER_MUTATION(CATALOG_IGNORE_VIOLATION, !ok, false)) {
+  if (PREVER_MUTATION(CATALOG_IGNORE_VIOLATION, !r.b, false)) {
     return Status::ConstraintViolation("update violates constraint '" +
                                        c.name + "': " + c.expr->ToString());
   }
@@ -86,7 +79,7 @@ Status CheckConstraint(const Constraint& c, const CompiledConstraint& compiled,
 bool CompiledVerifier::TryVerifyAllShared(const EvalContext& ctx,
                                           Status* out) const {
   std::shared_lock lock(mu_);
-  if (!compiled_once_ || compiled_revision_ != catalog_->revision()) {
+  if (!compiled_once_ || compiled_revision_ != catalog_.revision()) {
     return false;
   }
   for (const Entry& e : entries_) {
@@ -111,11 +104,7 @@ bool CompiledVerifier::TryVerifyAllShared(const EvalContext& ctx,
 }
 
 Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
-  // A foreign database (engines sharing one verifier across platforms)
-  // cannot use this verifier's per-table cache state: stay stateless.
-  if (db_ != nullptr && ctx.db != nullptr && ctx.db != db_) {
-    return catalog_->CheckAll(ctx);
-  }
+  PREVER_RETURN_IF_ERROR(SameDatabase(ctx, db_));
   PREVER_CAUSAL_SPAN(causal_eval, obs::TraceStage::kVerifyEval);
   Status out;
   if (TryVerifyAllShared(ctx, &out)) {
@@ -123,7 +112,7 @@ Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
     return out;
   }
   std::unique_lock lock(mu_);
-  RefreshLocked();
+  PREVER_RETURN_IF_ERROR(RefreshLocked());
   ++stats_.slow_path_verifies;
   for (const Entry& e : entries_) {
     AggFn agg_fn = [&](size_t i) -> Result<storage::Value> {
@@ -135,41 +124,40 @@ Status CompiledVerifier::VerifyAll(const EvalContext& ctx) {
   return Status::Ok();
 }
 
+const AggregateSpec* CompiledVerifier::FindAdhoc(const Expr& agg) const {
+  for (const Adhoc& a : adhoc_) {
+    if (*a.expr == agg) return a.compiled.aggs[0].get();
+  }
+  return nullptr;
+}
+
 Result<int64_t> CompiledVerifier::EvaluateAggregate(const Expr& agg,
                                                     const EvalContext& ctx) {
-  if ((db_ != nullptr && ctx.db != nullptr && ctx.db != db_) ||
-      agg.kind != ExprKind::kAggregate) {
-    return constraint::EvaluateAggregate(agg, ctx);
+  PREVER_RETURN_IF_ERROR(SameDatabase(ctx, db_));
+  if (agg.kind != ExprKind::kAggregate) {
+    return Status::InvalidArgument("expression is not an aggregate");
   }
   {
     std::shared_lock lock(mu_);
-    auto it = adhoc_.find(&agg);
-    if (it != adhoc_.end()) {
-      if (!it->second->usable) {
-        lock.unlock();
-        return constraint::EvaluateAggregate(agg, ctx);
-      }
-      Result<storage::Value> v = Status::Internal("agg cache miss");
-      if (agg_cache_.TryReadEvaluate(*it->second->compiled.aggs[0], ctx, &v)) {
-        if (!v.ok()) return v.status();
-        return v->AsInt64();
-      }
+    const AggregateSpec* spec = FindAdhoc(agg);
+    Result<storage::Value> v = Status::Internal("agg cache miss");
+    if (spec != nullptr && agg_cache_.TryReadEvaluate(*spec, ctx, &v)) {
+      if (!v.ok()) return v.status();
+      return v->AsInt64();
     }
   }
   std::unique_lock lock(mu_);
-  auto& up = adhoc_[&agg];
-  if (!up) {
+  const AggregateSpec* spec = FindAdhoc(agg);
+  if (spec == nullptr) {
     PREVER_CAUSAL_SPAN(causal_compile, obs::TraceStage::kVerifyCompile);
-    up = std::make_unique<AdhocAgg>();
-    up->compiled = CompileConstraint(agg);
-    // A lone top-level aggregate always lowers to exactly one spec.
-    up->usable = up->compiled.ok && up->compiled.aggs.size() == 1;
+    PREVER_ASSIGN_OR_RETURN(CompiledConstraint compiled,
+                            CompileConstraint(agg));
+    adhoc_.push_back({agg.Clone(), std::move(compiled)});
+    spec = adhoc_.back().compiled.aggs[0].get();
   }
-  if (!up->usable) return constraint::EvaluateAggregate(agg, ctx);
   PREVER_CAUSAL_SPAN(causal_eval, obs::TraceStage::kVerifyEval);
-  auto v = agg_cache_.Evaluate(*up->compiled.aggs[0], ctx);
-  if (!v.ok()) return v.status();
-  return v->AsInt64();
+  PREVER_ASSIGN_OR_RETURN(storage::Value v, agg_cache_.Evaluate(*spec, ctx));
+  return v.AsInt64();
 }
 
 CompiledVerifier::Stats CompiledVerifier::stats() const {

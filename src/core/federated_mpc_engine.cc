@@ -22,7 +22,7 @@ MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms) {
   verifiers.reserve(platforms.size());
   for (FederatedPlatform* p : platforms) {
     verifiers.push_back(std::make_unique<constraint::CompiledVerifier>(
-        &p->internal_constraints, &p->db));
+        p->internal_constraints, p->db));
   }
   return verifiers;
 }

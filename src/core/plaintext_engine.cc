@@ -5,7 +5,7 @@ namespace prever::core {
 PlaintextEngine::PlaintextEngine(storage::Database* db,
                                  const constraint::ConstraintCatalog* catalog,
                                  OrderingService* ordering)
-    : db_(db), ordering_(ordering), verifier_(catalog, db) {}
+    : db_(db), ordering_(ordering), verifier_(*catalog, *db) {}
 
 Status PlaintextEngine::SubmitUpdate(const Update& update) {
   return metrics_.Submit([&]() -> Status {

@@ -28,7 +28,7 @@ class PlaintextEngine : public UpdateEngine {
 
   const storage::Database& db() const { return *db_; }
 
-  /// Compiled-verification counters (bytecode vs interpreter, cache hits).
+  /// Compiled-verification counters (compiles, fast path, cache hits).
   const constraint::CompiledVerifier& verifier() const { return verifier_; }
 
  private:

@@ -12,7 +12,7 @@ PublicDataEngine::PublicDataEngine(
       requirements_(std::move(requirements)),
       ordering_(ordering),
       pedersen_(&pedersen),
-      verifier_(public_catalog, db) {}
+      verifier_(*public_catalog, *db) {}
 
 Result<PrivateAttestation> PublicDataEngine::Attest(
     const AttestationRequirement& requirement, int64_t private_value,

@@ -8,14 +8,11 @@
 
 namespace prever::core {
 
-/// Per-engine cache of the linear bound forms of a regulation catalog.
-///
-/// ExtractLinearConjunction clones the aggregate subtree, so re-extracting
-/// per submitted update both re-walks the AST and hands the compiled
-/// verifier a fresh Expr identity every time — defeating its per-expression
-/// aggregate caches. Extracting once per catalog revision keeps the Expr
-/// pointers stable for the lifetime of the forms, which is what
-/// CompiledVerifier::EvaluateAggregate keys on.
+/// Per-engine cache of the linear bound forms of a regulation catalog,
+/// extracted once per catalog revision instead of once per submitted update.
+/// The forms' aggregate Exprs die on re-extraction; CompiledVerifier keeps
+/// its own copy of each aggregate it compiles, so nothing it caches points
+/// at them.
 class RegulationForms {
  public:
   /// `regulations` must outlive this object.

@@ -5,7 +5,7 @@
 
 #include "common/sim_clock.h"
 #include "common/status.h"
-#include "constraint/eval.h"
+#include "constraint/context.h"
 #include "storage/database.h"
 
 namespace prever::core {

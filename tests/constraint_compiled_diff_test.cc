@@ -92,7 +92,7 @@ class DiffFuzz {
         return "NOT (" + GenBool(depth - 1) + ")";
       case 3:
         return "EXISTS(worklog WHERE " + GenRowPredicate() + ")";
-      case 4:  // Rare: exercises the interpreter-fallback (ok=false) path.
+      case 4:  // Rare: a shape the compiler must reject as NotSupported.
         return "FORALL(worklog.worker : SUM(worklog.hours WHERE worker = "
                "group) <= " +
                std::to_string(rng_.NextInRange(0, 200)) + ")";
@@ -192,16 +192,10 @@ class DiffFuzz {
   prever::Rng rng_;
 };
 
-struct Comparison {
-  bool compiled = false;  ///< False when the compiler fell back (ok=false).
-};
-
 /// One interpreter-vs-compiled comparison; `label` contextualizes failures.
-Comparison CompareOnce(const Expr& expr, const CompiledConstraint& cc,
-                       const EvalContext& ctx, AggregateCache& cache,
-                       uint64_t seed, const std::string& text,
-                       const char* label) {
-  if (!cc.ok) return {false};
+void CompareOnce(const Expr& expr, const CompiledConstraint& cc,
+                 const EvalContext& ctx, AggregateCache& cache, uint64_t seed,
+                 const std::string& text, const char* label) {
   auto vi = Evaluate(expr, ctx);
   auto vc = EvalCompiled(cc, ctx, cache);
   EXPECT_EQ(vi.ok(), vc.ok())
@@ -215,7 +209,6 @@ Comparison CompareOnce(const Expr& expr, const CompiledConstraint& cc,
         << label << " seed " << seed << ": " << text << "\n interpreter: "
         << vi.status().message() << "\n compiled: " << vc.status().message();
   }
-  return {true};
 }
 
 TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
@@ -223,7 +216,7 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
   constexpr uint64_t kScanEvalFloor = 100;
   constexpr SimTime kNow = 10 * kDay;
   uint64_t compiled_cases = 0;
-  uint64_t fallback_cases = 0;
+  uint64_t forall_cases = 0;
   uint64_t scan_evals = 0;
 
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
@@ -277,16 +270,21 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
     std::string text = fuzz.GenBool(3);
     auto parsed = ParseConstraint(text);
     ASSERT_TRUE(parsed.ok()) << "seed " << seed << ": " << text;
-    CompiledConstraint cc = CompileConstraint(**parsed);
+    auto compiled = CompileConstraint(**parsed);
+    if (text.find("FORALL") != std::string::npos) {
+      // The catalog refuses this shape at Add; the compiler must say so.
+      EXPECT_EQ(compiled.status().code(), StatusCode::kNotSupported)
+          << "seed " << seed << ": " << text;
+      ++forall_cases;
+      continue;
+    }
+    ASSERT_TRUE(compiled.ok()) << "seed " << seed << ": " << text << ": "
+                               << compiled.status().message();
+    const CompiledConstraint& cc = *compiled;
 
     AggregateCache cache;
     EvalContext ctx{&db, &update, kNow};
-    Comparison first =
-        CompareOnce(**parsed, cc, ctx, cache, seed, text, "build");
-    if (!first.compiled) {
-      ++fallback_cases;
-      continue;
-    }
+    CompareOnce(**parsed, cc, ctx, cache, seed, text, "build");
     ++compiled_cases;
 
     // Incremental phase: commit random inserts through the cache's delta
@@ -305,7 +303,7 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
                                            rng.NextInRange(0, 48)) *
                                            kHour)};
       ASSERT_TRUE(db.Apply(m).ok());
-      cache.OnCommitted(m, db);
+      cache.OnCommitted(m);
       switch (rng.NextBelow(4)) {
         case 0:
           now2 += 1;  // One-microsecond window slide.
@@ -326,9 +324,11 @@ TEST(CompiledDiffFuzz, MatchesInterpreterAcrossSeeds) {
   }
 
   // The sweep is only meaningful if the compiler actually handles the bulk
-  // of the generated space; fallbacks should be the FORALL-shaped minority.
+  // of the generated space; rejections should be the FORALL-shaped
+  // minority, and that rejection must itself be exercised.
   EXPECT_GE(compiled_cases, kSeeds / 2)
-      << "compiled " << compiled_cases << ", fallback " << fallback_cases;
+      << "compiled " << compiled_cases << ", FORALL " << forall_cases;
+  EXPECT_GT(forall_cases, 0u);
   // ...and only exercises the scalar scan if some generated shapes fall
   // outside the cacheable class.
   EXPECT_GT(scan_evals, kScanEvalFloor) << "scan evaluations " << scan_evals;
@@ -353,7 +353,7 @@ class CompiledGoldenTest : public ::testing::Test {
     ASSERT_TRUE(InsertRow(db_, "t4", "w2", 40, 3 * kDay).ok());
   }
 
-  Result<Value> Both(const std::string& text, bool* compiled_out = nullptr) {
+  Result<Value> Both(const std::string& text) {
     auto parsed = ParseConstraint(text);
     if (!parsed.ok()) return parsed.status();
     // cache_ keys its state by AggregateSpec address and its commit
@@ -362,12 +362,12 @@ class CompiledGoldenTest : public ::testing::Test {
     // ownership the CompiledVerifier gives its catalog entries.
     exprs_.push_back(std::move(*parsed));
     const Expr& expr = *exprs_.back();
-    ccs_.push_back(CompileConstraint(expr));
+    auto compiled = CompileConstraint(expr);
+    if (!compiled.ok()) return compiled.status();
+    ccs_.push_back(std::move(*compiled));
     CompiledConstraint& cc = ccs_.back();
     EvalContext ctx{&db_, &update_, now_};
     auto vi = Evaluate(expr, ctx);
-    if (compiled_out) *compiled_out = cc.ok;
-    if (!cc.ok) return vi;
     auto vc = EvalCompiled(cc, ctx, cache_);
     EXPECT_EQ(vi.ok(), vc.ok()) << text;
     if (vi.ok() && vc.ok()) {
@@ -447,7 +447,7 @@ TEST_F(CompiledGoldenTest, DeltaCommitsKeepCacheExact) {
   m.row = {Value::String("t5"), Value::String("w1"), Value::Int64(7),
            Value::Timestamp(6 * kDay)};
   ASSERT_TRUE(db_.Apply(m).ok());
-  cache_.OnCommitted(m, db_);
+  cache_.OnCommitted(m);
   auto v2 = Recheck();
   ASSERT_TRUE(v2.ok());
   EXPECT_TRUE(*v2 == Value::Int64(67));
@@ -466,7 +466,7 @@ TEST_F(CompiledGoldenTest, NonInsertCommitsInvalidate) {
   del.table = "worklog";
   del.key = Value::String("t4");
   ASSERT_TRUE(db_.Apply(del).ok());
-  cache_.OnCommitted(del, db_);
+  cache_.OnCommitted(del);
   auto v2 = Recheck();
   ASSERT_TRUE(v2.ok());
   EXPECT_TRUE(*v2 == Value::Int64(60));

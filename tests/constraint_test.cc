@@ -4,6 +4,7 @@
 #include "constraint/eval.h"
 #include "constraint/linear.h"
 #include "constraint/parser.h"
+#include "constraint/verifier.h"
 #include "common/rng.h"
 
 namespace prever::constraint {
@@ -436,6 +437,61 @@ TEST(CatalogTest, ConstraintCopyIsDeep) {
   Constraint copy = *catalog.Find("c").value();
   EXPECT_EQ(copy.expr->ToString(), (*catalog.Find("c"))->expr->ToString());
   EXPECT_NE(copy.expr.get(), (*catalog.Find("c"))->expr.get());
+}
+
+TEST(CatalogTest, AddRejectsShapesThatDoNotCompile) {
+  ConstraintCatalog catalog;
+  ASSERT_TRUE(catalog
+                  .Add("cap", ConstraintScope::kInternal,
+                       ConstraintVisibility::kPublic,
+                       "SUM(worklog.hours WHERE worker = update.worker) <= 40")
+                  .ok());
+  const uint64_t revision = catalog.revision();
+  struct Case {
+    const char* text;
+    const char* named;  ///< The rejected shape the status must name.
+  };
+  const Case cases[] = {
+      {"FORALL(worklog.worker : SUM(worklog.hours WHERE worker = group) "
+       "<= 40)",
+       "FORALL"},
+      {"COUNT(worklog WHERE hours > outer.hours) = 0", "outer.hours"},
+      {"group = 'w1'", "group"},
+      {"COUNT(worklog WHERE hours > AVG(worklog.hours)) <= 3",
+       "inside an aggregate"},
+  };
+  for (const Case& c : cases) {
+    Status s = catalog.Add("bad", ConstraintScope::kInternal,
+                           ConstraintVisibility::kPublic, c.text);
+    EXPECT_EQ(s.code(), StatusCode::kNotSupported) << c.text;
+    EXPECT_NE(s.message().find(c.named), std::string::npos) << s.message();
+    EXPECT_EQ(catalog.size(), 1u) << c.text;
+    EXPECT_EQ(catalog.revision(), revision) << c.text;
+  }
+
+  // The verifier serves exactly one database and evaluates only aggregates.
+  Schema worklog({{"id", ValueType::kString},
+                  {"worker", ValueType::kString},
+                  {"hours", ValueType::kInt64}});
+  Database db, other;
+  ASSERT_TRUE(db.CreateTable("worklog", worklog).ok());
+  ASSERT_TRUE(other.CreateTable("worklog", worklog).ok());
+  CompiledVerifier verifier(catalog, db);
+  UpdateFields update = {{"worker", Value::String("w1")}};
+  EXPECT_TRUE(verifier.VerifyAll({&db, &update, 0}).ok());
+  EXPECT_EQ(verifier.VerifyAll({&other, &update, 0}).code(),
+            StatusCode::kInvalidArgument);
+  auto sum = ParseConstraint("SUM(worklog.hours)");
+  ASSERT_TRUE(sum.ok());
+  EXPECT_TRUE(verifier.EvaluateAggregate(**sum, {&db, &update, 0}).ok());
+  EXPECT_EQ(
+      verifier.EvaluateAggregate(**sum, {&other, &update, 0}).status().code(),
+      StatusCode::kInvalidArgument);
+  auto scalar = ParseConstraint("update.hours + 1");
+  ASSERT_TRUE(scalar.ok());
+  EXPECT_EQ(
+      verifier.EvaluateAggregate(**scalar, {&db, &update, 0}).status().code(),
+      StatusCode::kInvalidArgument);
 }
 
 // ------------------------------------------------------------ Linear form

@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/serial.h"
+#include "constraint/eval.h"
 #include "constraint/parser.h"
 #include "core/prever.h"
 

@@ -320,6 +320,21 @@ TEST_F(FederatedMpcEngineTest, InternalConstraintsCheckedFirst) {
   EXPECT_TRUE(engine_->SubmitVia(1, MakeWorklogUpdate("t2", "w1", 14, kDay)).ok());
 }
 
+TEST_F(FederatedMpcEngineTest, ReplacedRegulationIsNotServedStale) {
+  ASSERT_TRUE(
+      engine_->SubmitVia(0, MakeWorklogUpdate("t1", "w1", 18, kDay)).ok());
+  // Re-extraction frees flsa's SUM aggregate; the COUNT that replaces it
+  // may land at the same address and must not be served the SUM (18 > 5).
+  ASSERT_TRUE(regulations_.Remove("flsa").ok());
+  ASSERT_TRUE(regulations_
+                  .Add("few", constraint::ConstraintScope::kRegulation,
+                       constraint::ConstraintVisibility::kPublic,
+                       "COUNT(worklog WHERE worker = update.worker) <= 5")
+                  .ok());
+  EXPECT_TRUE(
+      engine_->SubmitVia(1, MakeWorklogUpdate("t2", "w1", 1, 2 * kDay)).ok());
+}
+
 TEST_F(FederatedMpcEngineTest, TranscriptAccumulates) {
   ASSERT_TRUE(engine_->SubmitVia(0, MakeWorklogUpdate("t1", "w1", 5, kDay)).ok());
   EXPECT_GT(engine_->transcript().rounds, 0u);

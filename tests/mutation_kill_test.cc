@@ -197,17 +197,15 @@ Result<Value> EvalCompiled(const storage::Database& db,
                            constraint::AggregateCache& cache) {
   auto e = constraint::ParseConstraint(text);
   if (!e.ok()) return e.status();
-  constraint::CompiledConstraint cc = constraint::CompileConstraint(**e);
-  if (!cc.ok) {
-    return Status::NotSupported("probe fell outside the compilable class");
-  }
+  auto cc = constraint::CompileConstraint(**e);
+  if (!cc.ok()) return cc.status();
   constraint::EvalContext ctx{&db, &update, now};
   constraint::AggFn agg_fn = [&](size_t i) {
-    return cache.Evaluate(*cc.aggs[i], ctx);
+    return cache.Evaluate(*cc->aggs[i], ctx);
   };
   PREVER_ASSIGN_OR_RETURN(
       constraint::RegVal top,
-      constraint::RunScalar(cc.top, ctx, /*row=*/nullptr, &agg_fn));
+      constraint::RunScalar(cc->top, ctx, /*row=*/nullptr, &agg_fn));
   return RegValToValue(top);
 }
 
@@ -739,12 +737,12 @@ std::map<std::string, Detector> BuildDetectors(
     auto e = constraint::ParseConstraint(kWindowSum);
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) {
+    if (!cc.ok() || cc->aggs.size() != 1) {
       return Killed("windowed SUM no longer compiles to a single spec");
     }
     auto table = cfx.db().GetTable("worklog");
     if (!table.ok()) return Killed("fixture table missing");
-    auto bound = constraint::BindSpec(*cc.aggs[0], (*table)->schema());
+    auto bound = constraint::BindSpec(*cc->aggs[0], (*table)->schema());
     if (!bound.ok()) return Killed("bind failed: " + bound.status().message());
     constraint::EvalContext ctx{&cfx.db(), &cfx.update(), cfx.now()};
     auto got = constraint::EvaluateSpecByScan(*bound, ctx);
@@ -787,18 +785,20 @@ std::map<std::string, Detector> BuildDetectors(
     auto e = constraint::ParseConstraint("SUM(worklog.hours WINDOW 3d)");
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) return Killed("window sum not compiled");
+    if (!cc.ok() || cc->aggs.size() != 1) {
+      return Killed("window sum not compiled");
+    }
     constraint::AggregateCache cache;
     constraint::UpdateFields u;
     constraint::EvalContext c1{&db, &u, 3 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], c1);
+    auto v1 = cache.Evaluate(*cc->aggs[0], c1);
     if (!v1.ok() || !(*v1 == Value::Int64(30))) {
       return Killed("warm window sum wrong at build time");
     }
     // Advance now so e1 leaves the window: the monotone cursor must
     // subtract the evicted row from the running sum.
     constraint::EvalContext c2{&db, &u, 5 * kDay};
-    auto v2 = cache.Evaluate(*cc.aggs[0], c2);
+    auto v2 = cache.Evaluate(*cc->aggs[0], c2);
     if (!v2.ok()) return Killed("advance errored: " + v2.status().message());
     if (!(*v2 == Value::Int64(20))) {
       return Killed("evicted row still counted in the window sum");
@@ -817,11 +817,11 @@ std::map<std::string, Detector> BuildDetectors(
     auto e = constraint::ParseConstraint("SUM(worklog.hours)");
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) return Killed("sum not compiled");
+    if (!cc.ok() || cc->aggs.size() != 1) return Killed("sum not compiled");
     constraint::AggregateCache cache;
     constraint::UpdateFields u;
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], ctx);
+    auto v1 = cache.Evaluate(*cc->aggs[0], ctx);
     if (!v1.ok() || !(*v1 == Value::Int64(10))) return Killed("build sum wrong");
     Mutation m1;
     m1.op = Mutation::Op::kInsert;
@@ -829,8 +829,8 @@ std::map<std::string, Detector> BuildDetectors(
     m1.row = {Value::String("e2"), Value::String("w1"), Value::Int64(25),
               Value::Timestamp(1 * kDay + 1)};
     if (!db.Apply(m1).ok()) return Killed("insert failed");
-    cache.OnCommitted(m1, db);
-    auto v2 = cache.Evaluate(*cc.aggs[0], ctx);
+    cache.OnCommitted(m1);
+    auto v2 = cache.Evaluate(*cc->aggs[0], ctx);
     if (!v2.ok()) return Killed("post-commit eval errored");
     if (!(*v2 == Value::Int64(35))) {
       return Killed("committed insert missing from the cached sum");
@@ -854,19 +854,19 @@ std::map<std::string, Detector> BuildDetectors(
     auto e = constraint::ParseConstraint("SUM(worklog.hours)");
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) return Killed("sum not compiled");
+    if (!cc.ok() || cc->aggs.size() != 1) return Killed("sum not compiled");
     constraint::AggregateCache cache;
     constraint::UpdateFields u;
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v1 = cache.Evaluate(*cc.aggs[0], ctx);
+    auto v1 = cache.Evaluate(*cc->aggs[0], ctx);
     if (!v1.ok() || !(*v1 == Value::Int64(30))) return Killed("build sum wrong");
     Mutation del;
     del.op = Mutation::Op::kDelete;
     del.table = "worklog";
     del.key = Value::String("e2");
     if (!db.Apply(del).ok()) return Killed("delete failed");
-    cache.OnCommitted(del, db);
-    auto v2 = cache.Evaluate(*cc.aggs[0], ctx);
+    cache.OnCommitted(del);
+    auto v2 = cache.Evaluate(*cc->aggs[0], ctx);
     if (!v2.ok()) return Killed("post-delete eval errored");
     if (!(*v2 == Value::Int64(10))) {
       return Killed("deleted row still counted by the cached sum");
@@ -891,11 +891,13 @@ std::map<std::string, Detector> BuildDetectors(
         "SUM(worklog.hours WHERE worker = update.worker)");
     if (!e.ok()) return Killed("parse failed: " + e.status().message());
     auto cc = constraint::CompileConstraint(**e);
-    if (!cc.ok || cc.aggs.size() != 1) return Killed("grouped sum not compiled");
+    if (!cc.ok() || cc->aggs.size() != 1) {
+      return Killed("grouped sum not compiled");
+    }
     constraint::AggregateCache cache;
     constraint::UpdateFields u = {{"worker", Value::String("w1")}};
     constraint::EvalContext ctx{&db, &u, 2 * kDay};
-    auto v = cache.Evaluate(*cc.aggs[0], ctx);
+    auto v = cache.Evaluate(*cc->aggs[0], ctx);
     if (!v.ok()) return Killed("grouped eval errored: " + v.status().message());
     if (!(*v == Value::Int64(10))) {
       return Killed("other workers' rows leaked into the w1 group sum");

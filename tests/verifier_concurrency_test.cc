@@ -66,7 +66,7 @@ class AggCacheConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(AggCacheConcurrencyTest, ParallelVerifyAllSharesTheCache) {
-  constraint::CompiledVerifier verifier(&catalog_, &db_);
+  constraint::CompiledVerifier verifier(catalog_, db_);
   constexpr int kThreads = 4;
   constexpr int kIters = 200;
   std::atomic<int> failures{0};
@@ -104,7 +104,7 @@ TEST_F(AggCacheConcurrencyTest, ParallelVerifyAllSharesTheCache) {
 }
 
 TEST_F(AggCacheConcurrencyTest, ParallelAdhocAggregatesShareTheCache) {
-  constraint::CompiledVerifier verifier(&catalog_, &db_);
+  constraint::CompiledVerifier verifier(catalog_, db_);
   auto parsed = constraint::ParseConstraint(
       "SUM(worklog.hours WHERE worker = update.worker WINDOW 2d)");
   ASSERT_TRUE(parsed.ok());

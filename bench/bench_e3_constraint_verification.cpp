@@ -20,7 +20,9 @@
 #include "constraint/parser.h"
 #include "constraint/verifier.h"
 #include "core/prever.h"
+#include "crypto/bigint_internal.h"
 #include "crypto/montgomery.h"
+#include "crypto/rsa_internal.h"
 #include "crypto/zkp_internal.h"
 #include "mpc/compare.h"
 
@@ -402,6 +404,89 @@ void BM_PowModClassic(benchmark::State& state) {
 }
 BENCHMARK(BM_PowModClassic)->Arg(256)->Arg(512)->Arg(1024)
     ->Unit(benchmark::kMillisecond)->Iterations(5);
+
+// Modular inverse: the limb-level binary inverse behind BigInt::InvMod (one
+// per blinded token, per VerifyUpperBound, per ElGamal decryption) against
+// the extended-Euclid oracle it replaced, on an odd modulus of the given
+// width and 64 invertible operands below it.
+std::vector<crypto::BigInt> InvModOperands(const crypto::BigInt& m,
+                                           crypto::Drbg& drbg) {
+  std::vector<crypto::BigInt> out;
+  while (out.size() < 64) {
+    crypto::BigInt a = drbg.RandomNonZeroBelow(m);
+    if (crypto::bigint_internal::InvModEuclid(a, m).ok()) out.push_back(a);
+  }
+  return out;
+}
+
+void BM_InvMod(benchmark::State& state) {
+  crypto::Drbg drbg(uint64_t{43});
+  crypto::BigInt m = drbg.RandomBits(static_cast<size_t>(state.range(0)));
+  if (m.IsEven()) m = m + crypto::BigInt(1);
+  std::vector<crypto::BigInt> operands = InvModOperands(m, drbg);
+  size_t i = 0;
+  for (auto _ : state) {
+    auto inv = operands[i++ % operands.size()].InvMod(m);
+    if (!inv.ok()) state.SkipWithError("invertible operand refused");
+    benchmark::DoNotOptimize(inv);
+  }
+}
+BENCHMARK(BM_InvMod)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+void BM_InvModEuclid(benchmark::State& state) {
+  crypto::Drbg drbg(uint64_t{43});
+  crypto::BigInt m = drbg.RandomBits(static_cast<size_t>(state.range(0)));
+  if (m.IsEven()) m = m + crypto::BigInt(1);
+  std::vector<crypto::BigInt> operands = InvModOperands(m, drbg);
+  size_t i = 0;
+  for (auto _ : state) {
+    auto inv =
+        crypto::bigint_internal::InvModEuclid(operands[i++ % operands.size()], m);
+    benchmark::DoNotOptimize(inv);
+  }
+}
+BENCHMARK(BM_InvModEuclid)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// The token authority's signing step: RSA-CRT with its s^e fault check
+// against the full-exponent c^d mod n oracle, on blinded 32-byte serials.
+std::vector<crypto::BigInt> BlindedSerials(const crypto::RsaPublicKey& pub) {
+  crypto::Drbg drbg(uint64_t{45});
+  std::vector<crypto::BigInt> out;
+  for (int i = 0; i < 16; ++i) {
+    out.push_back(
+        crypto::RsaBlind(pub, drbg.Generate(32), drbg)->blinded_message);
+  }
+  return out;
+}
+
+void BM_RsaBlindSign(benchmark::State& state) {
+  crypto::Drbg keygen(uint64_t{44});
+  auto key =
+      crypto::RsaGenerateKey(static_cast<size_t>(state.range(0)), keygen)
+          .value();
+  std::vector<crypto::BigInt> blinded = BlindedSerials(key.pub);
+  size_t i = 0;
+  for (auto _ : state) {
+    auto sig = crypto::RsaBlindSign(key, blinded[i++ % blinded.size()]);
+    if (!sig.ok()) state.SkipWithError("CRT signing failed");
+    benchmark::DoNotOptimize(sig);
+  }
+}
+BENCHMARK(BM_RsaBlindSign)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_RsaBlindSignNoCrt(benchmark::State& state) {
+  crypto::Drbg keygen(uint64_t{44});
+  auto key =
+      crypto::RsaGenerateKey(static_cast<size_t>(state.range(0)), keygen)
+          .value();
+  std::vector<crypto::BigInt> blinded = BlindedSerials(key.pub);
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::rsa_internal::PrivateOpNoCrt(
+        key, blinded[i++ % blinded.size()]));
+  }
+}
+BENCHMARK(BM_RsaBlindSignNoCrt)->Arg(512)->Arg(1024)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

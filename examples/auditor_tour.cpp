@@ -122,10 +122,10 @@ int main() {
   core::AuthenticatingEngine authenticated(&inner, &directory);
   Show("genuine signed update",
        authenticated.SubmitSigned(
-           core::SignUpdate(MakeEvent("r1", kMinute), sensor_key)));
+           *core::SignUpdate(MakeEvent("r1", kMinute), sensor_key)));
   Show("impersonation attempt",
        authenticated.SubmitSigned(
-           core::SignUpdate(MakeEvent("r2", kMinute), attacker_key)));
+           *core::SignUpdate(MakeEvent("r2", kMinute), attacker_key)));
 
   // --- 5. Update-pattern shaping ----------------------------------------
   std::printf("\n[5] hiding update timing (the DP-Sync concern, §4)\n");

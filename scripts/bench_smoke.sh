@@ -374,6 +374,70 @@ else
 fi
 rm -f "$zk_json"
 
+# Modular inverse: BigInt::InvMod runs a binary extended gcd on 64-bit limbs,
+# so at 512 bits it must cost at most 0.2x the extended-Euclid oracle (about
+# 0.07x in practice). A silent fall-back to BigInt Euclid fails here.
+inv_json="$(mktemp)"
+if "$BENCH_DIR/bench_e3_constraint_verification" \
+      --benchmark_filter='BM_InvMod(Euclid)?/512$' \
+      --benchmark_min_time=0.2s \
+      --benchmark_out="$inv_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$inv_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+us = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate" and not b.get("error_occurred"):
+        us[b["name"].split("/")[0]] = b["cpu_time"]
+limb, euclid = us.get("BM_InvMod"), us.get("BM_InvModEuclid")
+assert limb and euclid, f"inverse cases missing: {sorted(us)}"
+ratio = limb / euclid
+print(f"512-bit inverse: limb {limb:.1f}us, Euclid {euclid:.1f}us "
+      f"({ratio:.2f}x)")
+assert ratio <= 0.2, f"limb inverse costs {ratio:.2f}x the Euclid oracle"
+EOF
+then
+  echo "bench_smoke: OK limb-level modular inverse"
+else
+  echo "bench_smoke: FAIL limb-level modular inverse" >&2
+  fail=1
+fi
+rm -f "$inv_json"
+
+# RSA-CRT signing: RsaBlindSign runs two half-width exponentiations, Garner
+# recombination and the s^e fault check, so at 1024 bits it must cost at most
+# 0.5x the full-exponent c^d mod n oracle (about 0.3x in practice, Release
+# and ASan alike). A silent fall-back to the full exponent reads above 1x.
+# The gate runs at 1024 bits, not the tokens' 512: there the 4-limb halves
+# carry so much per-call overhead under ASan+UBSan that the ratio reads
+# 0.50-0.52 (0.37 in Release).
+crt_json="$(mktemp)"
+if "$BENCH_DIR/bench_e3_constraint_verification" \
+      --benchmark_filter='BM_RsaBlindSign(NoCrt)?/1024$' \
+      --benchmark_min_time=0.2s \
+      --benchmark_out="$crt_json" --benchmark_out_format=json \
+      >/dev/null 2>&1 && "$PYTHON" - "$crt_json" <<'EOF'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+us = {}
+for b in doc.get("benchmarks", []):
+    if b.get("run_type") != "aggregate" and not b.get("error_occurred"):
+        us[b["name"].split("/")[0]] = b["cpu_time"]
+crt, full = us.get("BM_RsaBlindSign"), us.get("BM_RsaBlindSignNoCrt")
+assert crt and full, f"RSA signing cases missing: {sorted(us)}"
+ratio = crt / full
+print(f"1024-bit blind signature: CRT {crt:.1f}us, full exponent "
+      f"{full:.1f}us ({ratio:.2f}x)")
+assert ratio <= 0.5, f"CRT signing costs {ratio:.2f}x the full exponent"
+EOF
+then
+  echo "bench_smoke: OK RSA-CRT signing"
+else
+  echo "bench_smoke: FAIL RSA-CRT signing" >&2
+  fail=1
+fi
+rm -f "$crt_json"
+
 # Compiled-verification path: a short verify-and-commit run must actually
 # compile its catalog (compiled > 0; the bytecode is the verifier's only
 # evaluator) and the aggregate cache must ride its O(1) delta path —

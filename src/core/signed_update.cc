@@ -21,9 +21,10 @@ Result<const crypto::RsaPublicKey*> ProducerKeyDirectory::Find(
   return &it->second;
 }
 
-SignedUpdate SignUpdate(Update update, const crypto::RsaKeyPair& key) {
+Result<SignedUpdate> SignUpdate(Update update,
+                                const crypto::RsaKeyPair& key) {
   SignedUpdate out;
-  out.signature = crypto::RsaSign(key, update.Encode());
+  PREVER_ASSIGN_OR_RETURN(out.signature, crypto::RsaSign(key, update.Encode()));
   out.update = std::move(update);
   return out;
 }

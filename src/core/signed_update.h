@@ -31,8 +31,8 @@ class ProducerKeyDirectory {
   std::map<std::string, crypto::RsaPublicKey> keys_;
 };
 
-/// Producer-side signing.
-SignedUpdate SignUpdate(Update update, const crypto::RsaKeyPair& key);
+/// Producer-side signing. Fails only when RsaSign's fault check does.
+Result<SignedUpdate> SignUpdate(Update update, const crypto::RsaKeyPair& key);
 
 /// Manager-side check: the signature must verify under the key registered
 /// for `update.producer`. PermissionDenied for unknown producers,

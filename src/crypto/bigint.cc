@@ -1,8 +1,11 @@
 #include "crypto/bigint.h"
 
 #include <algorithm>
+#include <utility>
 
+#include "crypto/bigint_internal.h"
 #include "crypto/montgomery.h"
+#include "mutate/mutation.h"
 
 namespace prever::crypto {
 
@@ -545,9 +548,199 @@ BigInt BigInt::Lcm(const BigInt& a, const BigInt& b) {
   return out;
 }
 
+namespace {
+
+/// n0^{-1} mod 2^64 for odd n0, by Newton iteration: each step doubles the
+/// number of correct low bits, so six steps reach 64.
+uint64_t Inverse64(uint64_t n0) {
+  uint64_t x = 1;
+  for (int i = 0; i < 6; ++i) x *= 2 - n0 * x;
+  return x;
+}
+
+/// `len` little-endian limbs: a -= b (requires a >= b).
+void SubLimbs(uint64_t* a, const uint64_t* b, size_t len) {
+  uint64_t borrow = 0;
+  for (size_t i = 0; i < len; ++i) {
+    const uint64_t d = a[i] - b[i];
+    const uint64_t out = (a[i] < b[i]) | (d < borrow);
+    a[i] = d - borrow;
+    borrow = out;
+  }
+}
+
+/// `len` limbs: a += b (the caller guarantees no carry out).
+void AddLimbs(uint64_t* a, const uint64_t* b, size_t len) {
+  uint64_t carry = 0;
+  for (size_t i = 0; i < len; ++i) {
+    const uint64_t t = a[i] + carry;
+    carry = t < carry;
+    a[i] = t + b[i];
+    carry += a[i] < b[i];
+  }
+}
+
+/// Strips the trailing zeros of the nonzero `len`-limb value a; returns
+/// how many there were.
+size_t StripTwos(uint64_t* a, size_t len) {
+  size_t words = 0;
+  while (a[words] == 0) ++words;
+  const unsigned bits = static_cast<unsigned>(__builtin_ctzll(a[words]));
+  if (words > 0) {
+    for (size_t i = 0; i + words < len; ++i) a[i] = a[i + words];
+    for (size_t i = len - words; i < len; ++i) a[i] = 0;
+  }
+  if (bits > 0) {
+    for (size_t i = 0; i + 1 < len; ++i) {
+      a[i] = (a[i] >> bits) | (a[i + 1] << (64 - bits));
+    }
+    a[len - 1] >>= bits;
+  }
+  return 64 * words + bits;
+}
+
+/// `len` limbs: a <<= t (the caller guarantees no bit is shifted out).
+void ShiftLeftLimbs(uint64_t* a, size_t len, size_t t) {
+  const size_t words = t / 64;
+  const unsigned bits = static_cast<unsigned>(t % 64);
+  if (words > 0) {
+    for (size_t i = len; i-- > words;) a[i] = a[i - words];
+    for (size_t i = 0; i < words; ++i) a[i] = 0;
+  }
+  if (bits > 0) {
+    for (size_t i = len; i-- > 1;) {
+      a[i] = (a[i] << bits) | (a[i - 1] >> (64 - bits));
+    }
+    a[0] <<= bits;
+  }
+}
+
+/// a^{-1} mod m for odd m > 1 and 0 < a < m, on k-limb little-endian
+/// arrays; writes it to `x` and returns false when gcd(a, m) != 1.
+///
+/// Binary extended gcd with deferred halving (Kaliski's almost-inverse):
+/// with u = m, v = a, r = 0, s = 1 it keeps u*s + v*r = m exactly, and
+/// a*r = -u*2^K, a*s = v*2^K (mod m). A step strips a whole run of twos
+/// from u (doubling s as often) or from v (doubling r), or subtracts the
+/// smaller of the odd u, v from the larger and adds r and s the same way.
+/// The equality bounds r and s by m, so no step reduces mod m; at the end
+/// u = gcd = 1 and a^{-1} = -r * 2^-K, which costs K/63 word-sized
+/// Montgomery halvings. u and v shrink from the top as they go.
+bool InvModOddLimbs(const uint64_t* a, const uint64_t* m, size_t k,
+                    uint64_t* x) {
+  std::vector<uint64_t> scratch(4 * k, 0);
+  uint64_t* u = scratch.data();
+  uint64_t* v = u + k;
+  uint64_t* r = v + k;
+  uint64_t* s = r + k;
+  std::copy(m, m + k, u);
+  std::copy(a, a + k, v);
+  s[0] = 1;
+  size_t shifts = StripTwos(v, k);  // r = 0 absorbs the doublings.
+  size_t len = k;
+  for (;;) {
+    while (len > 1 && u[len - 1] == 0 && v[len - 1] == 0) --len;
+    size_t top = len - 1;
+    while (top > 0 && u[top] == v[top]) --top;
+    if (u[top] == v[top]) break;  // u == v: the gcd.
+    if (u[top] > v[top]) {
+      SubLimbs(u, v, len);
+      AddLimbs(r, s, k);
+      const size_t t = StripTwos(u, len);
+      ShiftLeftLimbs(s, k, t);
+      shifts += t;
+    } else {
+      SubLimbs(v, u, len);
+      AddLimbs(s, r, k);
+      const size_t t = StripTwos(v, len);
+      ShiftLeftLimbs(r, k, t);
+      shifts += t;
+    }
+  }
+  if (u[0] != 1) return false;
+  for (size_t i = 1; i < len; ++i) {
+    if (u[i] != 0) return false;
+  }
+  // x = -r mod m, then x * 2^-shifts: each round adds the multiple q*m
+  // that clears the low `w` bits and shifts them out. x < m and q < 2^w
+  // keep x + q*m below 2^w * m, so x stays below m with no subtraction.
+  std::copy(m, m + k, x);
+  SubLimbs(x, r, k);
+  const uint64_t neg_minv = ~Inverse64(m[0]) + 1;
+  uint64_t* t = u;  // k + 1 limbs over u and v, which are done.
+  while (shifts > 0) {
+    const unsigned w = static_cast<unsigned>(std::min<size_t>(shifts, 63));
+    const uint64_t mask = (uint64_t{1} << w) - 1;
+    const uint64_t q = PREVER_MUTATION(INVMOD_HALVE_WITHOUT_MODULUS,
+                                       (x[0] * neg_minv) & mask, 0);
+    unsigned __int128 carry = 0;
+    for (size_t i = 0; i < k; ++i) {
+      const unsigned __int128 cur =
+          x[i] + static_cast<unsigned __int128>(q) * m[i] + carry;
+      t[i] = static_cast<uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    t[k] = static_cast<uint64_t>(carry);
+    for (size_t i = 0; i < k; ++i) {
+      x[i] = (t[i] >> w) | (t[i + 1] << (64 - w));
+    }
+    shifts -= w;
+  }
+  return true;
+}
+
+/// 64-bit limbs of |v|, zero-padded to k.
+std::vector<uint64_t> PackLimbs64(const std::vector<uint32_t>& v, size_t k) {
+  std::vector<uint64_t> out(k, 0);
+  for (size_t i = 0; i < v.size(); ++i) {
+    out[i / 2] |= static_cast<uint64_t>(v[i]) << (32 * (i % 2));
+  }
+  return out;
+}
+
+/// a^{-1} mod m for an odd m > 1 and 0 < a < m.
+Result<BigInt> InvModOdd(const BigInt& a, const BigInt& m) {
+  const size_t k = (m.Limbs().size() + 1) / 2;
+  const std::vector<uint64_t> a64 = PackLimbs64(a.Limbs(), k);
+  const std::vector<uint64_t> m64 = PackLimbs64(m.Limbs(), k);
+  std::vector<uint64_t> x64(k);
+  if (!InvModOddLimbs(a64.data(), m64.data(), k, x64.data())) {
+    return Status::InvalidArgument("no inverse: gcd != 1");
+  }
+  std::vector<uint32_t> x32(2 * k);
+  for (size_t i = 0; i < k; ++i) {
+    x32[2 * i] = static_cast<uint32_t>(x64[i]);
+    x32[2 * i + 1] = static_cast<uint32_t>(x64[i] >> 32);
+  }
+  return BigInt::FromLimbs(std::move(x32));
+}
+
+}  // namespace
+
 Result<BigInt> BigInt::InvMod(const BigInt& m) const {
-  // Extended Euclid on (a mod m, m).
+  if (m.IsNegative() || m.IsZero()) {
+    return Status::InvalidArgument("modulus must be positive");
+  }
   BigInt a = Mod(m);
+  if (a.IsZero()) return Status::InvalidArgument("no inverse: zero");
+  if (m.IsOdd()) return InvModOdd(a, m);
+  // Even m (e^{-1} mod phi(n) at RSA keygen): a must be odd, and the roles
+  // swap. With y = m^{-1} mod a, m*y = 1 + a*j for some j, so
+  // x = (1 + m*(a - y)) / a is an exact quotient in [1, m) with a*x = 1
+  // (mod m).
+  if (a.IsEven()) return Status::InvalidArgument("no inverse: gcd != 1");
+  if (a == BigInt(1)) return a;
+  BigInt m_mod_a = m.Mod(a);
+  if (m_mod_a.IsZero()) return Status::InvalidArgument("no inverse: gcd != 1");
+  PREVER_ASSIGN_OR_RETURN(BigInt y, InvModOdd(m_mod_a, a));
+  return (BigInt(1) + m * (a - y)) / a;
+}
+
+namespace bigint_internal {
+
+Result<BigInt> InvModEuclid(const BigInt& value, const BigInt& m) {
+  // Extended Euclid on (value mod m, m).
+  BigInt a = value.Mod(m);
   if (a.IsZero()) return Status::InvalidArgument("no inverse: zero");
   BigInt r0 = m, r1 = a;
   BigInt t0(0), t1(1);
@@ -565,5 +758,7 @@ Result<BigInt> BigInt::InvMod(const BigInt& m) const {
   }
   return t0.Mod(m);
 }
+
+}  // namespace bigint_internal
 
 }  // namespace prever::crypto

@@ -99,7 +99,10 @@ class BigInt {
   /// Greatest common divisor of magnitudes.
   static BigInt Gcd(const BigInt& a, const BigInt& b);
   static BigInt Lcm(const BigInt& a, const BigInt& b);
-  /// Modular inverse; error if gcd(this, m) != 1.
+  /// Modular inverse in [0, m) of any value (negative or >= m included);
+  /// InvalidArgument unless m > 0 and gcd(this, m) == 1. A binary extended
+  /// gcd on 64-bit limbs for an odd m; an even m swaps roles with the
+  /// (then odd) operand.
   Result<BigInt> InvMod(const BigInt& m) const;
 
   /// Divides, returning quotient and remainder with C semantics.

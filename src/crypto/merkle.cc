@@ -14,12 +14,30 @@ size_t SplitPoint(size_t n) {
 }
 }  // namespace
 
-Bytes MerkleTree::HashLeaf(const Bytes& leaf) {
+MerkleTree::Digest MerkleTree::LeafDigest(const Bytes& leaf) {
   Sha256 h;
   uint8_t tag = PREVER_MUTATION(MERKLE_LEAF_DOMAIN_TAG, 0x00, 0x01);
   h.Update(&tag, 1);
   h.Update(leaf);
-  return h.Finish();
+  Digest out;
+  h.Finish(out.data());
+  return out;
+}
+
+MerkleTree::Digest MerkleTree::NodeDigest(const Digest& left,
+                                          const Digest& right) {
+  Sha256 h;
+  uint8_t tag = 0x01;
+  h.Update(&tag, 1);
+  h.Update(left.data(), left.size());
+  h.Update(right.data(), right.size());
+  Digest out;
+  h.Finish(out.data());
+  return out;
+}
+
+Bytes MerkleTree::HashLeaf(const Bytes& leaf) {
+  return DigestBytes(LeafDigest(leaf));
 }
 
 Bytes MerkleTree::HashNode(const Bytes& left, const Bytes& right) {
@@ -37,19 +55,23 @@ size_t MerkleTree::Append(const Bytes& leaf) {
   // Maintain the level cache: whenever a level gains an even number of
   // nodes, the last pair forms a new complete subtree one level up.
   if (levels_.empty()) levels_.emplace_back();
-  levels_[0].push_back(HashLeaf(leaf));
+  levels_[0].push_back(LeafDigest(leaf));
   for (size_t h = 0; levels_[h].size() % 2 == 0; ++h) {
     if (h + 1 >= levels_.size()) levels_.emplace_back();
     const auto& level = levels_[h];
     levels_[h + 1].push_back(
-        HashNode(level[level.size() - 2], level[level.size() - 1]));
+        NodeDigest(level[level.size() - 2], level[level.size() - 1]));
   }
   return levels_[0].size() - 1;
 }
 
-Bytes MerkleTree::SubtreeRoot(size_t begin, size_t end) const {
+MerkleTree::Digest MerkleTree::SubtreeRoot(size_t begin, size_t end) const {
   size_t n = end - begin;
-  if (n == 0) return EmptyRoot();
+  if (n == 0) {
+    Digest empty;
+    Sha256().Finish(empty.data());
+    return empty;
+  }
   if (n == 1) return levels_[0][begin];
   // Complete aligned subtree: O(1) from the level cache.
   if ((n & (n - 1)) == 0 && begin % n == 0) {
@@ -60,16 +82,19 @@ Bytes MerkleTree::SubtreeRoot(size_t begin, size_t end) const {
     }
   }
   size_t k = SplitPoint(n);
-  return HashNode(SubtreeRoot(begin, begin + k), SubtreeRoot(begin + k, end));
+  return NodeDigest(SubtreeRoot(begin, begin + k),
+                    SubtreeRoot(begin + k, end));
 }
 
-Bytes MerkleTree::Root() const { return SubtreeRoot(0, LeafCount()); }
+Bytes MerkleTree::Root() const {
+  return DigestBytes(SubtreeRoot(0, LeafCount()));
+}
 
 Result<Bytes> MerkleTree::RootAt(size_t n) const {
   if (n > LeafCount()) {
     return Status::InvalidArgument("historic size exceeds tree size");
   }
-  return SubtreeRoot(0, n);
+  return DigestBytes(SubtreeRoot(0, n));
 }
 
 void MerkleTree::SubtreeInclusion(size_t index, size_t begin, size_t end,
@@ -79,10 +104,10 @@ void MerkleTree::SubtreeInclusion(size_t index, size_t begin, size_t end,
   size_t k = SplitPoint(n);
   if (index < k) {
     SubtreeInclusion(index, begin, begin + k, proof);
-    proof->push_back(SubtreeRoot(begin + k, end));
+    proof->push_back(DigestBytes(SubtreeRoot(begin + k, end)));
   } else {
     SubtreeInclusion(index - k, begin + k, end, proof);
-    proof->push_back(SubtreeRoot(begin, begin + k));
+    proof->push_back(DigestBytes(SubtreeRoot(begin, begin + k)));
   }
 }
 
@@ -136,16 +161,18 @@ void MerkleTree::SubtreeConsistency(size_t old_size, size_t begin, size_t end,
   // RFC 6962 SUBPROOF. old_size is relative to `begin`.
   size_t n = end - begin;
   if (old_size == n) {
-    if (!whole_known) proof->push_back(SubtreeRoot(begin, end));
+    if (!whole_known) {
+      proof->push_back(DigestBytes(SubtreeRoot(begin, end)));
+    }
     return;
   }
   size_t k = SplitPoint(n);
   if (old_size <= k) {
     SubtreeConsistency(old_size, begin, begin + k, whole_known, proof);
-    proof->push_back(SubtreeRoot(begin + k, end));
+    proof->push_back(DigestBytes(SubtreeRoot(begin + k, end)));
   } else {
     SubtreeConsistency(old_size - k, begin + k, end, false, proof);
-    proof->push_back(SubtreeRoot(begin, begin + k));
+    proof->push_back(DigestBytes(SubtreeRoot(begin, begin + k)));
   }
 }
 

@@ -1,6 +1,9 @@
 #ifndef PREVER_CRYPTO_MERKLE_H_
 #define PREVER_CRYPTO_MERKLE_H_
 
+#include <array>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/bytes.h"
@@ -46,17 +49,27 @@ class MerkleTree {
                                 const Bytes& old_root, const Bytes& new_root,
                                 const std::vector<Bytes>& proof);
 
-  /// Exposed hashing helpers (shared with the ledger's digest chain).
+  /// Exposed hashing helpers.
   static Bytes HashLeaf(const Bytes& leaf);
   static Bytes HashNode(const Bytes& left, const Bytes& right);
   static Bytes EmptyRoot();
 
  private:
+  /// One SHA-256 digest held inline: a cached node costs its 32 bytes, not
+  /// a heap block plus a vector header.
+  using Digest = std::array<uint8_t, 32>;
+
+  static Digest LeafDigest(const Bytes& leaf);
+  static Digest NodeDigest(const Digest& left, const Digest& right);
+  static Bytes DigestBytes(const Digest& d) {
+    return Bytes(d.begin(), d.end());
+  }
+
   /// Root over leaf hash range [begin, end). `begin` is always aligned to
   /// the largest power of two <= the range length (invariant of the RFC
   /// 6962 recursion), which lets complete subtrees come from the level
   /// cache in O(1).
-  Bytes SubtreeRoot(size_t begin, size_t end) const;
+  Digest SubtreeRoot(size_t begin, size_t end) const;
   void SubtreeInclusion(size_t index, size_t begin, size_t end,
                         std::vector<Bytes>* proof) const;
   void SubtreeConsistency(size_t old_size, size_t begin, size_t end,
@@ -65,8 +78,11 @@ class MerkleTree {
   /// levels_[h][i] = hash of the complete subtree covering leaves
   /// [i*2^h, (i+1)*2^h), so levels_[0] holds the leaf hashes; maintained
   /// incrementally on Append so digests and proofs cost O(log n) instead of
-  /// rehashing the journal.
-  std::vector<std::vector<Bytes>> levels_;
+  /// rehashing the journal. Each level stores its digests inline in a
+  /// deque, which grows by fixed-size blocks: an append never copies the
+  /// digests already stored, where a vector's doubling would copy the
+  /// whole level and briefly hold it twice.
+  std::vector<std::deque<Digest>> levels_;
 };
 
 }  // namespace prever::crypto

@@ -87,6 +87,65 @@ int JacobiLimbs(uint64_t* a, uint64_t* n, size_t len) {
   return y == 1 ? sign : 0;
 }
 
+/// CIOS (coarsely integrated operand scanning), Koç et al., on k 64-bit
+/// limbs with 128-bit accumulation: t[0..k) = a * b * 2^(-64k) mod n, with
+/// t of k + 2 limbs. K != 0 fixes k = K at compile time, so the loops
+/// unroll; K == 0 takes k at run time.
+template <size_t K>
+void Cios(const uint64_t* a, const uint64_t* b, const uint64_t* n,
+          uint64_t n_prime, size_t runtime_k, uint64_t* t) {
+  const size_t k = K != 0 ? K : runtime_k;
+  for (size_t j = 0; j < k + 2; ++j) t[j] = 0;
+  for (size_t i = 0; i < k; ++i) {
+    // t += a[i] * b.
+    unsigned __int128 carry = 0;
+    const uint64_t ai = a[i];
+    for (size_t j = 0; j < k; ++j) {
+      unsigned __int128 cur =
+          t[j] + static_cast<unsigned __int128>(ai) * b[j] + carry;
+      t[j] = static_cast<uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    unsigned __int128 cur = t[k] + carry;
+    t[k] = static_cast<uint64_t>(cur);
+    t[k + 1] = static_cast<uint64_t>(cur >> 64);
+
+    // Eliminate the lowest limb: m = t[0] * n' mod 2^64; t = (t + m*n)/2^64.
+    const uint64_t m = t[0] * n_prime;
+    cur = t[0] + static_cast<unsigned __int128>(m) * n[0];
+    carry = cur >> 64;
+    for (size_t j = 1; j < k; ++j) {
+      cur = t[j] + static_cast<unsigned __int128>(m) * n[j] + carry;
+      t[j - 1] = static_cast<uint64_t>(cur);
+      carry = cur >> 64;
+    }
+    cur = static_cast<unsigned __int128>(t[k]) + carry;
+    t[k - 1] = static_cast<uint64_t>(cur);
+    t[k] = t[k + 1] + static_cast<uint64_t>(cur >> 64);
+    t[k + 1] = 0;
+  }
+  // Conditional subtraction: result may be in [0, 2n).
+  bool ge = t[k] != 0;
+  if (!ge) {
+    ge = true;
+    for (size_t j = k; j-- > 0;) {
+      if (t[j] != n[j]) {
+        ge = t[j] > n[j];
+        break;
+      }
+    }
+  }
+  if (ge) {
+    unsigned __int128 borrow = 0;
+    for (size_t j = 0; j < k; ++j) {
+      unsigned __int128 diff =
+          static_cast<unsigned __int128>(t[j]) - n[j] - borrow;
+      t[j] = static_cast<uint64_t>(diff);
+      borrow = (diff >> 64) ? 1 : 0;
+    }
+  }
+}
+
 }  // namespace
 
 Result<MontgomeryContext> MontgomeryContext::Create(const BigInt& modulus) {
@@ -155,58 +214,16 @@ BigInt MontgomeryContext::Unpack(const Limbs& v) const {
 
 void MontgomeryContext::MontMulRaw(const uint64_t* a, const uint64_t* b,
                                    uint64_t* t) const {
-  // CIOS (coarsely integrated operand scanning), Koç et al., on 64-bit
-  // limbs with 128-bit accumulation.
-  const size_t k = k_;
-  const uint64_t* n = n64_.data();
-  for (size_t j = 0; j < k + 2; ++j) t[j] = 0;
-  for (size_t i = 0; i < k; ++i) {
-    // t += a[i] * b.
-    unsigned __int128 carry = 0;
-    const uint64_t ai = a[i];
-    for (size_t j = 0; j < k; ++j) {
-      unsigned __int128 cur =
-          t[j] + static_cast<unsigned __int128>(ai) * b[j] + carry;
-      t[j] = static_cast<uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    unsigned __int128 cur = t[k] + carry;
-    t[k] = static_cast<uint64_t>(cur);
-    t[k + 1] = static_cast<uint64_t>(cur >> 64);
-
-    // Eliminate the lowest limb: m = t[0] * n' mod 2^64; t = (t + m*n)/2^64.
-    const uint64_t m = t[0] * n_prime_;
-    cur = t[0] + static_cast<unsigned __int128>(m) * n[0];
-    carry = cur >> 64;
-    for (size_t j = 1; j < k; ++j) {
-      cur = t[j] + static_cast<unsigned __int128>(m) * n[j] + carry;
-      t[j - 1] = static_cast<uint64_t>(cur);
-      carry = cur >> 64;
-    }
-    cur = static_cast<unsigned __int128>(t[k]) + carry;
-    t[k - 1] = static_cast<uint64_t>(cur);
-    t[k] = t[k + 1] + static_cast<uint64_t>(cur >> 64);
-    t[k + 1] = 0;
-  }
-  // Conditional subtraction: result may be in [0, 2n).
-  bool ge = t[k] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t j = k; j-- > 0;) {
-      if (t[j] != n[j]) {
-        ge = t[j] > n[j];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    unsigned __int128 borrow = 0;
-    for (size_t j = 0; j < k; ++j) {
-      unsigned __int128 diff =
-          static_cast<unsigned __int128>(t[j]) - n[j] - borrow;
-      t[j] = static_cast<uint64_t>(diff);
-      borrow = (diff >> 64) ? 1 : 0;
-    }
+  // Fixed-width kernels for the widths the engines run most: 256-bit
+  // Pedersen groups and RSA-CRT halves (4 limbs), 512-bit RSA and
+  // Paillier moduli (8 limbs).
+  switch (k_) {
+    case 4:
+      return Cios<4>(a, b, n64_.data(), n_prime_, k_, t);
+    case 8:
+      return Cios<8>(a, b, n64_.data(), n_prime_, k_, t);
+    default:
+      return Cios<0>(a, b, n64_.data(), n_prime_, k_, t);
   }
 }
 
@@ -257,44 +274,49 @@ MontgomeryContext::Limbs MontgomeryContext::PowMont(const Limbs& base_mont,
   if (bits == 0) return one_;
 
   // Sliding window over precomputed odd powers base^1, base^3, ...,
-  // base^(2^w - 1).
+  // base^(2^w - 1), flattened: power 2j + 1 starts at limb j * k_.
   const size_t w = WindowBits(bits);
-  std::vector<Limbs> odd(size_t{1} << (w - 1));
-  odd[0] = base_mont;
-  if (w > 1) {
-    Limbs sq;
-    MulMontLimbs(base_mont, base_mont, &sq);
-    for (size_t i = 1; i < odd.size(); ++i) {
-      MulMontLimbs(odd[i - 1], sq, &odd[i]);
+  const size_t entries = size_t{1} << (w - 1);
+  std::vector<uint64_t> odd(entries * k_);
+  std::copy(base_mont.begin(), base_mont.end(), odd.begin());
+  Limbs scratch(k_ + 2);
+  uint64_t* t = scratch.data();
+  if (entries > 1) {
+    MontMulRaw(odd.data(), odd.data(), t);
+    const Limbs sq(t, t + k_);
+    for (size_t j = 1; j < entries; ++j) {
+      MontMulRaw(&odd[(j - 1) * k_], sq.data(), t);
+      std::copy(t, t + k_, &odd[j * k_]);
     }
   }
 
   Limbs acc = one_;
-  Limbs scratch(k_ + 2);
-  uint64_t* t = scratch.data();
   auto square = [&] {
     MontMulRaw(acc.data(), acc.data(), t);
     std::copy(t, t + k_, acc.begin());
   };
-  auto mul_by = [&](const Limbs& v) {
-    MontMulRaw(acc.data(), v.data(), t);
+  auto mul_by = [&](const uint64_t* v) {
+    MontMulRaw(acc.data(), v, t);
     std::copy(t, t + k_, acc.begin());
   };
+  // Bits straight off the limbs: every exponent bit is read about twice.
+  const std::vector<uint32_t>& limbs = exp.Limbs();
+  auto bit = [&limbs](size_t b) { return (limbs[b / 32] >> (b % 32)) & 1; };
 
   size_t i = bits;
   while (i > 0) {
-    if (!exp.Bit(i - 1)) {
+    if (!bit(i - 1)) {
       square();
       --i;
       continue;
     }
     // Greedy window [l, i): starts at a set bit, ends at a set bit.
     size_t l = i >= w ? i - w : 0;
-    while (!exp.Bit(l)) ++l;
+    while (!bit(l)) ++l;
     uint64_t digit = 0;
-    for (size_t j = i; j-- > l;) digit = (digit << 1) | (exp.Bit(j) ? 1 : 0);
+    for (size_t j = i; j-- > l;) digit = (digit << 1) | bit(j);
     for (size_t j = 0; j < i - l; ++j) square();
-    mul_by(odd[(digit - 1) >> 1]);
+    mul_by(&odd[((digit - 1) >> 1) * k_]);
     i = l;
   }
   return acc;

@@ -16,10 +16,16 @@ struct RsaPublicKey {
   size_t ModulusBytes() const { return (n.BitLength() + 7) / 8; }
 };
 
-/// RSA key pair. Private exponent kept alongside CRT-free d for simplicity.
+/// RSA key pair with the CRT private key of PKCS #1 (RFC 8017 §3.2): the
+/// primes p and q, dp = d mod (p-1), dq = d mod (q-1) and qinv = q^{-1}
+/// mod p. Signing runs on the CRT values; d stays for the full-exponent
+/// oracle (rsa_internal.h). Whoever holds d can factor n, so the primes
+/// add nothing to what the key holder already knows.
 struct RsaKeyPair {
   RsaPublicKey pub;
   BigInt d;
+  BigInt p, q;
+  BigInt dp, dq, qinv;
 };
 
 /// Generates an RSA key pair with a modulus of `modulus_bits` bits and
@@ -28,7 +34,10 @@ Result<RsaKeyPair> RsaGenerateKey(size_t modulus_bits, Drbg& drbg);
 
 /// Full-domain-hash style signature: sig = H*(m)^d mod n where H* expands
 /// SHA-256 over the modulus width (deterministic MGF1-like expansion).
-Bytes RsaSign(const RsaKeyPair& key, const Bytes& message);
+/// Computed by CRT and released only after sig^e == H*(m) (mod n) is
+/// checked: Internal when that fault check fails (a corrupted CRT value or
+/// a fault in either half), and the faulty value is never returned.
+Result<Bytes> RsaSign(const RsaKeyPair& key, const Bytes& message);
 
 /// Verifies sig^e == H*(m) mod n.
 bool RsaVerify(const RsaPublicKey& pub, const Bytes& message, const Bytes& sig);
@@ -52,8 +61,10 @@ struct BlindingResult {
 Result<BlindingResult> RsaBlind(const RsaPublicKey& pub, const Bytes& message,
                                 Drbg& drbg);
 
-/// Signer side: raw signature on the blinded value.
-BigInt RsaBlindSign(const RsaKeyPair& key, const BigInt& blinded_message);
+/// Signer side: raw signature on the blinded value, by CRT under the same
+/// fault check as RsaSign.
+Result<BigInt> RsaBlindSign(const RsaKeyPair& key,
+                            const BigInt& blinded_message);
 
 /// Requester side: removes the blinding factor, yielding a standard
 /// signature on `message` (verify with RsaVerify).

@@ -187,6 +187,12 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 Bytes Sha256::Finish() {
+  Bytes out(kDigestSize);
+  Finish(out.data());
+  return out;
+}
+
+void Sha256::Finish(uint8_t* out) {
   const sha256_internal::CompressFn compress = sha256_internal::Dispatched();
   const uint64_t bit_len = total_len_ * 8;
   // Pad: 0x80, zeros to byte 56 of a block (spilling into one more block
@@ -202,14 +208,12 @@ Bytes Sha256::Finish() {
     buffer_[kBlockSize - 8 + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
   compress(state_, buffer_, 1);
-  Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<uint8_t>(state_[i] >> 24);
     out[4 * i + 1] = static_cast<uint8_t>(state_[i] >> 16);
     out[4 * i + 2] = static_cast<uint8_t>(state_[i] >> 8);
     out[4 * i + 3] = static_cast<uint8_t>(state_[i]);
   }
-  return out;
 }
 
 Bytes Sha256::Hash(const Bytes& data) {

@@ -23,6 +23,8 @@ class Sha256 {
   /// Finalizes and returns the 32-byte digest. The object must not be
   /// updated afterwards.
   Bytes Finish();
+  /// Finish into `out`, which must hold kDigestSize bytes.
+  void Finish(uint8_t* out);
 
   /// One-shot convenience.
   static Bytes Hash(const Bytes& data);

@@ -203,7 +203,12 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
           hours, at);
       const auto& key =
           (*fixtures.producer_keys)[pi % fixtures.producer_keys->size()];
-      stream.push_back(core::SignUpdate(std::move(u), key));
+      auto signed_update = core::SignUpdate(std::move(u), key);
+      if (!signed_update.ok()) {
+        fail("signing failed: " + signed_update.status().message());
+        return report;
+      }
+      stream.push_back(std::move(signed_update).value());
     }
   }
 
@@ -325,8 +330,12 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
           plan.hours, plan.at);
       const auto& key = (*fixtures.producer_keys)[plan.worker_index %
                                                   fixtures.producer_keys->size()];
-      if (!process(core::SignUpdate(std::move(u), key), plan.kind,
-                   &plan.expect_accept)) {
+      auto signed_update = core::SignUpdate(std::move(u), key);
+      if (!signed_update.ok()) {
+        fail("signing failed: " + signed_update.status().message());
+        return report;
+      }
+      if (!process(*signed_update, plan.kind, &plan.expect_accept)) {
         return report;
       }
       ++j;

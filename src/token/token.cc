@@ -1,15 +1,28 @@
 #include "token/token.h"
 
+#include <utility>
+
 #include "mutate/mutation.h"
 
 namespace prever::token {
 
+namespace {
+
+crypto::RsaKeyPair GenerateAuthorityKey(size_t rsa_bits, uint64_t seed) {
+  crypto::Drbg drbg(seed);
+  return crypto::RsaGenerateKey(rsa_bits, drbg).value();
+}
+
+}  // namespace
+
 TokenAuthority::TokenAuthority(size_t rsa_bits, uint64_t budget_per_period,
                                SimTime period, uint64_t seed)
-    : budget_(budget_per_period), period_(period) {
-  crypto::Drbg drbg(seed);
-  key_ = crypto::RsaGenerateKey(rsa_bits, drbg).value();
-}
+    : TokenAuthority(GenerateAuthorityKey(rsa_bits, seed), budget_per_period,
+                     period) {}
+
+TokenAuthority::TokenAuthority(crypto::RsaKeyPair key,
+                               uint64_t budget_per_period, SimTime period)
+    : key_(std::move(key)), budget_(budget_per_period), period_(period) {}
 
 Result<crypto::BigInt> TokenAuthority::IssueBlindToken(
     const std::string& participant, const crypto::BigInt& blinded_serial,
@@ -22,8 +35,10 @@ Result<crypto::BigInt> TokenAuthority::IssueBlindToken(
         "budget exhausted for '" + participant + "' in period " +
         std::to_string(PeriodIndex(now)));
   }
+  PREVER_ASSIGN_OR_RETURN(crypto::BigInt signature,
+                          crypto::RsaBlindSign(key_, blinded_serial));
   ++used;
-  return crypto::RsaBlindSign(key_, blinded_serial);
+  return signature;
 }
 
 uint64_t TokenAuthority::RemainingBudget(const std::string& participant,

@@ -67,7 +67,7 @@ crypto::RsaKeyPair* SignedUpdateTest::alice_key_ = nullptr;
 crypto::RsaKeyPair* SignedUpdateTest::mallory_key_ = nullptr;
 
 TEST_F(SignedUpdateTest, ValidSignatureAccepted) {
-  SignedUpdate s = SignUpdate(MakeUpdate("alice", "t1"), *alice_key_);
+  SignedUpdate s = *SignUpdate(MakeUpdate("alice", "t1"), *alice_key_);
   EXPECT_TRUE(auth_->SubmitSigned(s).ok());
   EXPECT_EQ((*db_.GetTable("worklog"))->size(), 1u);
 }
@@ -75,19 +75,19 @@ TEST_F(SignedUpdateTest, ValidSignatureAccepted) {
 TEST_F(SignedUpdateTest, ImpersonationRejected) {
   // Mallory signs an update claiming to be alice: alice's registered key
   // does not verify it.
-  SignedUpdate s = SignUpdate(MakeUpdate("alice", "t1"), *mallory_key_);
+  SignedUpdate s = *SignUpdate(MakeUpdate("alice", "t1"), *mallory_key_);
   EXPECT_EQ(auth_->SubmitSigned(s).code(), StatusCode::kIntegrityViolation);
   EXPECT_EQ(auth_->rejected_signatures(), 1u);
   EXPECT_EQ((*db_.GetTable("worklog"))->size(), 0u);
 }
 
 TEST_F(SignedUpdateTest, UnknownProducerRejected) {
-  SignedUpdate s = SignUpdate(MakeUpdate("mallory", "t1"), *mallory_key_);
+  SignedUpdate s = *SignUpdate(MakeUpdate("mallory", "t1"), *mallory_key_);
   EXPECT_EQ(auth_->SubmitSigned(s).code(), StatusCode::kPermissionDenied);
 }
 
 TEST_F(SignedUpdateTest, TamperedUpdateBodyRejected) {
-  SignedUpdate s = SignUpdate(MakeUpdate("alice", "t1"), *alice_key_);
+  SignedUpdate s = *SignUpdate(MakeUpdate("alice", "t1"), *alice_key_);
   s.update.fields["hours"] = Value::Int64(500);  // Inflate after signing.
   EXPECT_EQ(auth_->SubmitSigned(s).code(), StatusCode::kIntegrityViolation);
 }

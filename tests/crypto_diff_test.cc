@@ -1,11 +1,12 @@
 // Differential tests for the accelerated crypto hot paths: the Montgomery
 // CIOS/sliding-window PowMod, the fixed-base tables, CRT Paillier
-// decryption, the SHA-NI SHA-256 compressor, the Jacobi symbol and the
-// batched range-proof verifier are each checked against slow reference
-// implementations whose correctness is obvious (schoolbook
-// square-and-multiply; the direct lambda/mu decryption; the portable
-// compressor behind a whole-message pad; Euler's criterion; VerifyBit on
-// every bit). Run under scripts/check.sh's ASan+UBSan config so kernel bugs
+// decryption, the SHA-NI SHA-256 compressor, the Jacobi symbol, the
+// batched range-proof verifier, the limb-level modular inverse and RSA-CRT
+// signing are each checked against slow reference implementations whose
+// correctness is obvious (schoolbook square-and-multiply; the direct
+// lambda/mu decryption; the portable compressor behind a whole-message pad;
+// Euler's criterion; VerifyBit on every bit; extended Euclid; the full
+// exponent c^d mod n). Run under scripts/check.sh's ASan+UBSan config so kernel bugs
 // surface as either a mismatch or a sanitizer report.
 
 #include <gtest/gtest.h>
@@ -17,11 +18,14 @@
 #include <utility>
 
 #include "crypto/bigint.h"
+#include "crypto/bigint_internal.h"
 #include "crypto/drbg.h"
 #include "crypto/montgomery.h"
 #include "crypto/paillier.h"
 #include "crypto/pedersen.h"
 #include "crypto/prime.h"
+#include "crypto/rsa.h"
+#include "crypto/rsa_internal.h"
 #include "crypto/sha256.h"
 #include "crypto/sha256_internal.h"
 #include "crypto/zkp.h"
@@ -643,6 +647,216 @@ TEST(RangeBatchDiffTest, FixedBaseSimulatorMatchesPowNegByteForByte) {
     }
   }
 }
+
+
+// ------------------------------------------------------ modular inverse
+
+/// A random modulus of exactly `bits` bits with the requested parity.
+BigInt RandomModulus(Drbg& drbg, size_t bits, bool odd) {
+  BigInt m = drbg.RandomBits(bits - 1) + (BigInt(1) << (bits - 1));
+  if (m.IsOdd() != odd) m = m + BigInt(1);
+  if (m.BitLength() != bits) m = m - BigInt(2);  // 2^bits - 1 + 1 overflowed.
+  return m;
+}
+
+/// InvMod and the Euclid oracle agree on `a` mod `m`: the same verdict,
+/// the same inverse, and a checked product when one exists.
+void ExpectInvModAgrees(const BigInt& a, const BigInt& m) {
+  auto fast = a.InvMod(m);
+  auto slow = bigint_internal::InvModEuclid(a, m);
+  ASSERT_EQ(fast.ok(), slow.ok())
+      << a.ToHexString() << " mod " << m.ToHexString();
+  if (!fast.ok()) {
+    EXPECT_EQ(fast.status().code(), StatusCode::kInvalidArgument);
+    return;
+  }
+  ASSERT_EQ(*fast, *slow) << a.ToHexString() << " mod " << m.ToHexString();
+  EXPECT_TRUE(*fast >= BigInt(0) && *fast < m);
+  EXPECT_EQ(a.MulMod(*fast, m), BigInt(1).Mod(m));
+}
+
+TEST(InvModDiffTest, RandomOperandsAgreeWithEuclidAtEveryWidth) {
+  // 10 000 operands in all, odd and even moduli alternating, a fresh
+  // modulus every 25 operands. One operand in eight is negative and one
+  // in eight is drawn wider than m; with an even modulus about half the
+  // operands are even, so gcd != 1 comes up as often as an inverse.
+  Drbg drbg(uint64_t{0x1a7});
+  size_t checked = 0, refused = 0;
+  for (auto [bits, count] : {std::pair<size_t, size_t>{64, 4000},
+                             {256, 3000},
+                             {512, 2000},
+                             {1024, 700},
+                             {2048, 300}}) {
+    BigInt m;
+    for (size_t i = 0; i < count; ++i) {
+      if (i % 25 == 0) m = RandomModulus(drbg, bits, (i / 25) % 2 == 0);
+      BigInt a;
+      switch (i % 8) {
+        case 0:
+          a = -drbg.RandomBelow(m);
+          break;
+        case 1:
+          a = drbg.RandomBits(bits + 40);
+          break;
+        default:
+          a = drbg.RandomBelow(m);
+      }
+      ExpectInvModAgrees(a, m);
+      if (HasFatalFailure()) return;
+      ++checked;
+      if (!a.InvMod(m).ok()) ++refused;
+    }
+  }
+  EXPECT_EQ(checked, 10000u);
+  EXPECT_GT(refused, 1000u);  // The gcd != 1 path ran.
+  EXPECT_LT(refused, 5000u);
+}
+
+TEST(InvModDiffTest, EdgeOperands) {
+  Drbg drbg(uint64_t{0xed6e});
+  for (size_t bits : {2u, 3u, 31u, 32u, 33u, 63u, 64u, 65u, 96u, 127u, 128u,
+                      129u, 512u}) {
+    for (bool odd : {true, false}) {
+      BigInt m = RandomModulus(drbg, bits, odd);
+      for (const BigInt& a :
+           {BigInt(1), m - BigInt(1), m + BigInt(1), m + m - BigInt(1),
+            m * BigInt(5) + BigInt(3), BigInt(-1), -m + BigInt(1),
+            -(m * BigInt(3)) - BigInt(2), BigInt(2), BigInt(3), m, BigInt(0),
+            -m}) {
+        ExpectInvModAgrees(a, m);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  EXPECT_EQ(*BigInt(1).InvMod(BigInt(7)), BigInt(1));
+  EXPECT_EQ(*BigInt(6).InvMod(BigInt(7)), BigInt(6));
+  EXPECT_EQ(*BigInt(-1).InvMod(BigInt(7)), BigInt(6));
+  EXPECT_EQ(*BigInt(15).InvMod(BigInt(7)), BigInt(1));
+  EXPECT_EQ(*BigInt(1).InvMod(BigInt(2)), BigInt(1));
+  EXPECT_EQ(*BigInt(3).InvMod(BigInt(8)), BigInt(3));
+  // Limb-width moduli: the largest odd 32- and 64-bit values and their
+  // neighbours across the 32- and 64-bit limb boundaries.
+  for (const BigInt& m :
+       {BigInt(uint64_t{0xffffffffu}, true), BigInt(uint64_t{1} << 32, true),
+        BigInt(uint64_t{0xffffffffffffffffu}, true),
+        (BigInt(1) << 64) + BigInt(1), (BigInt(1) << 128) - BigInt(1),
+        (BigInt(1) << 128) + BigInt(51)}) {
+    for (uint64_t a : {uint64_t{2}, uint64_t{3}, uint64_t{0x10001},
+                       uint64_t{0xfffffffeu}, uint64_t{0xfffffffffffffffdu}}) {
+      ExpectInvModAgrees(BigInt(a, true), m);
+      ExpectInvModAgrees(m - BigInt(a, true), m);
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(InvModDiffTest, NoInverseIsInvalidArgument) {
+  Drbg drbg(uint64_t{3});
+  const BigInt p = GeneratePrime(128, drbg);
+  const BigInt q = GenerateDistinctPrime(128, p, drbg);
+  const BigInt n = p * q;
+  for (const auto& [a, m] : std::vector<std::pair<BigInt, BigInt>>{
+           {BigInt(6), BigInt(9)},
+           {BigInt(0), BigInt(7)},
+           {BigInt(4), BigInt(10)},
+           {BigInt(5), BigInt(10)},
+           {BigInt(3), BigInt(1)},
+           {p * BigInt(5), n},
+           {q, n},
+           {-q, n},
+           {n - p, n},
+           {p, p},
+           {p + p, (p - BigInt(1)) * BigInt(2)},
+           {BigInt(65537) * BigInt(3), (p - BigInt(1)) * BigInt(65537)}}) {
+    auto inv = a.InvMod(m);
+    ASSERT_FALSE(inv.ok()) << a.ToHexString() << " mod " << m.ToHexString();
+    EXPECT_EQ(inv.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_FALSE(bigint_internal::InvModEuclid(a, m).ok());
+  }
+  // A modulus that is not positive has no residues to invert in.
+  EXPECT_EQ(BigInt(3).InvMod(BigInt(0)).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BigInt(3).InvMod(BigInt(-7)).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// -------------------------------------------------------------- RSA-CRT
+
+class RsaCrtDiffTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  RsaKeyPair Key() const {
+    Drbg keygen(uint64_t{0x45a} + GetParam());
+    return RsaGenerateKey(GetParam(), keygen).value();
+  }
+};
+
+TEST_P(RsaCrtDiffTest, CrtMatchesFullExponentOnAThousandMessages) {
+  const RsaKeyPair key = Key();
+  EXPECT_EQ(key.p * key.q, key.pub.n);
+  EXPECT_EQ(key.dp, key.d.Mod(key.p - BigInt(1)));
+  EXPECT_EQ(key.dq, key.d.Mod(key.q - BigInt(1)));
+  EXPECT_EQ(key.q.MulMod(key.qinv, key.p), BigInt(1));
+  Drbg drbg(uint64_t{0x5e7});
+  for (int i = 0; i < 1000; ++i) {
+    const Bytes message = drbg.Generate(1 + i % 48);
+    const BigInt fdh = RsaFdh(key.pub, message);
+    auto sig = RsaSign(key, message);
+    ASSERT_TRUE(sig.ok()) << i;
+    ASSERT_EQ(*sig, rsa_internal::PrivateOpNoCrt(key, fdh)
+                        .ToBytesPadded(key.pub.ModulusBytes())
+                        .value())
+        << "message " << i;
+    const BigInt blinded = RsaBlind(key.pub, message, drbg)->blinded_message;
+    auto blind_sig = RsaBlindSign(key, blinded);
+    ASSERT_TRUE(blind_sig.ok()) << i;
+    ASSERT_EQ(*blind_sig, rsa_internal::PrivateOpNoCrt(key, blinded))
+        << "message " << i;
+  }
+  // The edges of Z_n, and inputs the signer must reduce first.
+  for (const BigInt& c : {BigInt(0), BigInt(1), key.pub.n - BigInt(1), key.p,
+                          key.q, key.pub.n + BigInt(5), BigInt(-3)}) {
+    auto sig = RsaBlindSign(key, c);
+    ASSERT_TRUE(sig.ok());
+    EXPECT_EQ(*sig, rsa_internal::PrivateOpNoCrt(key, c));
+  }
+}
+
+TEST_P(RsaCrtDiffTest, BlindSignUnblindVerifyRoundTrips) {
+  const RsaKeyPair key = Key();
+  Drbg drbg(uint64_t{0xb11d});
+  for (int i = 0; i < 50; ++i) {
+    const Bytes serial = drbg.Generate(32);
+    auto blinding = RsaBlind(key.pub, serial, drbg);
+    ASSERT_TRUE(blinding.ok());
+    auto blind_sig = RsaBlindSign(key, blinding->blinded_message);
+    ASSERT_TRUE(blind_sig.ok());
+    const Bytes sig = RsaUnblind(key.pub, *blind_sig, blinding->unblinder);
+    EXPECT_TRUE(RsaVerify(key.pub, serial, sig)) << i;
+    EXPECT_EQ(sig, *RsaSign(key, serial)) << i;
+  }
+}
+
+TEST_P(RsaCrtDiffTest, CorruptedCrtValueIsAnErrorNotASignature) {
+  const RsaKeyPair good = Key();
+  const Bytes message = ToBytes("prever crt fault probe");
+  const BigInt blinded = RsaFdh(good.pub, message);
+  for (BigInt RsaKeyPair::*field :
+       {&RsaKeyPair::dp, &RsaKeyPair::dq, &RsaKeyPair::qinv}) {
+    RsaKeyPair bad = good;
+    bad.*field = bad.*field + BigInt(2);
+    auto sig = RsaSign(bad, message);
+    EXPECT_EQ(sig.status().code(), StatusCode::kInternal);
+    auto blind_sig = RsaBlindSign(bad, blinded);
+    EXPECT_EQ(blind_sig.status().code(), StatusCode::kInternal);
+  }
+  RsaKeyPair no_crt;
+  no_crt.pub = good.pub;
+  no_crt.d = good.d;
+  EXPECT_EQ(RsaSign(no_crt, message).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, RsaCrtDiffTest, ::testing::Values(512, 1024));
 
 }  // namespace
 }  // namespace prever::crypto

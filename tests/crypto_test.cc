@@ -168,26 +168,26 @@ RsaKeyPair* RsaTest::key_ = nullptr;
 
 TEST_F(RsaTest, SignVerifyRoundTrip) {
   Bytes msg = ToBytes("update: worker w1 completed task t9");
-  Bytes sig = RsaSign(*key_, msg);
+  Bytes sig = *RsaSign(*key_, msg);
   EXPECT_TRUE(RsaVerify(key_->pub, msg, sig));
 }
 
 TEST_F(RsaTest, VerifyRejectsTamperedMessage) {
   Bytes msg = ToBytes("original");
-  Bytes sig = RsaSign(*key_, msg);
+  Bytes sig = *RsaSign(*key_, msg);
   EXPECT_FALSE(RsaVerify(key_->pub, ToBytes("tampered"), sig));
 }
 
 TEST_F(RsaTest, VerifyRejectsTamperedSignature) {
   Bytes msg = ToBytes("msg");
-  Bytes sig = RsaSign(*key_, msg);
+  Bytes sig = *RsaSign(*key_, msg);
   sig[0] ^= 1;
   EXPECT_FALSE(RsaVerify(key_->pub, msg, sig));
 }
 
 TEST_F(RsaTest, VerifyRejectsWrongLengthSignature) {
   Bytes msg = ToBytes("msg");
-  Bytes sig = RsaSign(*key_, msg);
+  Bytes sig = *RsaSign(*key_, msg);
   sig.pop_back();
   EXPECT_FALSE(RsaVerify(key_->pub, msg, sig));
 }
@@ -198,11 +198,11 @@ TEST_F(RsaTest, BlindSignatureVerifiesLikeDirectSignature) {
   ASSERT_TRUE(blinded.ok());
   // The signer sees only the blinded value.
   EXPECT_NE(blinded->blinded_message, RsaFdh(key_->pub, token));
-  BigInt blind_sig = RsaBlindSign(*key_, blinded->blinded_message);
+  BigInt blind_sig = *RsaBlindSign(*key_, blinded->blinded_message);
   Bytes sig = RsaUnblind(key_->pub, blind_sig, blinded->unblinder);
   EXPECT_TRUE(RsaVerify(key_->pub, token, sig));
   // And it is byte-identical to a direct signature (deterministic FDH).
-  EXPECT_EQ(sig, RsaSign(*key_, token));
+  EXPECT_EQ(sig, *RsaSign(*key_, token));
 }
 
 TEST_F(RsaTest, BlindingIsRandomized) {

@@ -341,12 +341,12 @@ struct CryptoFixture {
     }
     msg_a = ToBytes("prever token serial A");
     msg_b = ToBytes("prever token serial B");
-    sig_a = crypto::RsaSign(rsa, msg_a);
+    sig_a = *crypto::RsaSign(rsa, msg_a);
     sig_prefixed.push_back(0x00);
     sig_prefixed.insert(sig_prefixed.end(), sig_a.begin(), sig_a.end());
     for (int i = 0; i < 2000 && !have_overrange; ++i) {
       Bytes m = ToBytes("prever overrange probe " + std::to_string(i));
-      Bytes sig = crypto::RsaSign(rsa, m);
+      Bytes sig = *crypto::RsaSign(rsa, m);
       BigInt shifted = BigInt::FromBytes(sig) + rsa.pub.n;
       if (shifted.BitLength() <= 512) {
         overrange_msg = m;
@@ -1026,6 +1026,31 @@ std::map<std::string, Detector> BuildDetectors(
       return Killed("signature for message A accepted for message B");
     }
     return Survived("cross-message signature still rejected");
+  };
+  d["INVMOD_HALVE_WITHOUT_MODULUS"] = [&kfx] {
+    // The blinding-factor inverse of a token withdrawal, on the RSA modulus.
+    const BigInt& n = kfx.rsa.pub.n;
+    BigInt r = n - BigInt(12345);
+    auto inv = r.InvMod(n);
+    if (!inv.ok()) return Killed("invertible operand refused");
+    if (r.MulMod(*inv, n) != BigInt(1)) {
+      return Killed("r * InvMod(r) != 1 (mod n)");
+    }
+    return Survived("inverse still checks out");
+  };
+  d["RSA_CRT_FAULT_CHECK_SKIP"] = [&kfx] {
+    // A corrupted dp makes the p-half wrong: the signer must refuse.
+    crypto::RsaKeyPair bad = kfx.rsa;
+    bad.dp = bad.dp + BigInt(2);
+    auto sig = crypto::RsaSign(bad, kfx.msg_a);
+    if (sig.ok()) return Killed("faulty CRT signature released");
+    return Survived("faulty CRT signature withheld");
+  };
+  d["RSA_CRT_GARNER_OFF_BY_ONE"] = [&kfx] {
+    auto sig = crypto::RsaSign(kfx.rsa, kfx.msg_a);
+    if (!sig.ok()) return Killed("honest key failed its own fault check");
+    if (*sig != kfx.sig_a) return Killed("signature differs from baseline");
+    return Survived("signature matches the unmutated baseline");
   };
   d["PAILLIER_ENCRYPT_RANGE_SKIP"] = [&kfx] {
     Drbg drbg(5);

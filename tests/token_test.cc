@@ -98,6 +98,28 @@ TEST_F(TokenTest, BudgetsArePerParticipant) {
   EXPECT_EQ(*w2.Withdraw(authority_, "worker-2", 40, 0), 40u);
 }
 
+TEST(TokenAuthorityTest, FailedSignatureDebitsNoBudget) {
+  // An authority whose CRT exponent dp is corrupted: every signature fails
+  // RSA-CRT's s^e == m check. The error must reach the wallet, and the
+  // budget of a signature that was never released must stay unspent.
+  crypto::Drbg drbg(uint64_t{42});
+  crypto::RsaKeyPair key = crypto::RsaGenerateKey(512, drbg).value();
+  key.dp = key.dp + crypto::BigInt(1);
+  TokenAuthority authority(key, 40, kWeek);
+  TokenWallet wallet(authority.public_key(), 1);
+  auto got = wallet.Withdraw(authority, "worker-1", 3, 0);
+  EXPECT_EQ(got.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(wallet.NumTokens(), 0u);
+  EXPECT_EQ(authority.RemainingBudget("worker-1", 0), 40u);
+
+  // The same key with the CRT values intact issues and debits as usual.
+  key.dp = key.d.Mod(key.p - crypto::BigInt(1));
+  TokenAuthority repaired(key, 40, kWeek);
+  TokenWallet wallet2(repaired.public_key(), 2);
+  EXPECT_EQ(*wallet2.Withdraw(repaired, "worker-1", 3, 0), 3u);
+  EXPECT_EQ(repaired.RemainingBudget("worker-1", 0), 37u);
+}
+
 TEST_F(TokenTest, CrossPlatformDoubleSpendCaughtViaSharedLedger) {
   // Two mutually distrustful platforms share a spent-token ledger — the
   // Separ architecture. A worker tries to spend one token on both.

@@ -7,7 +7,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-asan}"
 
-cmake -B "$BUILD_DIR" -S . -DPREVER_SANITIZE=address,undefined
+# -Werror: the tree builds warning-free under -Wall -Wextra; keep it so.
+cmake -B "$BUILD_DIR" -S . -DPREVER_SANITIZE=address,undefined \
+    -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 # The crypto kernel differential tests are the gate for the accelerated

@@ -25,10 +25,6 @@ void BinaryWriter::WriteString(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
-void BinaryWriter::WriteRaw(const Bytes& b) {
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
 Status BinaryReader::Need(size_t n) {
   if (remaining() < n) {
     return Status::Corruption("truncated buffer: need " + std::to_string(n) +

@@ -28,8 +28,6 @@ class BinaryWriter {
   void WriteBytes(const Bytes& b);
   /// Length-prefixed UTF-8 string.
   void WriteString(std::string_view s);
-  /// Raw bytes, no length prefix (for fixed-size fields like digests).
-  void WriteRaw(const Bytes& b);
 
   const Bytes& bytes() const { return buf_; }
   Bytes Take() { return std::move(buf_); }

@@ -157,7 +157,6 @@ class PbftReplica {
   };
 
   size_t f() const { return (config_.num_replicas - 1) / 3; }
-  size_t quorum2f() const { return 2 * f(); }
   size_t quorum2f1() const { return 2 * f() + 1; }
 
   void SendMsg(net::NodeId to, uint32_t type, const Bytes& payload);

@@ -6,10 +6,6 @@ Status IntegrityAuditor::AuditLedger(const ledger::LedgerDb& ledger) {
   return ledger.Audit();
 }
 
-Status IntegrityAuditor::AuditChain(const ledger::Blockchain& chain) {
-  return chain.Validate();
-}
-
 Status IntegrityAuditor::CheckExtension(
     const ledger::LedgerDigest& previous, const ledger::LedgerDigest& current,
     const ledger::ConsistencyProof& proof) {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "ledger/block.h"
 #include "ledger/ledger_db.h"
 
 namespace prever::core {
@@ -17,9 +16,6 @@ class IntegrityAuditor {
  public:
   /// Full single-ledger audit: journal vs. Merkle tree, dense sequences.
   static Status AuditLedger(const ledger::LedgerDb& ledger);
-
-  /// Full chain audit: linkage, heights, transaction roots.
-  static Status AuditChain(const ledger::Blockchain& chain);
 
   /// Client-side check that a manager's new digest extends the previously
   /// observed one (detects history rewriting between two audits).

@@ -31,9 +31,10 @@ Status DemarcationEngine::ValidateRegulations() const {
   return Status::Ok();
 }
 
-Status DemarcationEngine::CheckAndConsume(
-    size_t regulation_index, const constraint::LinearBoundForm& form,
-    size_t platform_index, const Update& update) {
+Status DemarcationEngine::Check(size_t regulation_index,
+                                const constraint::LinearBoundForm& form,
+                                size_t platform_index, const Update& update,
+                                Plan* plan) const {
   // The demarcated quantity is the sum of the update's terms; the group is
   // the identity the WHERE filter pins (we key budgets on the update's own
   // filter fields — e.g. the worker id — by hashing all string fields).
@@ -54,29 +55,30 @@ Status DemarcationEngine::CheckAndConsume(
   uint64_t bucket =
       form.aggregate->window == 0 ? 0 : update.timestamp / form.aggregate->window;
 
+  // The plan works on a copy of the budget, taken on first touch.
   BudgetKey key{regulation_index, group, bucket};
-  auto it = budgets_.find(key);
-  if (it == budgets_.end()) {
-    // Fresh (group, bucket): split the bound evenly into local limits.
-    BudgetState state;
-    state.consumed.assign(platforms_.size(), 0);
-    state.limit.assign(platforms_.size(), form.bound / static_cast<int64_t>(
-                                              platforms_.size()));
-    // Remainder goes to platform 0.
-    state.limit[0] += form.bound % static_cast<int64_t>(platforms_.size());
-    it = budgets_.emplace(std::move(key), std::move(state)).first;
-  }
+  auto [it, first_touch] = plan->budgets.try_emplace(key);
   BudgetState& state = it->second;
+  auto committed = first_touch ? budgets_.find(key) : budgets_.end();
+  if (committed != budgets_.end()) {
+    state = committed->second;
+  } else if (first_touch) {
+    // Fresh (group, bucket): split the bound evenly into local limits.
+    const auto n = static_cast<int64_t>(platforms_.size());
+    state.consumed.assign(platforms_.size(), 0);
+    state.limit.assign(platforms_.size(), form.bound / n);
+    state.limit[0] += form.bound % n;  // Remainder goes to platform 0.
+  }
   int64_t& consumed = state.consumed[platform_index];
   int64_t& limit = state.limit[platform_index];
 
   if (consumed + cost <= limit) {
     consumed += cost;  // Zero-communication fast path.
-    ++local_admissions_;
+    ++plan->local_admissions;
     return Status::Ok();
   }
   // Limit-transfer negotiation: pull slack from peers (one message round).
-  ++transfers_;
+  ++plan->transfers;
   int64_t need = consumed + cost - limit;
   for (size_t peer = 0; peer < platforms_.size() && need > 0; ++peer) {
     if (peer == platform_index) continue;
@@ -105,17 +107,26 @@ Status DemarcationEngine::SubmitVia(size_t platform_index,
                                       update.timestamp};
     PREVER_RETURN_IF_ERROR(
         internal_verifiers_[platform_index]->VerifyAll(local_ctx));
+    Plan plan;
     for (size_t r = 0; r < regulations_->size(); ++r) {
       PREVER_ASSIGN_OR_RETURN(const auto* forms,
                               regulation_forms_.ForConstraint(r));
       for (const auto& form : *forms) {
-        PREVER_RETURN_IF_ERROR(
-            CheckAndConsume(r, form, platform_index, update));
+        PREVER_RETURN_IF_ERROR(Check(r, form, platform_index, update, &plan));
       }
     }
     verify.End();
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    return ApplyAndLedgerDigest(*home, update, ordering_);
+    PREVER_RETURN_IF_ERROR(home->db.Check(update.mutation));
+    return OrderThenApply(*ordering_, DigestEntry(*home, update),
+                          update.timestamp, [&] {
+                            for (auto& [key, state] : plan.budgets) {
+                              budgets_[key] = std::move(state);
+                            }
+                            transfers_ += plan.transfers;
+                            local_admissions_ += plan.local_admissions;
+                            return home->db.Apply(update.mutation);
+                          });
   });
 }
 

@@ -54,13 +54,12 @@ class DemarcationEngine : public UpdateEngine {
   EngineStats stats() const override { return metrics_.Snapshot(); }
   const char* name() const override { return "demarcation-rc2-baseline"; }
 
-  /// Limit-transfer negotiations (each costs one round of peer messages —
-  /// the protocol's only communication).
+  /// Limit-transfer negotiations of admitted updates (each costs one round
+  /// of peer messages — the protocol's only communication).
   uint64_t transfers() const { return transfers_; }
   /// Updates admitted with zero communication.
   uint64_t local_admissions() const { return local_admissions_; }
 
- private:
   struct BudgetKey {
     size_t regulation_index;
     std::string group;   // Concatenated update-term key (e.g. worker id).
@@ -77,9 +76,23 @@ class DemarcationEngine : public UpdateEngine {
     std::vector<int64_t> limit;     // Per platform; sums to the bound.
   };
 
-  Status CheckAndConsume(size_t regulation_index,
-                         const constraint::LinearBoundForm& form,
-                         size_t platform_index, const Update& update);
+  /// Every budget an admitted update has touched.
+  const std::map<BudgetKey, BudgetState>& budgets() const { return budgets_; }
+
+ private:
+  /// The budgets and counters an update leaves behind once it is ordered.
+  struct Plan {
+    std::map<BudgetKey, BudgetState> budgets;
+    uint64_t transfers = 0;
+    uint64_t local_admissions = 0;
+  };
+
+  /// Checks one form against the budgets as `plan` leaves them and records
+  /// its consumption and any limit transfer there; ConstraintViolation when
+  /// no transferable slack covers it.
+  Status Check(size_t regulation_index,
+               const constraint::LinearBoundForm& form, size_t platform_index,
+               const Update& update, Plan* plan) const;
 
   std::vector<FederatedPlatform*> platforms_;
   const constraint::ConstraintCatalog* regulations_;

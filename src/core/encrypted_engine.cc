@@ -185,24 +185,19 @@ Status EncryptedEngine::SubmitSealedBatch(
       for (size_t i = 0; i < batch.size(); ++i) verify_one(i);
     }
   }
-  // Phase 2: attestation + store, serial and in batch order — the running
-  // aggregates and the ledger are order-sensitive shared state. Ledger
-  // appends ride the ordering pipeline's async window (group commit across
-  // the batch) and the final Flush waits for quorum on all of them.
+  // Phase 2: attestation + commit, serial and in batch order — the running
+  // aggregates and the ledger are order-sensitive shared state.
   Status first = Status::Ok();
   for (size_t i = 0; i < batch.size(); ++i) {
     Status s = metrics_.Submit(
-        [&] { return Admit(batch[i], range_ok[i] != 0, /*async_ledger=*/true); },
-        /*trace_arg=*/i);
+        [&] { return Admit(batch[i], range_ok[i] != 0); }, /*trace_arg=*/i);
     if (!s.ok() && first.ok()) first = s;
   }
-  Status flushed = ordering_->Flush();
-  if (!flushed.ok() && first.ok()) first = flushed;
   return first;
 }
 
 Status EncryptedEngine::Admit(const SealedSubmission& submission,
-                              bool range_ok, bool async_ledger) {
+                              bool range_ok) {
   const auto& pedersen = owner_->pedersen();
   const auto& pub = owner_->paillier_pub();
   if (PREVER_MUTATION(ENC_RANGE_PROOF_SKIP, !range_ok, false)) {
@@ -256,11 +251,9 @@ Status EncryptedEngine::Admit(const SealedSubmission& submission,
   }
   verify.End();
 
-  // Step 3: store the sealed row and ledger a content commitment. The
+  // Step 3: ledger a content commitment, then store the sealed row. The
   // ledger entry binds id/group/time + ciphertext digests, never plaintext.
   auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-  rows_[submission.group].push_back(
-      SealedRow{submission.group, submission.timestamp, submission.sealed});
   BinaryWriter w;
   w.WriteString(submission.id);
   w.WriteString(submission.producer);
@@ -268,9 +261,11 @@ Status EncryptedEngine::Admit(const SealedSubmission& submission,
   w.WriteString(submission.group);
   w.WriteBytes(crypto::Sha256::Hash(submission.sealed.value_ct.c.ToBytes()));
   w.WriteBytes(crypto::Sha256::Hash(submission.sealed.commitment.c.ToBytes()));
-  return async_ledger
-             ? ordering_->SubmitAsync(w.Take(), submission.timestamp).status()
-             : ordering_->Append(w.Take(), submission.timestamp);
+  return OrderThenApply(*ordering_, w.Take(), submission.timestamp, [&] {
+    rows_[submission.group].push_back(
+        SealedRow{submission.group, submission.timestamp, submission.sealed});
+    return Status::Ok();
+  });
 }
 
 size_t EncryptedEngine::NumRows(const std::string& group) const {

@@ -161,12 +161,9 @@ class EncryptedEngine : public UpdateEngine {
   bool VerifyProducerRange(const SealedSubmission& submission) const;
   /// VerifyProducerRange as a crypto phase of the current submit.
   bool CheckProducerRange(const SealedSubmission& submission);
-  /// Submit body after the range check: per-bound attestations + store +
-  /// ledger. With `async_ledger` the ledger append goes through the
-  /// ordering pipeline's window (the caller must Flush); otherwise it blocks
-  /// until quorum-committed.
-  Status Admit(const SealedSubmission& submission, bool range_ok,
-               bool async_ledger = false);
+  /// Submit body after the range check: per-bound attestations, then the
+  /// ledger entry and the stored row through OrderThenApply.
+  Status Admit(const SealedSubmission& submission, bool range_ok);
 
   DataOwner* owner_;
   OrderingService* ordering_;

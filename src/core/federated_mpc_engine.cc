@@ -27,13 +27,11 @@ MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms) {
   return verifiers;
 }
 
-Status ApplyAndLedgerDigest(FederatedPlatform& home, const Update& update,
-                            OrderingService* ordering) {
-  PREVER_RETURN_IF_ERROR(home.db.Apply(update.mutation));
+Bytes DigestEntry(const FederatedPlatform& home, const Update& update) {
   BinaryWriter w;
   w.WriteString(home.id);
   w.WriteBytes(crypto::Sha256::Hash(update.Encode()));
-  return ordering->Append(w.Take(), update.timestamp);
+  return w.Take();
 }
 
 FederatedMpcEngine::FederatedMpcEngine(
@@ -145,9 +143,11 @@ Status FederatedMpcEngine::SubmitVia(size_t platform_index,
       PREVER_RETURN_IF_ERROR(CheckRegulation(r, platform_index, update));
     }
     verify.End();
-    // Apply locally; order a content DIGEST globally.
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    return ApplyAndLedgerDigest(*home, update, ordering_);
+    PREVER_RETURN_IF_ERROR(home->db.Check(update.mutation));
+    return OrderThenApply(*ordering_, DigestEntry(*home, update),
+                          update.timestamp,
+                          [&] { return home->db.Apply(update.mutation); });
   });
 }
 

@@ -35,11 +35,10 @@ Result<FederatedPlatform*> PlatformAt(
 std::vector<std::unique_ptr<constraint::CompiledVerifier>>
 MakePlatformVerifiers(const std::vector<FederatedPlatform*>& platforms);
 
-/// Step 3 of the digest-ledgering RC2 engines: applies `update` to the home
-/// platform's database, then orders `{home id, SHA-256(update)}` — the other
-/// platforms audit existence and order, never the private update body.
-Status ApplyAndLedgerDigest(FederatedPlatform& home, const Update& update,
-                            OrderingService* ordering);
+/// The ledger entry of the digest-ledgering RC2 engines,
+/// `{home id, SHA-256(update)}`: the other platforms audit existence and
+/// order, never the private update body.
+Bytes DigestEntry(const FederatedPlatform& home, const Update& update);
 
 /// RC2, decentralized path: multiple mutually distrustful data managers
 /// collectively verify a distributed regulation — e.g. FLSA's "total hours

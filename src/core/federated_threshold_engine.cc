@@ -103,7 +103,10 @@ Status FederatedThresholdEngine::SubmitVia(size_t platform_index,
     }
     elgamal.End();
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    return ApplyAndLedgerDigest(*home, update, ordering_);
+    PREVER_RETURN_IF_ERROR(home->db.Check(update.mutation));
+    return OrderThenApply(*ordering_, DigestEntry(*home, update),
+                          update.timestamp,
+                          [&] { return home->db.Apply(update.mutation); });
   });
 }
 

@@ -97,48 +97,33 @@ Status FederatedTokenEngine::SubmitVia(size_t platform_index,
     // untouched, so a failed spend cannot keep its update and its tokens.
     // A serial joins the spent index only once it is known to be ledgered.
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    for (size_t i = 0; i < need; ++i) {
-      const uint64_t from = ordering_->Ledger().size();
-      Status appended = ordering_->Append(to_spend[i].serial, update.timestamp);
-      if (!appended.ok()) {
-        // Serial i is in doubt: a pipelined service that gave up waiting
-        // still holds it and may commit it later. After a Flush that
-        // returns OK nothing submitted is outstanding, so the serial is
-        // spent exactly when the ledger holds it; if that Flush fails too,
-        // the token stays out of the wallet (lost, never spent twice).
-        bool unspent = false;
-        if (ordering_->Flush().ok()) {
-          if (LedgeredSince(from, to_spend[i].serial)) {
-            verifier_.MarkSpent(to_spend[i].serial);
-            ++num_burned_;
-          } else {
-            unspent = true;
-          }
-        }
-        // Unspent tokens go back to the wallet, in reverse draw order as
-        // above.
-        const size_t first_unspent = unspent ? i : i + 1;
-        for (size_t j = need; j-- > first_unspent;) {
-          wallet.Return(std::move(to_spend[j]));
-        }
-        return appended;
-      }
-      verifier_.MarkSpent(to_spend[i].serial);
-      ++num_burned_;
+    // Unspent tokens go back to the wallet, in reverse draw order as above.
+    auto refund_from = [&](size_t first) {
+      for (size_t j = need; j-- > first;) wallet.Return(std::move(to_spend[j]));
+    };
+    if (Status fits = home->db.Check(update.mutation); !fits.ok()) {
+      refund_from(0);
+      return fits;
     }
-    PREVER_RETURN_IF_ERROR(home->db.Apply(update.mutation));
-    return Status::Ok();
+    for (size_t i = 0; i < need; ++i) {
+      bool unledgered = false;
+      Status ordered = OrderThenApply(
+          *ordering_, to_spend[i].serial, update.timestamp,
+          [&] {
+            verifier_.MarkSpent(to_spend[i].serial);
+            return Status::Ok();
+          },
+          &unledgered);
+      if (!ordered.ok()) {
+        // Serial i is spent if the commit step found it ledgered and
+        // refunded if it is known off the ledger; in doubt, its token stays
+        // out of the wallet (lost, never spent twice).
+        refund_from(unledgered ? i : i + 1);
+        return ordered;
+      }
+    }
+    return home->db.Apply(update.mutation);
   });
-}
-
-bool FederatedTokenEngine::LedgeredSince(uint64_t from,
-                                         const Bytes& serial) const {
-  const ledger::LedgerDb& ledger = ordering_->Ledger();
-  for (uint64_t seq = from; seq < ledger.size(); ++seq) {
-    auto entry = ledger.GetEntry(seq);
-    if (entry.ok() && entry->payload == serial) return true;
-  }
-  return false;
 }
 
 }  // namespace prever::core

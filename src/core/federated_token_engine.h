@@ -41,10 +41,10 @@ class FederatedTokenEngine : public UpdateEngine {
 
   /// Submits via a platform, paying with tokens drawn from the producer's
   /// wallet (withdrawing on demand from the authority). ConstraintViolation
-  /// when the period budget cannot cover the cost. The spent serials are
-  /// ordered before the update is applied; when an append fails, the
-  /// update is not applied and the tokens whose serials are known not to
-  /// be ledgered go back to the wallet.
+  /// when the period budget cannot cover the cost. Each serial is marked
+  /// spent by OrderThenApply, and the update applied once all are ordered;
+  /// when an append fails, the update is not applied and the tokens whose
+  /// serials are known not to be ledgered go back to the wallet.
   Status SubmitVia(size_t platform_index, const Update& update);
   Status SubmitUpdate(const Update& update) override {
     return SubmitVia(0, update);
@@ -53,7 +53,8 @@ class FederatedTokenEngine : public UpdateEngine {
   EngineStats stats() const override { return metrics_.Snapshot(); }
   const char* name() const override { return "federated-token-rc2"; }
 
-  uint64_t tokens_spent() const { return num_burned_; }
+  /// Size of the spent index (serials ordered here or synced from ledger).
+  uint64_t tokens_spent() const { return verifier_.num_spent(); }
 
   /// Rebuilds the spent-serial index from the ordering ledger — the restart
   /// path: the committed payloads ARE the burned serials.
@@ -67,9 +68,6 @@ class FederatedTokenEngine : public UpdateEngine {
   void set_thread_pool(common::ThreadPool* pool) { pool_ = pool; }
 
  private:
-  /// True when the ordering ledger holds `serial` at or after entry `from`.
-  bool LedgeredSince(uint64_t from, const Bytes& serial) const;
-
   std::vector<FederatedPlatform*> platforms_;
   token::TokenAuthority* authority_;
   OrderingService* ordering_;
@@ -77,7 +75,6 @@ class FederatedTokenEngine : public UpdateEngine {
   common::ThreadPool* pool_ = nullptr;
   token::TokenVerifier verifier_;
   std::map<std::string, std::unique_ptr<token::TokenWallet>> wallets_;
-  uint64_t num_burned_ = 0;
   EngineMetrics metrics_{"federated-token-rc2"};
 };
 

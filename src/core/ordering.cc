@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/serial.h"
+#include "mutate/mutation.h"
 
 namespace prever::core {
 
@@ -64,6 +65,30 @@ Result<OrderingService::Ticket> OrderingService::SubmitAsync(
 }
 
 Status OrderingService::Flush() { return Status::Ok(); }
+
+Status OrderThenApply(OrderingService& ordering, const Bytes& payload,
+                      SimTime timestamp, const std::function<Status()>& apply,
+                      bool* unledgered) {
+  const uint64_t from = ordering.Ledger().size();
+  const Status appended = ordering.Append(payload, timestamp);
+  if (!appended.ok()) {
+    // In doubt: a pipeline that gave up waiting may still commit it. Once a
+    // Flush returns OK nothing is outstanding, so the ledger decides.
+    if (!ordering.Flush().ok()) return appended;
+    bool ledgered = false;
+    for (uint64_t seq = from; seq < ordering.Ledger().size(); ++seq) {
+      ledgered |= ordering.Ledger().GetEntry(seq)->payload == payload;
+    }
+    if (!PREVER_MUTATION(COMMIT_APPLY_ON_UNSETTLED, ledgered, true)) {
+      if (unledgered != nullptr) *unledgered = true;
+      return appended;
+    }
+  }
+  const Status applied = apply();
+  return applied.ok() ? appended
+                      : Status::Internal("ordered payload failed to apply: " +
+                                         applied.ToString());
+}
 
 // ------------------------------------------------------ GroupCommitPipeline
 

@@ -84,6 +84,15 @@ class OrderingService {
   virtual uint64_t CommittedCount() const = 0;
 };
 
+/// Every engine's one commit step (DESIGN.md "Commit order"): appends
+/// `payload`, then runs `apply`, the engine's only local state change, iff
+/// the payload is known ledgered (the append succeeded, or a settling Flush
+/// succeeded and the ledger holds it). Returns Append's status (Internal if
+/// `apply` fails); sets `*unledgered` when the payload is known off ledger.
+Status OrderThenApply(OrderingService& ordering, const Bytes& payload,
+                      SimTime timestamp, const std::function<Status()>& apply,
+                      bool* unledgered = nullptr);
+
 /// Adaptive batcher + in-flight window shared by the consensus-backed
 /// ordering services. Payloads accumulate in an open batch; closed batches
 /// are sealed into batch envelopes ([u64 batch id][u32 count][payloads]) and

@@ -14,11 +14,12 @@ Status PlaintextEngine::SubmitUpdate(const Update& update) {
     auto verify = metrics_.Phase(obs::TraceStage::kVerify);
     PREVER_RETURN_IF_ERROR(verifier_.VerifyAll(ctx));
     verify.End();
-    // Step 3: incorporate into the database and record on the immutable
-    // integrity layer (RC4).
+    // Step 3: record on the immutable integrity layer (RC4), then
+    // incorporate into the database.
     auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-    PREVER_RETURN_IF_ERROR(db_->Apply(update.mutation));
-    return ordering_->Append(update.Encode(), update.timestamp);
+    PREVER_RETURN_IF_ERROR(db_->Check(update.mutation));
+    return OrderThenApply(*ordering_, update.Encode(), update.timestamp,
+                          [&] { return db_->Apply(update.mutation); });
   });
 }
 

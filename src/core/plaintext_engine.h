@@ -13,8 +13,8 @@ namespace prever::core {
 /// The non-private baseline (§6 asks every private solution to be compared
 /// against it): the data manager sees everything — plaintext database,
 /// plaintext updates, plaintext constraints. Full Fig. 2 pipeline: evaluate
-/// every catalog constraint, apply the mutation, append the update to the
-/// ordering/integrity layer.
+/// every catalog constraint, append the update to the ordering/integrity
+/// layer, apply the mutation.
 class PlaintextEngine : public UpdateEngine {
  public:
   /// Non-owning pointers; all must outlive the engine.

@@ -81,10 +81,10 @@ Status PublicDataEngine::Admit(const Submission& submission) {
     }
   }
   attest.End();
-  // Apply to the public database and ledger the (public) update together
-  // with the attestation commitments, so auditors can re-verify later.
+  // Ledger the (public) update together with the attestation commitments,
+  // so auditors can re-verify later, then apply it to the public database.
   auto ledger = metrics_.Phase(obs::TraceStage::kLedgerPhase);
-  PREVER_RETURN_IF_ERROR(db_->Apply(submission.update.mutation));
+  PREVER_RETURN_IF_ERROR(db_->Check(submission.update.mutation));
   BinaryWriter w;
   w.WriteBytes(submission.update.Encode());
   w.WriteU32(static_cast<uint32_t>(submission.attestations.size()));
@@ -92,7 +92,8 @@ Status PublicDataEngine::Admit(const Submission& submission) {
     w.WriteString(att.field);
     w.WriteBytes(att.commitment.c.ToBytes());
   }
-  return ordering_->Append(w.Take(), submission.update.timestamp);
+  return OrderThenApply(*ordering_, w.Take(), submission.update.timestamp,
+                        [&] { return db_->Apply(submission.update.mutation); });
 }
 
 Status PublicDataEngine::SubmitUpdate(const Update& update) {

@@ -87,7 +87,7 @@ class PublicDataEngine : public UpdateEngine {
   }
 
  private:
-  /// Submit's body: verify (a) + (b), then apply + ledger.
+  /// Submit's body: verify (a) + (b), then ledger + apply.
   Status Admit(const Submission& submission);
 
   storage::Database* db_;

@@ -74,11 +74,4 @@ BigInt Drbg::RandomNonZeroBelow(const BigInt& bound) {
   }
 }
 
-uint64_t Drbg::RandomU64() {
-  Bytes raw = Generate(8);
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(raw[i]) << (8 * i);
-  return v;
-}
-
 }  // namespace prever::crypto

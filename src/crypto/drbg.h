@@ -46,8 +46,6 @@ class Drbg {
   /// Uniform BigInt in [1, bound); bound must be > 1.
   BigInt RandomNonZeroBelow(const BigInt& bound);
 
-  uint64_t RandomU64();
-
  private:
   void Update(const Bytes& provided);
 

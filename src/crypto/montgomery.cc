@@ -454,11 +454,13 @@ MontgomeryContext::Limbs FixedBaseTable::PowMont(const BigInt& exp) const {
   const size_t digits = (size_t{1} << window_bits_) - 1;
   MontgomeryContext::Limbs acc = ctx_->OneMont();
   const size_t used_windows = (bits + window_bits_ - 1) / window_bits_;
+  // Bits straight off the limbs, as in MontgomeryContext::PowMont.
+  const std::vector<uint32_t>& limbs = exp.Limbs();
+  auto bit = [&limbs](size_t b) { return (limbs[b / 32] >> (b % 32)) & 1; };
   for (size_t i = 0; i < used_windows; ++i) {
     uint64_t d = 0;
-    for (size_t j = window_bits_; j-- > 0;) {
-      d = (d << 1) | (exp.Bit(i * window_bits_ + j) ? 1 : 0);
-    }
+    const size_t top = std::min(bits, (i + 1) * window_bits_);
+    for (size_t b = top; b-- > i * window_bits_;) d = (d << 1) | bit(b);
     if (d != 0) {
       ctx_->MulMontLimbs(acc, table_[i * digits + (d - 1)], &acc);
     }

@@ -48,10 +48,6 @@ const SiteInfo* AllSites() {
   return kSites;
 }
 
-const SiteInfo& GetSiteInfo(MutationSite site) {
-  return kSites[static_cast<size_t>(site)];
-}
-
 const SiteInfo* FindSiteByName(std::string_view name) {
   for (const SiteInfo& info : kSites) {
     if (name == info.name) return &info;

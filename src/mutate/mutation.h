@@ -64,8 +64,6 @@ inline constexpr size_t kNumMutationSites =
 /// The full registry, indexed by MutationSite value.
 const SiteInfo* AllSites();
 
-const SiteInfo& GetSiteInfo(MutationSite site);
-
 /// Looks up a site by its activation name; nullptr if unknown.
 const SiteInfo* FindSiteByName(std::string_view name);
 

@@ -49,19 +49,10 @@ Result<Mutation> Mutation::Decode(const Bytes& data) {
 
 namespace {
 
-Status ApplyToTable(Table* table, const Mutation& mutation) {
-  switch (mutation.op) {
-    case Mutation::Op::kInsert:
-      return table->Insert(mutation.row);
-    case Mutation::Op::kUpdate:
-      return table->Update(mutation.row);
-    case Mutation::Op::kUpsert:
-      return table->Upsert(mutation.row);
-    case Mutation::Op::kDelete:
-      return table->Delete(mutation.key);
-  }
-  return Status::Internal("unreachable");
-}
+/// What each op needs of its key, indexed by Mutation::Op.
+constexpr Table::KeyRule kKeyRule[] = {
+    Table::KeyRule::kAbsent, Table::KeyRule::kPresent, Table::KeyRule::kAny,
+    Table::KeyRule::kPresent};
 
 }  // namespace
 
@@ -69,10 +60,6 @@ Status Database::CreateTable(const std::string& name, const Schema& schema) {
   auto [it, inserted] = tables_.emplace(name, Table(name, schema));
   if (!inserted) return Status::AlreadyExists("table '" + name + "' exists");
   return Status::Ok();
-}
-
-bool Database::HasTable(const std::string& name) const {
-  return tables_.count(name) > 0;
 }
 
 Result<const Table*> Database::GetTable(const std::string& name) const {
@@ -87,9 +74,20 @@ Result<Table*> Database::GetMutableTable(const std::string& name) {
   return &it->second;
 }
 
+Status Database::Check(const Mutation& mutation) const {
+  PREVER_ASSIGN_OR_RETURN(const Table* table, GetTable(mutation.table));
+  const Table::KeyRule rule = kKeyRule[static_cast<size_t>(mutation.op)];
+  return mutation.op == Mutation::Op::kDelete
+             ? table->CheckKey(mutation.key, rule)
+             : table->CheckRow(mutation.row, rule);
+}
+
 Status Database::Apply(const Mutation& mutation) {
   PREVER_ASSIGN_OR_RETURN(Table * table, GetMutableTable(mutation.table));
-  PREVER_RETURN_IF_ERROR(ApplyToTable(table, mutation));
+  const Table::KeyRule rule = kKeyRule[static_cast<size_t>(mutation.op)];
+  PREVER_RETURN_IF_ERROR(mutation.op == Mutation::Op::kDelete
+                             ? table->Delete(mutation.key)
+                             : table->Put(mutation.row, rule));
   ++version_;
   for (const auto& [id, observer] : observers_) observer(mutation, version_);
   return Status::Ok();

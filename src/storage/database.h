@@ -28,17 +28,20 @@ struct Mutation {
 };
 
 /// Multi-table database owned by a data manager. It keeps no log of its
-/// own and no checkpoint images it: it is a function of the committed
-/// ledger, from which a restarted manager must rebuild it (no code does
-/// that yet; see ROADMAP "Order-then-apply").
+/// own and no checkpoint images it: engines apply an update only once it is
+/// ordered (core::OrderThenApply), and a restarted manager must rebuild it
+/// from the committed ledger (no code does yet; ROADMAP "Order-then-apply").
 class Database {
  public:
   Database() = default;
 
   Status CreateTable(const std::string& name, const Schema& schema);
-  bool HasTable(const std::string& name) const;
   Result<const Table*> GetTable(const std::string& name) const;
   Result<Table*> GetMutableTable(const std::string& name);
+
+  /// Apply's validation (table, schema, key present or absent as the op
+  /// needs), changing nothing: engines check before they order.
+  Status Check(const Mutation& mutation) const;
 
   /// Validates and applies one mutation.
   Status Apply(const Mutation& mutation);

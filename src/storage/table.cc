@@ -2,44 +2,42 @@
 
 namespace prever::storage {
 
-Status Table::Insert(const Row& row) {
-  PREVER_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  PREVER_ASSIGN_OR_RETURN(Value key, schema_.KeyOf(row));
-  auto [it, inserted] = rows_.emplace(std::move(key), row);
-  if (!inserted) {
-    return Status::AlreadyExists("key " + it->first.ToString() +
+Status Table::CheckPresence(const Value& key, KeyRule rule,
+                            bool present) const {
+  if (rule == KeyRule::kAbsent && present) {
+    return Status::AlreadyExists("key " + key.ToString() +
                                  " already present in table '" + name_ + "'");
   }
-  ++mod_count_;
-  return Status::Ok();
-}
-
-Status Table::Update(const Row& row) {
-  PREVER_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  PREVER_ASSIGN_OR_RETURN(Value key, schema_.KeyOf(row));
-  auto it = rows_.find(key);
-  if (it == rows_.end()) {
+  if (rule == KeyRule::kPresent && !present) {
     return Status::NotFound("key " + key.ToString() + " not in table '" +
                             name_ + "'");
   }
-  it->second = row;
-  ++mod_count_;
   return Status::Ok();
 }
 
-Status Table::Upsert(const Row& row) {
+Status Table::Locate(const Row& row, KeyRule rule, Value* key,
+                     RowMap::const_iterator* at) const {
   PREVER_RETURN_IF_ERROR(schema_.ValidateRow(row));
-  PREVER_ASSIGN_OR_RETURN(Value key, schema_.KeyOf(row));
-  rows_[std::move(key)] = row;
+  PREVER_ASSIGN_OR_RETURN(*key, schema_.KeyOf(row));
+  *at = rows_.lower_bound(*key);
+  return CheckPresence(*key, rule,
+                       *at != rows_.end() && !(*key < (*at)->first));
+}
+
+Status Table::Put(const Row& row, KeyRule rule) {
+  Value key;
+  RowMap::const_iterator at;
+  PREVER_RETURN_IF_ERROR(Locate(row, rule, &key, &at));
+  rows_.insert_or_assign(at, std::move(key), row);
   ++mod_count_;
   return Status::Ok();
 }
 
 Status Table::Delete(const Value& key) {
-  if (rows_.erase(key) == 0) {
-    return Status::NotFound("key " + key.ToString() + " not in table '" +
-                            name_ + "'");
-  }
+  auto it = rows_.find(key);
+  PREVER_RETURN_IF_ERROR(
+      CheckPresence(key, KeyRule::kPresent, it != rows_.end()));
+  rows_.erase(it);
   ++mod_count_;
   return Status::Ok();
 }

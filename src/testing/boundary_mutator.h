@@ -56,7 +56,6 @@ class BoundaryMutator {
                   std::vector<std::string> workers, uint64_t seed);
 
   bool Done() const { return step_ >= script_.size(); }
-  size_t NumSteps() const { return script_.size(); }
 
   /// Plans the next update from `db`'s current "worklog" table contents.
   /// Call exactly once per submission, after the previous plan was applied

@@ -17,35 +17,16 @@
 #include "obs/registry.h"
 #include "obs/tracing.h"
 #include "testing/boundary_mutator.h"
+#include "workload/crowdworking.h"
 
 namespace prever::simtest {
 
 namespace {
 
 using core::Update;
-using storage::Value;
 
-storage::Schema WorklogSchema() {
-  return storage::Schema({{"id", storage::ValueType::kString},
-                          {"worker", storage::ValueType::kString},
-                          {"hours", storage::ValueType::kInt64},
-                          {"at", storage::ValueType::kTimestamp}});
-}
-
-Update MakeWorklogUpdate(const std::string& id, const std::string& worker,
-                         int64_t hours, SimTime at) {
-  Update u;
-  u.id = id;
-  u.producer = worker;
-  u.timestamp = at;
-  u.fields = {{"worker", Value::String(worker)},
-              {"hours", Value::Int64(hours)}};
-  u.mutation.op = storage::Mutation::Op::kInsert;
-  u.mutation.table = "worklog";
-  u.mutation.row = {Value::String(id), Value::String(worker),
-                    Value::Int64(hours), Value::Timestamp(at)};
-  return u;
-}
+using workload::CrowdworkingWorkload;
+using workload::TaskEvent;
 
 const char* Bit(bool b) { return b ? "1" : "0"; }
 
@@ -198,9 +179,7 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
         hours = 13 + static_cast<int64_t>(rng.NextBelow(28));  // 13..40
       }
       SimTime at = period_offset + kHour + j * step + rng.NextBelow(step / 2);
-      Update u = MakeWorklogUpdate(
-          "u" + std::to_string(seed) + "-" + std::to_string(j), producers[pi],
-          hours, at);
+      Update u = TaskEvent{producers[pi], 0, hours, at}.ToUpdate(j);
       const auto& key =
           (*fixtures.producer_keys)[pi % fixtures.producer_keys->size()];
       auto signed_update = core::SignUpdate(std::move(u), key);
@@ -218,9 +197,10 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
       "update.hours <= " +
       std::to_string(o.bound);
 
+  const storage::Schema worklog = CrowdworkingWorkload::WorklogSchema();
   storage::Database plain_db;
   constraint::ConstraintCatalog catalog;
-  if (!plain_db.CreateTable("worklog", WorklogSchema()).ok() ||
+  if (!plain_db.CreateTable("worklog", worklog).ok() ||
       !catalog
            .Add("flsa", constraint::ConstraintScope::kRegulation,
                 constraint::ConstraintVisibility::kPublic, regulation)
@@ -241,7 +221,7 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
     for (size_t i = 0; i < o.num_platforms; ++i) {
       auto p = std::make_unique<core::FederatedPlatform>();
       p->id = std::string(tag) + "-" + std::to_string(i);
-      (void)p->db.CreateTable("worklog", WorklogSchema());
+      (void)p->db.CreateTable("worklog", worklog);
       ps.push_back(std::move(p));
     }
     return ps;
@@ -325,9 +305,7 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
     size_t j = 0;
     while (!mutator.Done()) {
       BoundaryPlan plan = mutator.Next(plain_db);
-      Update u = MakeWorklogUpdate(
-          "b" + std::to_string(seed) + "-" + std::to_string(j), plan.worker,
-          plan.hours, plan.at);
+      Update u = TaskEvent{plan.worker, 0, plan.hours, plan.at}.ToUpdate(j);
       const auto& key = (*fixtures.producer_keys)[plan.worker_index %
                                                   fixtures.producer_keys->size()];
       auto signed_update = core::SignUpdate(std::move(u), key);
@@ -353,6 +331,25 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
   AccumulateWorklog(plain_db, &plain_sum, &plain_count);
   if (plain_sum != expect_sum || plain_count != expect_count) {
     fail("plaintext database disagrees with its own accept decisions");
+    return report;
+  }
+  // ... and must equal a replay of its ledger onto an empty database.
+  storage::Database replay;
+  (void)replay.CreateTable("worklog", worklog);
+  bool replayed = true;
+  for (uint64_t seq = 0; replayed && seq < ord_plain.Ledger().size(); ++seq) {
+    auto update = Update::Decode(ord_plain.Ledger().GetEntry(seq)->payload);
+    replayed = update.ok() && replay.Apply(update->mutation).ok();
+  }
+  const storage::Table& want = **replay.GetTable("worklog");
+  const storage::Table& got = **plain_db.GetTable("worklog");
+  replayed = replayed && want.size() == got.size();
+  got.Scan([&](const storage::Row& row) {
+    auto same = want.Get(row[0]);
+    return replayed = replayed && same.ok() && *same == row;
+  });
+  if (!replayed) {
+    fail("plaintext database differs from a replay of its ledger");
     return report;
   }
   for (const auto& [worker, count] : expect_count) {
@@ -390,16 +387,15 @@ EngineDiffReport RunEngineDifferential(uint64_t seed,
          std::to_string(accepted_hours) + " hours");
     return report;
   }
-  // Ledger commit counts: one entry per accepted update, except the token
-  // engine which burns one ledger entry per spent token.
+  // Ledger commit counts (plaintext: the replay above): one entry per
+  // accepted update, except the token engine's one per spent token.
   struct Led {
     const char* name;
     const core::OrderingService* ord;
     uint64_t expect;
   };
   for (const Led& led :
-       {Led{"plaintext", &ord_plain, report.accepted},
-        Led{"encrypted", &ord_enc, report.accepted},
+       {Led{"encrypted", &ord_enc, report.accepted},
         Led{"threshold", &ord_thr, report.accepted},
         Led{"mpc", &ord_mpc, report.accepted},
         Led{"token", &ord_tok, static_cast<uint64_t>(accepted_hours)}}) {

@@ -87,7 +87,6 @@ class PbftInvariantChecker {
   Status CheckProvenance(const std::set<Bytes>& submitted) const;
 
   const SingleCopyChecker& single_copy() const { return checker_; }
-  const std::string& first_violation() const { return first_violation_; }
 
  private:
   consensus::PbftCluster* cluster_;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "test_util.h"
 
 namespace prever::core {
@@ -100,6 +104,57 @@ TEST_F(DemarcationEngineTest, TumblingBucketsReset) {
 TEST_F(DemarcationEngineTest, StatsAndLedger) {
   ASSERT_TRUE(engine_->SubmitVia(0, MakeWorklogUpdate("t1", "w1", 5, kDay)).ok());
   EXPECT_EQ(engine_->stats().accepted, 1u);
+  EXPECT_EQ(ordering_.CommittedCount(), 1u);
+}
+
+/// Every budget of `engine` as (regulation, group, bucket, consumed, limit).
+std::vector<std::tuple<size_t, std::string, uint64_t, std::vector<int64_t>,
+                       std::vector<int64_t>>>
+Budgets(const DemarcationEngine& engine) {
+  std::vector<std::tuple<size_t, std::string, uint64_t, std::vector<int64_t>,
+                         std::vector<int64_t>>>
+      out;
+  for (const auto& [key, state] : engine.budgets()) {
+    out.emplace_back(key.regulation_index, key.group, key.bucket,
+                     state.consumed, state.limit);
+  }
+  return out;
+}
+
+// A rejected update leaves every budget as it found it: an earlier
+// regulation's consumption and limit transfer are not kept when a later
+// regulation rejects, nor when the mutation itself cannot apply.
+TEST_F(DemarcationEngineTest, RejectedUpdateConsumesNoBudget) {
+  constraint::ConstraintCatalog two;
+  ASSERT_TRUE(two.Add("weekly", constraint::ConstraintScope::kRegulation,
+                      constraint::ConstraintVisibility::kPublic,
+                      "SUM(worklog.hours WHERE worker = update.worker "
+                      "WINDOW 7d) + update.hours <= 39")
+                  .ok());
+  ASSERT_TRUE(two.Add("total", constraint::ConstraintScope::kRegulation,
+                      constraint::ConstraintVisibility::kPublic,
+                      "SUM(worklog.hours WHERE worker = update.worker) + "
+                      "update.hours <= 15")
+                  .ok());
+  std::vector<FederatedPlatform*> raw;
+  for (auto& p : platforms_) raw.push_back(p.get());
+  DemarcationEngine engine(raw, &two, &ordering_);
+  ASSERT_TRUE(engine.SubmitVia(0, MakeWorklogUpdate("t1", "w1", 3, kDay)).ok());
+  const auto budgets = Budgets(engine);
+  ASSERT_EQ(budgets.size(), 2u);
+
+  // 20 hours pass "weekly" only by pulling slack from the peers; "total"
+  // (15 in all) rejects them.
+  EXPECT_EQ(engine.SubmitVia(0, MakeWorklogUpdate("t2", "w1", 20, kDay)).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(Budgets(engine), budgets);
+
+  // Both regulations admit this one, but its key is taken.
+  EXPECT_EQ(engine.SubmitVia(0, MakeWorklogUpdate("t1", "w1", 1, kDay)).code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(Budgets(engine), budgets);
+  EXPECT_EQ(engine.transfers(), 0u);
+  EXPECT_EQ(engine.local_admissions(), 2u);  // One per regulation of t1.
   EXPECT_EQ(ordering_.CommittedCount(), 1u);
 }
 

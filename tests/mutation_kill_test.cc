@@ -74,6 +74,7 @@ int main() {
 #include "storage/database.h"
 #include "storage/wal.h"
 #include "token/token.h"
+#include "test_util.h"
 #include "zkp_crafted.h"
 
 namespace prever {
@@ -1770,6 +1771,21 @@ std::map<std::string, Detector> BuildDetectors(
     Detection engine = s2.ok() ? Killed("replayed serial accepted by the engine")
                                : Survived("replayed serial still rejected");
     return KilledThroughBoth(direct, engine);
+  };
+
+  // ------------------------------------------------------- commit-order
+  d["COMMIT_APPLY_ON_UNSETTLED"] = [] {
+    // The append fails and the settling Flush returns OK without the
+    // payload on the ledger: the step must not apply it.
+    core::FailingAppendOrdering ordering(/*fail_at=*/0);
+    bool applied = false;
+    Status s = core::OrderThenApply(ordering, ToBytes("update"), 10, [&] {
+      applied = true;
+      return Status::Ok();
+    });
+    if (s.ok()) return Killed("failed append reported as committed");
+    return applied ? Killed("applied an update the ledger does not hold")
+                   : Survived("unledgered update still left unapplied");
   };
 
   return d;

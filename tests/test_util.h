@@ -8,7 +8,9 @@
 #include "common/sim_clock.h"
 #include "consensus/pbft.h"
 #include "consensus/raft.h"
+#include "core/ordering.h"
 #include "core/update.h"
+#include "ledger/ledger_db.h"
 #include "storage/database.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -43,6 +45,71 @@ inline Update MakeWorklogUpdate(const std::string& id,
                     storage::Value::Timestamp(at)};
   return u;
 }
+
+/// An ordering service whose `fail_at`-th Append (zero-based) fails and
+/// orders nothing; every other Append commits to its ledger.
+class FailingAppendOrdering : public OrderingService {
+ public:
+  explicit FailingAppendOrdering(uint64_t fail_at) : fail_at_(fail_at) {}
+
+  Status Append(const Bytes& payload, SimTime timestamp) override {
+    if (appends_++ == fail_at_) {
+      return Status::Unavailable("injected append failure");
+    }
+    ledger_.Append(payload, timestamp);
+    return Status::Ok();
+  }
+  const ledger::LedgerDb& Ledger() const override { return ledger_; }
+  uint64_t CommittedCount() const override { return ledger_.size(); }
+
+ private:
+  uint64_t fail_at_;
+  uint64_t appends_ = 0;
+  ledger::LedgerDb ledger_;
+};
+
+/// An ordering service whose `fail_at`-th Append (zero-based) gives up the
+/// way a pipeline whose Flush timed out does: Unavailable, with the payload
+/// still queued. Queued payloads commit, in order, on the next Flush that
+/// succeeds or before the next Append; the first `failing_flushes` Flush
+/// calls fail.
+class DeferredAppendOrdering : public OrderingService {
+ public:
+  DeferredAppendOrdering(uint64_t fail_at, int failing_flushes)
+      : fail_at_(fail_at), failing_flushes_(failing_flushes) {}
+
+  Status Append(const Bytes& payload, SimTime timestamp) override {
+    if (appends_++ == fail_at_) {
+      queued_.push_back(payload);
+      return Status::Unavailable("injected flush timeout");
+    }
+    CommitQueued();
+    ledger_.Append(payload, timestamp);
+    return Status::Ok();
+  }
+  Status Flush() override {
+    if (failing_flushes_ > 0) {
+      --failing_flushes_;
+      return Status::Unavailable("injected flush timeout");
+    }
+    CommitQueued();
+    return Status::Ok();
+  }
+  const ledger::LedgerDb& Ledger() const override { return ledger_; }
+  uint64_t CommittedCount() const override { return ledger_.size(); }
+
+ private:
+  void CommitQueued() {
+    for (const Bytes& p : queued_) ledger_.Append(p, 0);
+    queued_.clear();
+  }
+
+  uint64_t fail_at_;
+  int failing_flushes_;
+  uint64_t appends_ = 0;
+  std::vector<Bytes> queued_;
+  ledger::LedgerDb ledger_;
+};
 
 }  // namespace prever::core
 

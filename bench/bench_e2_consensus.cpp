@@ -270,21 +270,22 @@ BENCHMARK(BM_ShardedPbft)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMicrosecond)->Iterations(200);
 
 // End-to-end crash recovery (src/testing/crash_recovery.h): each iteration
-// commits a payload stream through replicated Raft while seed-chosen
-// replicas are killed at seed-chosen crash points — including mid-WAL-append
-// and mid-checkpoint-write — and restarted through the real recovery path
-// (newest intact checkpoint + commit-journal suffix replay +
-// RaftReplica::Recover). The case surfaces the recovery metrics recorded
-// via src/obs/ as benchmark counters: recovery-time percentiles from the
-// prever_recovery_time_us histogram, checkpoint saves, replayed journal
-// entries, and snapshot state-transfer bytes. scripts/bench_smoke.sh
-// asserts the counters are present and that recoveries actually happened.
+// commits a payload stream through replicated Raft with a data directory
+// while seed-chosen replicas are killed at seed-chosen crash points —
+// including mid-WAL-append and mid-checkpoint-write — and restarted through
+// ReplicatedOrdering::RestartReplica (newest intact checkpoint +
+// commit-journal suffix replay + RaftReplica::Recover). The case surfaces
+// the recovery metrics recorded via src/obs/ as benchmark counters:
+// recovery-time percentiles from the prever_recovery_time_us histogram,
+// checkpoint saves, replayed journal entries, and snapshot state-transfer
+// bytes. scripts/bench_smoke.sh asserts the counters are present and that
+// recoveries actually happened.
 void BM_CrashRecovery(benchmark::State& state) {
   simtest::CrashRecoveryOptions options;
   options.num_replicas = static_cast<size_t>(state.range(0));
   options.num_payloads = 48;
-  options.checkpoint_every = 6;
-  options.work_dir =
+  options.checkpoint_interval = 6;
+  options.data_dir =
       (std::filesystem::temp_directory_path() / "prever_bench_crash_recovery")
           .string();
   obs::Registry& reg = obs::Registry::Default();

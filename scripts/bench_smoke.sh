@@ -76,8 +76,7 @@ done
 
 # Pipelined-ordering sweep counters: one cheap pipelined case must report
 # the batch/window/replica point it measured plus simulated throughput and
-# per-payload latency percentiles (what bench_perf.sh aggregates into
-# BENCH_consensus.json).
+# per-payload latency percentiles.
 out_json="$(mktemp)"
 if "$BENCH_DIR/bench_e2_consensus" \
       --benchmark_filter='BM_RaftPipelined/16/4/5' \
@@ -507,63 +506,5 @@ else
   fail=1
 fi
 rm -f "$e1_json"
-
-# BENCH_consensus.json (written by bench_perf.sh) must stay parseable, and
-# every pipelined case in it must carry throughput + latency + the derived
-# stop-and-wait speedup.
-if [ -f BENCH_consensus.json ]; then
-  if "$PYTHON" - <<'EOF'
-import json
-records = json.load(open("BENCH_consensus.json"))
-assert isinstance(records, list) and records, "no records"
-for r in records:
-    assert r.get("label") and "cases" in r, "record missing label/cases"
-    for name, c in r["cases"].items():
-        if name.startswith(("BM_RaftPipelined/", "BM_PbftPipelined/")):
-            for key in ("sim_commits_per_s", "sim_latency_p50_ms",
-                        "sim_latency_p99_ms", "speedup_vs_stop_and_wait"):
-                assert key in c, f"{name} missing {key}"
-        elif name.startswith("BM_OrderedBurst"):
-            assert "sim_payloads_per_s" in c, f"{name} missing throughput"
-EOF
-  then
-    echo "bench_smoke: OK BENCH_consensus.json"
-  else
-    echo "bench_smoke: FAIL BENCH_consensus.json invalid" >&2
-    fail=1
-  fi
-fi
-
-# BENCH_verify.json (also written by bench_perf.sh): every record must pair
-# the interpreter baseline with compiled cases carrying the cache counters
-# and the derived interpreter speedup.
-if [ -f BENCH_verify.json ]; then
-  if "$PYTHON" - <<'EOF'
-import json
-records = json.load(open("BENCH_verify.json"))
-assert isinstance(records, list) and records, "no records"
-for r in records:
-    assert r.get("label") and "cases" in r, "record missing label/cases"
-    names = set(r["cases"])
-    assert any(n.startswith("BM_PlaintextEval/") for n in names), \
-        "no interpreter baseline"
-    compiled = [c for n, c in r["cases"].items()
-                if n.startswith(("BM_CompiledVerifyCommit/",
-                                 "BM_CompiledVerifySteady/"))]
-    assert compiled, "no compiled cases"
-    assert any("speedup_vs_interpreter" in c for c in compiled), \
-        "no derived speedup"
-    for n, c in r["cases"].items():
-        if n.startswith("BM_CompiledVerifyCommit/"):
-            for key in ("agg_rebuilds", "agg_delta_applies", "compiled"):
-                assert key in c, f"{n} missing {key}"
-EOF
-  then
-    echo "bench_smoke: OK BENCH_verify.json"
-  else
-    echo "bench_smoke: FAIL BENCH_verify.json invalid" >&2
-    fail=1
-  fi
-fi
 
 exit "$fail"

@@ -45,6 +45,12 @@ RaftReplica::RaftReplica(net::NodeId id, const RaftConfig& config,
 
 void RaftReplica::Start() { ArmElectionTimer(); }
 
+void RaftReplica::SendMsg(net::NodeId to, uint32_t type,
+                          const Bytes& payload) {
+  if (metrics_ != nullptr) metrics_->OnSend(type);
+  net_->Send(id_, to, type, payload);
+}
+
 void RaftReplica::Crash() {
   crashed_ = true;
   ++timer_epoch_;
@@ -118,6 +124,7 @@ void RaftReplica::BecomeFollower(uint64_t term) {
 }
 
 void RaftReplica::StartElection() {
+  if (metrics_ != nullptr) metrics_->OnElection();
   role_ = Role::kCandidate;
   ++term_;
   voted_for_ = static_cast<int64_t>(id_);
@@ -128,7 +135,7 @@ void RaftReplica::StartElection() {
   w.WriteU64(LastIndex());
   w.WriteU64(LastLogTerm());
   for (net::NodeId to = 0; to < config_.num_replicas; ++to) {
-    if (to != id_) net_->Send(id_, to, kRequestVote, w.bytes());
+    if (to != id_) SendMsg(to, kRequestVote, w.bytes());
   }
   if (PREVER_MUTATION(RAFT_VOTE_QUORUM_MINUS_ONE, votes_.size() >= Majority(),
                       votes_.size() + 1 >= Majority())) {
@@ -183,7 +190,7 @@ void RaftReplica::SendAppendEntries(net::NodeId to) {
     w.WriteU64(e.term);
     w.WriteBytes(e.command);
   }
-  net_->Send(id_, to, kAppendEntries, w.bytes());
+  SendMsg(to, kAppendEntries, w.bytes());
   // Pipelining: optimistically advance next_index so entries submitted
   // before the reply arrives stream in follow-up AppendEntries instead of
   // waiting a full round trip. The reply's conflict hint walks it back if
@@ -197,7 +204,7 @@ void RaftReplica::SendInstallSnapshot(net::NodeId to) {
   w.WriteU64(snapshot_index_);
   w.WriteU64(snapshot_term_);
   w.WriteBytes(snapshot_blob_);
-  net_->Send(id_, to, kInstallSnapshot, w.bytes());
+  SendMsg(to, kInstallSnapshot, w.bytes());
   // Optimistic, like SendAppendEntries: stream the post-snapshot suffix
   // without waiting for the install acknowledgement.
   next_index_[to] = snapshot_index_ + 1;
@@ -205,6 +212,7 @@ void RaftReplica::SendInstallSnapshot(net::NodeId to) {
 
 void RaftReplica::OnMessage(const net::Message& msg) {
   if (crashed_) return;
+  if (metrics_ != nullptr) metrics_->OnRecv(msg.type);
   switch (msg.type) {
     case kRequestVote:
       HandleRequestVote(msg);
@@ -250,7 +258,7 @@ void RaftReplica::HandleRequestVote(const net::Message& msg) {
   BinaryWriter w;
   w.WriteU64(term_);
   w.WriteBool(grant);
-  net_->Send(id_, msg.from, kVoteReply, w.bytes());
+  SendMsg(msg.from, kVoteReply, w.bytes());
 }
 
 void RaftReplica::HandleVoteReply(const net::Message& msg) {
@@ -329,7 +337,7 @@ void RaftReplica::HandleAppendEntries(const net::Message& msg) {
   uint64_t hint =
       std::min<uint64_t>(LastIndex(), *prev_index > 0 ? *prev_index - 1 : 0);
   w.WriteU64(hint);
-  net_->Send(id_, msg.from, kAppendReply, w.bytes());
+  SendMsg(msg.from, kAppendReply, w.bytes());
 }
 
 void RaftReplica::HandleAppendReply(const net::Message& msg) {
@@ -400,7 +408,7 @@ void RaftReplica::HandleInstallSnapshot(const net::Message& msg) {
     w.WriteBool(false);
     w.WriteU64(0);
     w.WriteU64(LastIndex());  // Conflict hint.
-    net_->Send(id_, msg.from, kAppendReply, w.bytes());
+    SendMsg(msg.from, kAppendReply, w.bytes());
     return;
   }
   if (*term > term_ || role_ != Role::kFollower) BecomeFollower(*term);
@@ -437,13 +445,21 @@ void RaftReplica::HandleInstallSnapshot(const net::Message& msg) {
   w.WriteBool(true);
   w.WriteU64(*snap_index);  // Match index: the snapshot covers the prefix.
   w.WriteU64(LastIndex());  // Conflict hint (unused on success).
-  net_->Send(id_, msg.from, kAppendReply, w.bytes());
+  SendMsg(msg.from, kAppendReply, w.bytes());
 }
 
-RaftCluster::RaftCluster(const RaftConfig& config, net::SimNetwork* net) {
+RaftCluster::RaftCluster(const RaftConfig& config, net::SimNetwork* net)
+    : metrics_(std::make_unique<ConsensusMetrics>(
+          "raft", std::map<uint32_t, std::string>{
+                      {kRequestVote, "request_vote"},
+                      {kVoteReply, "vote_reply"},
+                      {kAppendEntries, "append_entries"},
+                      {kAppendReply, "append_reply"},
+                      {kInstallSnapshot, "install_snapshot"}})) {
   for (size_t i = 0; i < config.num_replicas; ++i) {
     auto replica = std::make_unique<RaftReplica>(
         static_cast<net::NodeId>(i), config, net, config.seed * 1000 + i);
+    replica->SetMetrics(metrics_.get());
     RaftReplica* raw = replica.get();
     net->AddNode([raw](const net::Message& msg) { raw->OnMessage(msg); });
     replicas_.push_back(std::move(replica));

@@ -31,7 +31,7 @@ Status DemarcationEngine::ValidateRegulations() const {
   return Status::Ok();
 }
 
-Status DemarcationEngine::Check(size_t regulation_index,
+Status DemarcationEngine::Check(size_t regulation_index, size_t form_index,
                                 const constraint::LinearBoundForm& form,
                                 size_t platform_index, const Update& update,
                                 Plan* plan) const {
@@ -56,7 +56,7 @@ Status DemarcationEngine::Check(size_t regulation_index,
       form.aggregate->window == 0 ? 0 : update.timestamp / form.aggregate->window;
 
   // The plan works on a copy of the budget, taken on first touch.
-  BudgetKey key{regulation_index, group, bucket};
+  BudgetKey key{regulation_index, form_index, group, bucket};
   auto [it, first_touch] = plan->budgets.try_emplace(key);
   BudgetState& state = it->second;
   auto committed = first_touch ? budgets_.find(key) : budgets_.end();
@@ -111,8 +111,9 @@ Status DemarcationEngine::SubmitVia(size_t platform_index,
     for (size_t r = 0; r < regulations_->size(); ++r) {
       PREVER_ASSIGN_OR_RETURN(const auto* forms,
                               regulation_forms_.ForConstraint(r));
-      for (const auto& form : *forms) {
-        PREVER_RETURN_IF_ERROR(Check(r, form, platform_index, update, &plan));
+      for (size_t f = 0; f < forms->size(); ++f) {
+        PREVER_RETURN_IF_ERROR(
+            Check(r, f, (*forms)[f], platform_index, update, &plan));
       }
     }
     verify.End();

@@ -62,15 +62,16 @@ class DemarcationEngine : public UpdateEngine {
 
   struct BudgetKey {
     size_t regulation_index;
+    size_t form_index;   // Linear form within the regulation's conjunction.
     std::string group;   // Concatenated update-term key (e.g. worker id).
     uint64_t bucket;     // Tumbling-window index (0 when no window).
     bool operator<(const BudgetKey& o) const {
-      return std::tie(regulation_index, group, bucket) <
-             std::tie(o.regulation_index, o.group, o.bucket);
+      return std::tie(regulation_index, form_index, group, bucket) <
+             std::tie(o.regulation_index, o.form_index, o.group, o.bucket);
     }
   };
 
-  /// Consumed units per platform for one (regulation, group, bucket).
+  /// Consumed units per platform for one (regulation, form, group, bucket).
   struct BudgetState {
     std::vector<int64_t> consumed;  // Per platform.
     std::vector<int64_t> limit;     // Per platform; sums to the bound.
@@ -90,7 +91,7 @@ class DemarcationEngine : public UpdateEngine {
   /// Checks one form against the budgets as `plan` leaves them and records
   /// its consumption and any limit transfer there; ConstraintViolation when
   /// no transferable slack covers it.
-  Status Check(size_t regulation_index,
+  Status Check(size_t regulation_index, size_t form_index,
                const constraint::LinearBoundForm& form, size_t platform_index,
                const Update& update, Plan* plan) const;
 

@@ -1,13 +1,22 @@
 #include "core/ordering.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "common/serial.h"
 #include "mutate/mutation.h"
+#include "recovery/checkpoint.h"
+#include "recovery/journal.h"
 
 namespace prever::core {
 
 namespace {
+
+obs::Histogram& RecoveryTimeHistogram() {
+  static obs::Histogram* h =
+      obs::Registry::Default().GetHistogram("prever_recovery_time_us");
+  return *h;
+}
 
 /// Canonical encodings of the `n` entries a commit event just appended.
 std::vector<Bytes> EncodeLedgerTail(const ledger::LedgerDb& ledger, size_t n) {
@@ -234,17 +243,44 @@ Status CentralizedOrdering::Append(const Bytes& payload, SimTime timestamp) {
 
 // ------------------------------------------------------ ReplicatedOrdering
 
-ReplicatedOrdering::ReplicatedOrdering(size_t num_replicas,
-                                       net::SimNetConfig net_config,
-                                       OrderingPipelineConfig pipeline,
-                                       const std::string& proto_label,
-                                       const char* proto_name)
+/// One replica's durable record under `<data_dir>/r<i>/`.
+struct ReplicatedOrdering::ReplicaFiles {
+  explicit ReplicaFiles(const std::string& dir)
+      : store(dir + "/ckpt"), journal_path(dir + "/journal.wal") {}
+
+  recovery::CheckpointStore store;
+  recovery::CommitJournal journal;  ///< Closed while the replica is down.
+  std::string journal_path;
+  /// Positions of the newest and second-newest checkpoints. The journal is
+  /// truncated only below the second-newest, so a corrupt newest one still
+  /// recovers from the one before plus a longer replay.
+  uint64_t last_checkpoint = 0;
+  uint64_t prev_checkpoint = 0;
+};
+
+ReplicatedOrdering::ReplicatedOrdering(
+    size_t num_replicas, net::SimNetConfig net_config,
+    OrderingPipelineConfig pipeline, const std::string& proto_label,
+    const char* proto_name, uint64_t checkpoint_interval,
+    const std::string& data_dir)
     : net_(std::make_unique<net::SimNetwork>(net_config)),
       ledgers_(num_replicas),
       proto_name_(proto_name),
+      checkpoint_interval_(std::max<uint64_t>(checkpoint_interval, 1)),
       pipeline_(std::make_unique<GroupCommitPipeline>(
           net_.get(), pipeline, proto_label,
-          [this](const Bytes& env) { return SubmitEnvelope(env); })) {}
+          [this](const Bytes& env) { return SubmitEnvelope(env); })) {
+  if (data_dir.empty()) return;
+  for (size_t i = 0; i < num_replicas; ++i) {
+    files_.push_back(std::make_unique<ReplicaFiles>(data_dir + "/r" +
+                                                    std::to_string(i)));
+    ReplicaFiles& f = *files_.back();
+    if (files_status_.ok()) files_status_ = f.store.Init();
+    if (files_status_.ok()) files_status_ = f.journal.Open(f.journal_path);
+  }
+}
+
+ReplicatedOrdering::~ReplicatedOrdering() = default;
 
 void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
                                        const Bytes& envelope) {
@@ -278,10 +314,41 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
     committed_ = ledgers_[0].size();
     pipeline_->OnProgress(committed_);
   }
-  if (commit_observer_) {
-    commit_observer_(replica, position, *batch_id,
-                     EncodeLedgerTail(ledgers_[replica], payloads.size()));
+  // Last: a Raft checkpoint compacts the log that `envelope` lives in.
+  if (durable()) Persist(replica, position, *batch_id, payloads.size());
+}
+
+void ReplicatedOrdering::Persist(size_t replica, uint64_t position,
+                                 uint64_t batch_id, size_t appended) {
+  ReplicaFiles& f = *files_[replica];
+  if (!f.journal.is_open()) return;
+  (void)f.journal.Append(
+      {position, batch_id, EncodeLedgerTail(ledgers_[replica], appended)});
+  if (position >= f.last_checkpoint + checkpoint_interval_) {
+    SaveCheckpoint(replica, position);
   }
+}
+
+void ReplicatedOrdering::SaveCheckpoint(size_t replica, uint64_t position) {
+  ReplicaFiles& f = *files_[replica];
+  recovery::CheckpointContents contents;
+  contents.ledger = &ledgers_[replica];
+  contents.consensus_seq = position;
+  contents.app_state = CheckpointState(replica);
+  if (!f.store.Save(contents).ok()) return;
+  f.prev_checkpoint = f.last_checkpoint;
+  f.last_checkpoint = position;
+  f.store.GarbageCollect(2);
+  OnCheckpointSaved(replica, contents.app_state);
+  (void)f.journal.TruncateBelow(f.prev_checkpoint);
+}
+
+void ReplicatedOrdering::PersistInstalledState(size_t replica,
+                                               uint64_t floor) {
+  if (!durable()) return;
+  ReplicaFiles& f = *files_[replica];
+  if (!f.journal.is_open() || floor <= f.last_checkpoint) return;
+  SaveCheckpoint(replica, floor);
 }
 
 Status ReplicatedOrdering::InstallLedger(size_t i, ledger::LedgerDb ledger) {
@@ -291,7 +358,80 @@ Status ReplicatedOrdering::InstallLedger(size_t i, ledger::LedgerDb ledger) {
   return Status::Ok();
 }
 
+Status ReplicatedOrdering::CrashReplica(size_t i) {
+  if (i >= num_replicas()) return Status::InvalidArgument("bad replica");
+  const auto node = static_cast<net::NodeId>(i);
+  if (net_->IsCrashed(node)) {
+    return Status::InvalidArgument("replica already crashed");
+  }
+  net_->CrashNode(node);
+  CrashProtocol(i);
+  if (durable()) files_[i]->journal.Close();
+  return Status::Ok();
+}
+
+Status ReplicatedOrdering::RestartReplica(size_t i) {
+  if (i >= num_replicas()) return Status::InvalidArgument("bad replica");
+  const auto node = static_cast<net::NodeId>(i);
+  if (!net_->IsCrashed(node)) {
+    return Status::InvalidArgument("replica is not crashed");
+  }
+  const auto start = std::chrono::steady_clock::now();
+  DurableState state;
+  if (durable()) {
+    PREVER_ASSIGN_OR_RETURN(state, LoadDurable(i));
+  }
+  RecoveryTimeHistogram().Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  net_->RestartNode(node);
+  return Rejoin(i, std::move(state));
+}
+
+Result<ReplicatedOrdering::DurableState> ReplicatedOrdering::LoadDurable(
+    size_t replica) {
+  ReplicaFiles& f = *files_[replica];
+  DurableState out;
+  uint64_t checkpoint_seq = 0;
+  auto checkpoint = f.store.LoadLatest();
+  if (checkpoint.ok()) {
+    out.ledger = std::move(checkpoint->ledger);
+    checkpoint_seq = checkpoint->manifest.consensus_seq;
+    out.floor = checkpoint_seq;
+    out.protocol_state = std::move(checkpoint->app_state);
+  } else if (checkpoint.status().code() != StatusCode::kNotFound) {
+    return checkpoint.status();
+  }
+  PREVER_ASSIGN_OR_RETURN(
+      std::vector<recovery::JournalEvent> events,
+      recovery::CommitJournal::Recover(f.journal_path));
+  std::vector<recovery::JournalEvent> replayed;
+  for (recovery::JournalEvent& event : events) {
+    if (PREVER_MUTATION(RESTART_JOURNAL_NOT_REPLAYED,
+                        event.position <= checkpoint_seq, true)) {
+      continue;
+    }
+    // A gap means the checkpoint bridging two journal epochs (a state
+    // install replaced the ledger wholesale) was lost to corruption. Keep
+    // the longest contiguous prefix; consensus re-delivers the rest.
+    if (!recovery::ReplayLedgerSuffix(event.entries, &out.ledger).ok()) break;
+    out.batch_ids.push_back(event.batch_id);
+    out.floor = std::max(out.floor, event.position);
+    replayed.push_back(std::move(event));
+  }
+  // The journal keeps exactly what was replayed: no torn tail, nothing the
+  // checkpoint covers, nothing past a gap. Re-anchor the checkpoint chain
+  // on the checkpoint that survived; until the next save, the journal is
+  // kept whole.
+  PREVER_RETURN_IF_ERROR(f.journal.Rewrite(replayed));
+  f.last_checkpoint = checkpoint_seq;
+  f.prev_checkpoint = 0;
+  return out;
+}
+
 Status ReplicatedOrdering::Flush() {
+  PREVER_RETURN_IF_ERROR(files_status_);
   pipeline_->CloseOpenBatch();
   const uint64_t target = pipeline_->TicketCount();
   const OrderingPipelineConfig& cfg = pipeline_->config();
@@ -323,9 +463,10 @@ Status ReplicatedOrdering::Flush() {
 PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            const std::string& proto_label,
                            OrderingPipelineConfig pipeline,
-                           uint64_t checkpoint_interval)
+                           uint64_t checkpoint_interval,
+                           const std::string& data_dir)
     : ReplicatedOrdering(num_replicas, net_config, pipeline, proto_label,
-                         "PBFT"),
+                         "PBFT", checkpoint_interval, data_dir),
       applied_seq_(num_replicas, 0) {
   consensus::PbftConfig config;
   config.num_replicas = num_replicas;
@@ -333,14 +474,21 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
   // phases concurrently without the primary deferring our own submissions.
   config.high_watermark_window =
       std::max<uint64_t>(pipeline.max_inflight, 1);
-  config.checkpoint_interval = checkpoint_interval;
+  config.checkpoint_interval = this->checkpoint_interval();
   cluster_ = std::make_unique<consensus::PbftCluster>(config, &network());
   for (size_t i = 0; i < num_replicas; ++i) {
     cluster_->replica(i).SetStateCallbacks(
         [this, i] { return StateSummary(i); },
         [this, i](const Bytes& summary) { return EncodeStateAt(i, summary); },
         [this, i](uint64_t, const Bytes& summary, const Bytes& state) {
-          return InstallState(i, summary, state);
+          if (!InstallState(i, summary, state)) return false;
+          // The replica adopts the installed stable state only once this
+          // returns, so the checkpoint holding it is saved as the next event.
+          if (durable()) {
+            network().ScheduleAfter(
+                0, [this, i] { PersistInstalledState(i, applied_seq_[i]); });
+          }
+          return true;
         });
   }
   cluster_->SetCommitCallback(
@@ -386,6 +534,11 @@ Status PbftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
   PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
   applied_seq_[i] = applied_seq;
   return Status::Ok();
+}
+
+Status PbftOrdering::Rejoin(size_t replica, DurableState state) {
+  cluster_->replica(replica).Restart(state.protocol_state);
+  return RestoreReplica(replica, std::move(state.ledger), state.floor);
 }
 
 // ----------------------------------------------------- ShardedPbftOrdering
@@ -460,8 +613,11 @@ SimTime ShardedPbftOrdering::MaxShardTime() const {
 // ------------------------------------------------------------ RaftOrdering
 
 RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-                           OrderingPipelineConfig pipeline)
-    : ReplicatedOrdering(num_replicas, net_config, pipeline, "raft", "Raft"),
+                           OrderingPipelineConfig pipeline,
+                           uint64_t checkpoint_interval,
+                           const std::string& data_dir)
+    : ReplicatedOrdering(num_replicas, net_config, pipeline, "raft", "Raft",
+                         checkpoint_interval, data_dir),
       applied_batches_(num_replicas),
       applied_floor_(num_replicas, 0) {
   consensus::RaftConfig config;
@@ -475,7 +631,8 @@ RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
         });
     cluster_->replica(i).SetSnapshotInstaller(
         [this, i](uint64_t /*snap_index*/, const Bytes& blob) {
-          if (!blob.empty()) (void)RestoreReplicaState(i, blob);
+          if (blob.empty() || !RestoreReplicaState(i, blob).ok()) return;
+          PersistInstalledState(i, applied_floor_[i]);
         });
   }
   // Elect an initial leader.
@@ -514,16 +671,25 @@ Status RaftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
   return Status::Ok();
 }
 
-Status RaftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                                    uint64_t applied_floor,
-                                    const std::vector<uint64_t>& batch_ids) {
-  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
-  applied_batches_[i].insert(batch_ids.begin(), batch_ids.end());
-  applied_floor_[i] = applied_floor;
-  // Re-drive the state machine through the real recovery path: the replica
-  // rewinds last_applied to the restored floor and re-delivers the committed
-  // suffix (batch-id dedup absorbs anything already in the ledger).
-  cluster_->replica(i).Recover(applied_floor);
+Status RaftOrdering::Rejoin(size_t replica, DurableState state) {
+  consensus::RaftReplica& raft = cluster_->replica(replica);
+  if (raft.snapshot_index() > state.floor && !raft.snapshot_blob().empty()) {
+    // The Raft log was compacted past the durable floor, so a rewind to it
+    // could never re-deliver the entries below the snapshot. The snapshot
+    // blob carries the state; install it and make it durable.
+    PREVER_RETURN_IF_ERROR(RestoreReplicaState(replica, raft.snapshot_blob()));
+    raft.Recover(applied_floor_[replica]);
+    PersistInstalledState(replica, applied_floor_[replica]);
+    return Status::Ok();
+  }
+  // The checkpoint's state (its batch-id dedup set included), overlaid
+  // with the journal-extended ledger and the journal's batch ids.
+  PREVER_RETURN_IF_ERROR(RestoreReplicaState(replica, state.protocol_state));
+  PREVER_RETURN_IF_ERROR(InstallLedger(replica, std::move(state.ledger)));
+  applied_batches_[replica].insert(state.batch_ids.begin(),
+                                   state.batch_ids.end());
+  applied_floor_[replica] = state.floor;
+  raft.Recover(state.floor);
   return Status::Ok();
 }
 

@@ -179,19 +179,24 @@ class CentralizedOrdering : public OrderingService {
 
 /// The one apply tail shared by the consensus-backed ordering services:
 /// owns the simulated network, one ledger per replica, the group-commit
-/// pipeline and the commit observer. Protocols feed every committed command
-/// to ApplyEnvelope, which unpacks the batch envelope into one stamped
-/// ledger entry per payload; a subclass contributes only its cluster
-/// (SubmitEnvelope) and its dedup rule (MarkApplied).
+/// pipeline and, with a data directory, each replica's durable record.
+/// Protocols feed every committed command to ApplyEnvelope, which unpacks
+/// the batch envelope into one stamped ledger entry per payload; a subclass
+/// contributes its cluster (SubmitEnvelope), its dedup rule (MarkApplied)
+/// and its side of a checkpoint and a restart.
+///
+/// Durability (DESIGN.md "Crash recovery & state transfer"): with a
+/// non-empty `data_dir`, replica i keeps `<data_dir>/r<i>/journal.wal`, a
+/// recovery::CommitJournal holding one event per commit, and
+/// `<data_dir>/r<i>/ckpt/`, a recovery::CheckpointStore written every
+/// `checkpoint_interval` consensus positions and whenever a consensus-level
+/// install (Raft InstallSnapshot, PBFT state transfer) replaces the
+/// replica's state. RestartReplica rebuilds a replica from exactly that
+/// record. With an empty `data_dir` the ordering writes no file, and a
+/// restarted replica starts empty and catches up through consensus alone.
 class ReplicatedOrdering : public OrderingService {
  public:
-  /// Called after a commit event appends to one replica's ledger, with the
-  /// consensus position, the batch id, and the canonical encodings of the
-  /// entries just appended — everything a durable commit journal needs.
-  using CommitObserver =
-      std::function<void(size_t replica, uint64_t position, uint64_t batch_id,
-                         const std::vector<Bytes>& entries)>;
-
+  ~ReplicatedOrdering() override;
   // The pipeline's submit callback holds `this`.
   ReplicatedOrdering(const ReplicatedOrdering&) = delete;
   ReplicatedOrdering& operator=(const ReplicatedOrdering&) = delete;
@@ -208,6 +213,7 @@ class ReplicatedOrdering : public OrderingService {
   /// Steps the simulated network until replica 0 has committed every issued
   /// ticket, re-submitting uncommitted envelopes every `retry_interval`
   /// (commit-side dedup keeps that idempotent); Unavailable on timeout.
+  /// Fails with the error when the data directory could not be set up.
   Status Flush() override;
 
   const ledger::LedgerDb& Ledger() const override { return ledgers_[0]; }
@@ -218,15 +224,33 @@ class ReplicatedOrdering : public OrderingService {
   const ledger::LedgerDb& ReplicaLedger(size_t i) const { return ledgers_[i]; }
   size_t num_replicas() const { return ledgers_.size(); }
 
-  void SetReplicaCommitObserver(CommitObserver observer) {
-    commit_observer_ = std::move(observer);
-  }
+  /// Crash-stops replica i: the network drops its traffic, its protocol
+  /// replica loses its volatile state and its journal closes. Its files
+  /// stay as they are until RestartReplica.
+  Status CrashReplica(size_t i);
+  /// Restarts a crashed replica from its durable record: loads the newest
+  /// intact checkpoint (corrupt ones are quarantined), replays the journal
+  /// suffix past it, rewrites the journal to the events replayed, records
+  /// the time taken in `prever_recovery_time_us`, and re-enters consensus
+  /// (RaftReplica::Recover, PbftReplica::Restart), which re-delivers what
+  /// the record lacks.
+  Status RestartReplica(size_t i);
 
  protected:
+  /// What RestartReplica rebuilt from one replica's durable record.
+  struct DurableState {
+    ledger::LedgerDb ledger;
+    uint64_t floor = 0;    ///< Highest consensus position the ledger covers.
+    Bytes protocol_state;  ///< The loaded checkpoint's CheckpointState blob.
+    std::vector<uint64_t> batch_ids;  ///< Batches of the replayed journal.
+  };
+
   /// `proto_label` tags pipeline histograms; `proto_name` prefixes errors.
+  /// `checkpoint_interval` (0 is read as 1) paces durable checkpoints.
   ReplicatedOrdering(size_t num_replicas, net::SimNetConfig net_config,
                      OrderingPipelineConfig pipeline,
-                     const std::string& proto_label, const char* proto_name);
+                     const std::string& proto_label, const char* proto_name,
+                     uint64_t checkpoint_interval, const std::string& data_dir);
 
   /// Hands one sealed envelope to the protocol's cluster.
   virtual Status SubmitEnvelope(const Bytes& envelope) = 0;
@@ -235,22 +259,50 @@ class ReplicatedOrdering : public OrderingService {
   /// records it as applied and returns true.
   virtual bool MarkApplied(size_t replica, uint64_t position,
                            uint64_t batch_id) = 0;
+  /// The protocol's blob in every durable checkpoint of `replica`.
+  virtual Bytes CheckpointState(size_t replica) const = 0;
+  /// Runs once a checkpoint holding `state` is durable.
+  virtual void OnCheckpointSaved(size_t /*replica*/, const Bytes& /*state*/) {}
+  /// Crash-stops the protocol replica.
+  virtual void CrashProtocol(size_t replica) = 0;
+  /// Installs `state` on `replica` and re-enters consensus.
+  virtual Status Rejoin(size_t replica, DurableState state) = 0;
 
   /// Appends one committed envelope to `replica`'s ledger, entry i stamped
   /// BatchEntryStamp(position, i) so replicas stay digest-identical.
   /// Replica 0 is the commit counter: its append is traced under the
-  /// batch's consensus span and advances the pipeline.
+  /// batch's consensus span and advances the pipeline. With a data
+  /// directory the commit is journaled, then checkpointed on cadence.
   void ApplyEnvelope(size_t replica, uint64_t position, const Bytes& envelope);
 
   /// Replaces replica i's ledger, keeping replica 0's commit counter in step.
   Status InstallLedger(size_t i, ledger::LedgerDb ledger);
 
+  /// Makes a consensus-level install on `replica` durable: a checkpoint at
+  /// `floor` keeps the on-disk chain contiguous where the journal has a
+  /// hole. No-op in memory, while the replica is down, or when the newest
+  /// checkpoint already covers `floor`.
+  void PersistInstalledState(size_t replica, uint64_t floor);
+
+  bool durable() const { return !files_.empty(); }
+  uint64_t checkpoint_interval() const { return checkpoint_interval_; }
+
  private:
+  struct ReplicaFiles;  // One replica's journal and checkpoint store.
+
+  /// Journals one commit event and checkpoints on cadence.
+  void Persist(size_t replica, uint64_t position, uint64_t batch_id,
+               size_t appended);
+  void SaveCheckpoint(size_t replica, uint64_t position);
+  Result<DurableState> LoadDurable(size_t replica);
+
   std::unique_ptr<net::SimNetwork> net_;
   std::vector<ledger::LedgerDb> ledgers_;
   uint64_t committed_ = 0;
-  CommitObserver commit_observer_;
   const char* proto_name_;
+  uint64_t checkpoint_interval_;
+  std::vector<std::unique_ptr<ReplicaFiles>> files_;  // Empty in memory.
+  Status files_status_;  // Why the data directory could not be set up.
   std::unique_ptr<GroupCommitPipeline> pipeline_;
 };
 
@@ -265,13 +317,15 @@ class PbftOrdering : public ReplicatedOrdering {
   /// `proto_label` tags this cluster's pipeline histograms in the default
   /// registry (sharded deployments use "pbft-sharded").
   /// `checkpoint_interval` is the number of executions between stable
-  /// checkpoints; every value checkpoints (0 is read as 1). Small values
-  /// reach message-log GC within a short run.
+  /// checkpoints, and between durable ones; every value checkpoints (0 is
+  /// read as 1). Small values reach message-log GC within a short run.
+  /// `data_dir` as in ReplicatedOrdering; empty keeps everything in memory.
   PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                const std::string& proto_label = "pbft",
                OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
                uint64_t checkpoint_interval =
-                   consensus::kDefaultCheckpointInterval);
+                   consensus::kDefaultCheckpointInterval,
+               const std::string& data_dir = "");
 
   consensus::PbftCluster& cluster() { return *cluster_; }
 
@@ -285,12 +339,6 @@ class PbftOrdering : public ReplicatedOrdering {
   /// Installs an EncodeStateAt blob on replica i if it rebuilds to exactly
   /// `summary` (size, root); false with nothing changed otherwise.
   bool InstallState(size_t i, const Bytes& summary, const Bytes& state);
-  /// Crash-recovery restore from durable state: replaces replica i's ledger
-  /// and watermark (after cluster().replica(i).Restart(...) installed the
-  /// saved stable state).
-  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                        uint64_t applied_seq);
-  uint64_t replica_applied_seq(size_t i) const { return applied_seq_[i]; }
 
  protected:
   Status SubmitEnvelope(const Bytes& envelope) override {
@@ -304,8 +352,23 @@ class PbftOrdering : public ReplicatedOrdering {
     applied_seq_[replica] = position;
     return true;
   }
+  /// The full state behind the replica's stable certificate.
+  Bytes CheckpointState(size_t replica) const override {
+    return cluster_->replica(replica).EncodeStableState();
+  }
+  void CrashProtocol(size_t replica) override {
+    cluster_->replica(replica).Crash();
+  }
+  /// PbftReplica::Restart installs the saved stable state and fetches peer
+  /// state; the fuller journal-replayed ledger then goes on top, so commits
+  /// at or below its floor are not appended again.
+  Status Rejoin(size_t replica, DurableState state) override;
 
  private:
+  /// Replaces replica i's ledger and applied watermark.
+  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
+                        uint64_t applied_seq);
+
   std::unique_ptr<consensus::PbftCluster> cluster_;
   std::vector<uint64_t> applied_seq_;
 };
@@ -360,28 +423,16 @@ class ShardedPbftOrdering : public OrderingService {
 /// Raft-replicated ordering (crash-fault baseline).
 class RaftOrdering : public ReplicatedOrdering {
  public:
+  /// With a `data_dir`, every durable checkpoint also compacts the
+  /// replica's Raft log below it (RaftReplica::CompactTo); in memory the
+  /// log is never compacted.
   RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
-               OrderingPipelineConfig pipeline = OrderingPipelineConfig());
+               OrderingPipelineConfig pipeline = OrderingPipelineConfig(),
+               uint64_t checkpoint_interval =
+                   consensus::kDefaultCheckpointInterval,
+               const std::string& data_dir = "");
 
   consensus::RaftCluster& cluster() { return *cluster_; }
-
-  /// Self-contained replica state for Raft snapshots ([u64 applied floor]
-  /// [u64 n_ids][ids...][u64 n][entries...]): handed to CompactTo as the
-  /// snapshot blob and installed on followers via InstallSnapshot.
-  Bytes EncodeReplicaState(size_t i) const;
-  /// Installs an EncodeReplicaState blob (InstallSnapshot landing; also the
-  /// crash-recovery restore of a checkpoint's app state). An empty blob
-  /// restores the initial state: empty ledger, floor 0, no batch ids.
-  Status RestoreReplicaState(size_t i, const Bytes& blob);
-  /// Crash-recovery restore from checkpoint + journal, after
-  /// RestoreReplicaState installed the checkpoint's state: replaces replica
-  /// i's ledger and applied floor, adds the journal's `batch_ids` to the
-  /// restored dedup set, then rejoins the replica through
-  /// RaftReplica::Recover (re-applying the committed suffix).
-  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                        uint64_t applied_floor,
-                        const std::vector<uint64_t>& batch_ids);
-  uint64_t replica_applied_floor(size_t i) const { return applied_floor_[i]; }
 
  protected:
   Status SubmitEnvelope(const Bytes& envelope) override {
@@ -394,8 +445,31 @@ class RaftOrdering : public ReplicatedOrdering {
   bool MarkApplied(size_t replica, uint64_t, uint64_t batch_id) override {
     return applied_batches_[replica].insert(batch_id).second;
   }
+  Bytes CheckpointState(size_t replica) const override {
+    return EncodeReplicaState(replica);
+  }
+  /// Compacts the Raft log below the checkpoint; `state` becomes the
+  /// snapshot a lagging follower installs.
+  void OnCheckpointSaved(size_t replica, const Bytes& state) override {
+    (void)cluster_->replica(replica).CompactTo(applied_floor_[replica], state);
+  }
+  void CrashProtocol(size_t replica) override {
+    cluster_->replica(replica).Crash();
+  }
+  /// Restores the durable state, then RaftReplica::Recover re-delivers the
+  /// committed suffix above its floor (batch-id dedup absorbs the rest).
+  Status Rejoin(size_t replica, DurableState state) override;
 
  private:
+  /// Self-contained replica state for Raft snapshots ([u64 applied floor]
+  /// [u64 n_ids][ids...][u64 n][entries...]): the checkpoint blob, handed
+  /// to CompactTo as the snapshot and installed on followers via
+  /// InstallSnapshot.
+  Bytes EncodeReplicaState(size_t i) const;
+  /// Installs an EncodeReplicaState blob. An empty blob restores the
+  /// initial state: empty ledger, floor 0, no batch ids.
+  Status RestoreReplicaState(size_t i, const Bytes& blob);
+
   std::unique_ptr<consensus::RaftCluster> cluster_;
   std::vector<std::set<uint64_t>> applied_batches_;  // MarkApplied's dedup.
   /// Highest log index each replica has had delivered (ledger-reflected).

@@ -37,6 +37,8 @@ struct NetCounters {
 SimNetwork::SimNetwork(SimNetConfig config)
     : config_(config), rng_(config.seed) {}
 
+SimNetwork::~SimNetwork() { obs::Tracer::ForgetThreadSimClock(&clock_); }
+
 NodeId SimNetwork::AddNode(Handler handler) {
   handlers_.push_back(std::move(handler));
   return static_cast<NodeId>(handlers_.size() - 1);

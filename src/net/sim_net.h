@@ -51,6 +51,7 @@ class SimNetwork {
   using Handler = std::function<void(const Message&)>;
 
   explicit SimNetwork(SimNetConfig config = SimNetConfig());
+  ~SimNetwork();
 
   /// Registers a node; returns its id (dense, starting at 0).
   NodeId AddNode(Handler handler);

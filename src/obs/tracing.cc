@@ -230,6 +230,10 @@ const TraceContext& Tracer::CurrentContext() { return t_current_context; }
 
 void Tracer::SetThreadSimClock(const SimClock* clock) { t_sim_clock = clock; }
 
+void Tracer::ForgetThreadSimClock(const SimClock* clock) {
+  if (t_sim_clock == clock) t_sim_clock = nullptr;
+}
+
 void Tracer::Record(TraceEventKind kind, TraceStage stage,
                     const TraceContext& ctx, uint64_t arg) {
   uint64_t sim_us = t_sim_clock != nullptr ? t_sim_clock->Now() : 0;

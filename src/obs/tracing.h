@@ -164,6 +164,9 @@ class Tracer {
   /// Installs the simulated clock used for this thread's sim timestamps
   /// (nullptr to clear). SimNetwork installs itself while stepping.
   static void SetThreadSimClock(const SimClock* clock);
+  /// Clears this thread's sim clock if it is `clock` (whose owner is being
+  /// destroyed), so no later record reads a dangling clock.
+  static void ForgetThreadSimClock(const SimClock* clock);
 
   /// Counters (process lifetime since last Configure).
   uint64_t traces_minted() const;

@@ -60,22 +60,29 @@ Result<uint64_t> CommitJournal::TruncateBelow(uint64_t floor) {
   uint64_t before = 0;
   if (auto size = std::filesystem::file_size(path_, ec); !ec) before = size;
 
-  // The journal stays intact (old or new) through any crash point, and
-  // stays open for appends whether or not the rewrite succeeded.
-  std::vector<Bytes> keep;
-  for (const JournalEvent& e : events) {
-    if (e.position > floor) keep.push_back(e.Encode());
+  std::vector<JournalEvent> keep;
+  for (JournalEvent& e : events) {
+    if (e.position > floor) keep.push_back(std::move(e));
   }
-  wal_.Close();
-  Status rewritten = storage::WriteAheadLog::Rewrite(path_, keep);
-  PREVER_RETURN_IF_ERROR(wal_.Open(path_));
-  PREVER_RETURN_IF_ERROR(rewritten);
+  PREVER_RETURN_IF_ERROR(Rewrite(keep));
 
   uint64_t after = 0;
   if (auto size = std::filesystem::file_size(path_, ec); !ec) after = size;
   uint64_t reclaimed = before > after ? before - after : 0;
   JournalReclaimedCounter().Inc(reclaimed);
   return reclaimed;
+}
+
+Status CommitJournal::Rewrite(const std::vector<JournalEvent>& events) {
+  // The journal stays intact (old or new) through any crash point, and
+  // stays open for appends whether or not the rewrite succeeded.
+  std::vector<Bytes> records;
+  records.reserve(events.size());
+  for (const JournalEvent& e : events) records.push_back(e.Encode());
+  wal_.Close();
+  Status rewritten = storage::WriteAheadLog::Rewrite(path_, records);
+  PREVER_RETURN_IF_ERROR(wal_.Open(path_));
+  return rewritten;
 }
 
 Result<std::vector<JournalEvent>> CommitJournal::Recover(

@@ -40,10 +40,13 @@ class CommitJournal {
 
   void Close();
 
-  /// Rewrites the journal keeping only events with position > floor
-  /// (WriteAheadLog::Rewrite, then reopen — also when the rewrite fails).
+  /// Rewrites the journal keeping only events with position > floor.
   /// Returns bytes reclaimed.
   Result<uint64_t> TruncateBelow(uint64_t floor);
+
+  /// Replaces the journal with exactly `events` (WriteAheadLog::Rewrite),
+  /// then reopens it for appends, also when the rewrite fails.
+  Status Rewrite(const std::vector<JournalEvent>& events);
 
   /// Decodes all intact events; a torn tail yields the clean prefix and
   /// sets `truncated`. A missing file is an empty journal.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <map>
 #include <set>
 #include <type_traits>
 
@@ -10,6 +12,7 @@
 #include "constraint/eval.h"
 #include "constraint/parser.h"
 #include "core/prever.h"
+#include "recovery/journal.h"
 
 namespace prever::core {
 namespace {
@@ -372,34 +375,45 @@ class ReplicatedApplyTest : public ::testing::Test {};
 using ReplicatedOrderings = ::testing::Types<RaftOrdering, PbftOrdering>;
 TYPED_TEST_SUITE(ReplicatedApplyTest, ReplicatedOrderings);
 
+/// A fresh data directory for one test.
+std::string FreshDataDir(const std::string& tag) {
+  const std::string dir = ::testing::TempDir() + "prever_ordering_" + tag;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+/// Either protocol over 4 replicas, durable under `data_dir`.
+template <typename Ordering>
+std::unique_ptr<Ordering> MakeDurable(OrderingPipelineConfig pipeline,
+                                      uint64_t checkpoint_interval,
+                                      const std::string& data_dir) {
+  if constexpr (std::is_base_of_v<RaftOrdering, Ordering>) {
+    return std::make_unique<Ordering>(4, net::SimNetConfig{}, pipeline,
+                                      checkpoint_interval, data_dir);
+  } else {
+    return std::make_unique<Ordering>(4, net::SimNetConfig{}, "pbft",
+                                      pipeline, checkpoint_interval, data_dir);
+  }
+}
+
+std::vector<recovery::JournalEvent> JournalOf(const std::string& data_dir,
+                                              size_t replica) {
+  auto events = recovery::CommitJournal::Recover(
+      data_dir + "/r" + std::to_string(replica) + "/journal.wal");
+  EXPECT_TRUE(events.ok()) << events.status().ToString();
+  return events.ok() ? *events : std::vector<recovery::JournalEvent>{};
+}
+
 // ReplicatedOrdering::ApplyEnvelope is the one apply tail for both
-// protocols: on every replica, the commit observer must see each appended
-// entry exactly once and in ledger order, at strictly increasing consensus
-// positions, with no batch id applied twice.
+// protocols: on every replica, the commit journal (the durable observer of
+// its commits) must hold each appended entry exactly once and in ledger
+// order, at strictly increasing consensus positions, with no batch id
+// applied twice.
 TYPED_TEST(ReplicatedApplyTest, ObserverMirrorsEveryReplicaLedger) {
   constexpr size_t kPayloads = 10;  // Three envelopes at max_batch 4.
-  std::unique_ptr<ReplicatedOrdering> ordering;
-  if constexpr (std::is_same_v<TypeParam, RaftOrdering>) {
-    ordering = std::make_unique<RaftOrdering>(4, net::SimNetConfig{},
-                                              BatchOf(4));
-  } else {
-    ordering = std::make_unique<PbftOrdering>(4, net::SimNetConfig{}, "pbft",
-                                              BatchOf(4));
-  }
-  struct Observed {
-    std::vector<Bytes> entries;
-    std::vector<uint64_t> positions;
-    std::vector<uint64_t> batch_ids;
-  };
-  std::vector<Observed> seen(ordering->num_replicas());
-  ordering->SetReplicaCommitObserver(
-      [&](size_t replica, uint64_t position, uint64_t batch_id,
-          const std::vector<Bytes>& entries) {
-        Observed& o = seen[replica];
-        o.entries.insert(o.entries.end(), entries.begin(), entries.end());
-        o.positions.push_back(position);
-        o.batch_ids.push_back(batch_id);
-      });
+  const std::string dir = FreshDataDir("journal_mirror");
+  auto ordering = MakeDurable<TypeParam>(
+      BatchOf(4), consensus::kDefaultCheckpointInterval, dir);
   for (size_t i = 0; i < kPayloads; ++i) {
     ASSERT_TRUE(ordering->SubmitAsync(ToBytes("e" + std::to_string(i)), 0)
                     .ok());
@@ -410,17 +424,25 @@ TYPED_TEST(ReplicatedApplyTest, ObserverMirrorsEveryReplicaLedger) {
   ordering->network().RunUntil(ordering->network().Now() + 5 * kSecond);
 
   for (size_t r = 0; r < ordering->num_replicas(); ++r) {
-    const Observed& o = seen[r];
-    ASSERT_EQ(ordering->ReplicaLedger(r).size(), kPayloads) << r;
-    EXPECT_EQ(o.entries, ordering->ReplicaLedger(r).EncodeEntries()) << r;
-    EXPECT_EQ(o.positions.size(), 3u) << r;
-    for (size_t k = 1; k < o.positions.size(); ++k) {
-      EXPECT_LT(o.positions[k - 1], o.positions[k]) << r;
+    std::vector<Bytes> entries;
+    std::vector<uint64_t> positions;
+    std::vector<uint64_t> batch_ids;
+    for (const recovery::JournalEvent& e : JournalOf(dir, r)) {
+      entries.insert(entries.end(), e.entries.begin(), e.entries.end());
+      positions.push_back(e.position);
+      batch_ids.push_back(e.batch_id);
     }
-    EXPECT_EQ(std::set<uint64_t>(o.batch_ids.begin(), o.batch_ids.end()).size(),
-              o.batch_ids.size())
+    ASSERT_EQ(ordering->ReplicaLedger(r).size(), kPayloads) << r;
+    EXPECT_EQ(entries, ordering->ReplicaLedger(r).EncodeEntries()) << r;
+    EXPECT_EQ(positions.size(), 3u) << r;
+    for (size_t k = 1; k < positions.size(); ++k) {
+      EXPECT_LT(positions[k - 1], positions[k]) << r;
+    }
+    EXPECT_EQ(std::set<uint64_t>(batch_ids.begin(), batch_ids.end()).size(),
+              batch_ids.size())
         << "batch applied twice on replica " << r;
   }
+  std::filesystem::remove_all(dir);
 }
 
 // Exposes the protected apply tail so a test can hand it raw envelopes.
@@ -442,40 +464,113 @@ Bytes EncodeEnvelope(uint64_t batch_id, uint32_t count,
 }
 
 // ApplyEnvelope decodes the whole envelope before it appends: a malformed
-// envelope leaves every replica ledger untouched and the observer silent,
-// and a well-formed envelope at the next position still applies.
+// envelope leaves every replica ledger untouched and journals nothing, and
+// a well-formed envelope at the next position still applies.
 TYPED_TEST(ReplicatedApplyTest, MalformedEnvelopeAppendsNothing) {
-  ApplyProbe<TypeParam> ordering(4, net::SimNetConfig{});
-  std::vector<size_t> observed(ordering.num_replicas(), 0);
-  ordering.SetReplicaCommitObserver(
-      [&](size_t replica, uint64_t, uint64_t, const std::vector<Bytes>&) {
-        ++observed[replica];
-      });
+  const std::string dir = FreshDataDir("malformed");
+  auto ordering = MakeDurable<ApplyProbe<TypeParam>>(
+      OrderingPipelineConfig(), consensus::kDefaultCheckpointInterval, dir);
   const std::vector<Bytes> two = {ToBytes("a"), ToBytes("bcd")};
   const Bytes short_count = EncodeEnvelope(1, 3, two);
   Bytes overrun = EncodeEnvelope(2, 2, two);
   overrun.pop_back();  // The last payload's length now runs past the end.
 
-  for (size_t r = 0; r < ordering.num_replicas(); ++r) {
-    ordering.ApplyEnvelope(r, 1, short_count);
-    ordering.ApplyEnvelope(r, 2, overrun);
-    EXPECT_EQ(ordering.ReplicaLedger(r).size(), 0u) << r;
-    EXPECT_EQ(observed[r], 0u) << r;
+  for (size_t r = 0; r < ordering->num_replicas(); ++r) {
+    ordering->ApplyEnvelope(r, 1, short_count);
+    ordering->ApplyEnvelope(r, 2, overrun);
+    EXPECT_EQ(ordering->ReplicaLedger(r).size(), 0u) << r;
+    EXPECT_EQ(JournalOf(dir, r).size(), 0u) << r;
   }
-  EXPECT_EQ(ordering.CommittedCount(), 0u);
+  EXPECT_EQ(ordering->CommittedCount(), 0u);
 
   const Bytes good = EncodeEnvelope(3, 2, two);
-  for (size_t r = 0; r < ordering.num_replicas(); ++r) {
-    ordering.ApplyEnvelope(r, 3, good);
-    const ledger::LedgerDb& ledger = ordering.ReplicaLedger(r);
+  for (size_t r = 0; r < ordering->num_replicas(); ++r) {
+    ordering->ApplyEnvelope(r, 3, good);
+    const ledger::LedgerDb& ledger = ordering->ReplicaLedger(r);
     ASSERT_EQ(ledger.size(), 2u) << r;
-    EXPECT_EQ(observed[r], 1u) << r;
+    EXPECT_EQ(JournalOf(dir, r).size(), 1u) << r;
     for (uint32_t i = 0; i < 2; ++i) {
       EXPECT_EQ(ledger.GetEntry(i)->payload, two[i]) << r;
       EXPECT_EQ(ledger.GetEntry(i)->timestamp, BatchEntryStamp(3, i)) << r;
     }
   }
-  EXPECT_EQ(ordering.CommittedCount(), 2u);
+  EXPECT_EQ(ordering->CommittedCount(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+// The production restart path: a backup crashes, the survivors commit past
+// a durable checkpoint (Raft compacts its log there), and RestartReplica
+// brings the backup back from its checkpoint and journal. After a Flush
+// and a quiet tail, its ledger equals replica 0's, every payload is on it
+// exactly once, and the restart recorded one recovery-time sample.
+TYPED_TEST(ReplicatedApplyTest, RestartedReplicaRejoinsFromItsDurableRecord) {
+  const std::string dir = FreshDataDir("restart");
+  constexpr uint64_t kInterval = 4;
+  auto ordering = MakeDurable<TypeParam>(BatchOf(2), kInterval, dir);
+  // A backup that is neither the commit counter nor the Raft leader.
+  size_t victim = 3;
+  if constexpr (std::is_same_v<TypeParam, RaftOrdering>) {
+    auto leader = ordering->cluster().Leader();
+    ASSERT_TRUE(leader.ok());
+    if ((*leader)->id() == victim) victim = 2;
+  }
+  std::vector<Bytes> submitted;
+  auto commit = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      submitted.push_back(ToBytes("p" + std::to_string(submitted.size())));
+      ASSERT_TRUE(ordering->Append(submitted.back(), 0).ok());
+    }
+  };
+  commit(6);
+  ordering->network().RunUntil(ordering->network().Now() + kSecond);
+  const ledger::LedgerDigest at_crash = ordering->ReplicaLedger(victim).Digest();
+  ASSERT_TRUE(ordering->CrashReplica(victim).ok());
+  commit(static_cast<int>(3 * kInterval));
+  obs::Histogram* recovery_time =
+      obs::Registry::Default().GetHistogram("prever_recovery_time_us");
+  const uint64_t samples = recovery_time->snapshot().count;
+  ASSERT_TRUE(ordering->RestartReplica(victim).ok());
+  EXPECT_EQ(recovery_time->snapshot().count, samples + 1);
+  // Before any network step, the durable record alone holds at least what
+  // the replica had at the crash.
+  auto prefix = ordering->ReplicaLedger(victim).DigestAt(at_crash.size);
+  ASSERT_TRUE(prefix.ok());
+  EXPECT_TRUE(*prefix == at_crash);
+  commit(2);
+  ASSERT_TRUE(ordering->Flush().ok());
+  ordering->network().RunUntil(ordering->network().Now() + 5 * kSecond);
+
+  const ledger::LedgerDb& restarted = ordering->ReplicaLedger(victim);
+  EXPECT_TRUE(restarted.Digest() == ordering->ReplicaLedger(0).Digest());
+  std::map<Bytes, int> seen;
+  for (uint64_t s = 0; s < restarted.size(); ++s) {
+    ++seen[restarted.GetEntry(s)->payload];
+  }
+  ASSERT_EQ(seen.size(), submitted.size());
+  for (const Bytes& p : submitted) EXPECT_EQ(seen[p], 1) << ToString(p);
+  std::filesystem::remove_all(dir);
+}
+
+// Raft reports the consensus metrics DESIGN.md lists: electing the initial
+// leader counts an election and the votes it took.
+TEST(RaftMetricsTest, ElectionAndMessagesAreCounted) {
+  obs::Registry& reg = obs::Registry::Default();
+  obs::Counter* elections =
+      reg.GetCounter("prever_consensus_elections_total", {{"proto", "raft"}});
+  obs::Counter* votes = reg.GetCounter(
+      "prever_consensus_msgs_total",
+      {{"proto", "raft"}, {"type", "request_vote"}, {"dir", "sent"}});
+  obs::Counter* appends = reg.GetCounter(
+      "prever_consensus_msgs_total",
+      {{"proto", "raft"}, {"type", "append_entries"}, {"dir", "recv"}});
+  const uint64_t elections0 = elections->value();
+  const uint64_t votes0 = votes->value();
+  const uint64_t appends0 = appends->value();
+  RaftOrdering ordering(3, net::SimNetConfig{});
+  ASSERT_TRUE(ordering.Append(ToBytes("x"), 0).ok());
+  EXPECT_GE(elections->value() - elections0, 1u);
+  EXPECT_GT(votes->value() - votes0, 0u);
+  EXPECT_GT(appends->value() - appends0, 0u);
 }
 
 // ------------------------------------- PBFT checkpoints & state transfer --

@@ -158,5 +158,27 @@ TEST_F(DemarcationEngineTest, RejectedUpdateConsumesNoBudget) {
   EXPECT_EQ(ordering_.CommittedCount(), 1u);
 }
 
+// Each linear form of a conjunctive regulation keeps its own budget: the
+// tighter form's bound (10) holds, and its cost is not charged against the
+// looser form's limits (40).
+TEST_F(DemarcationEngineTest, ConjunctiveFormsHaveSeparateBudgets) {
+  constraint::ConstraintCatalog both;
+  ASSERT_TRUE(both.Add("both", constraint::ConstraintScope::kRegulation,
+                       constraint::ConstraintVisibility::kPublic,
+                       "SUM(worklog.hours WHERE worker = update.worker) + "
+                       "update.hours <= 40 AND "
+                       "SUM(worklog.hours WHERE worker = update.worker) + "
+                       "update.hours <= 10")
+                  .ok());
+  std::vector<FederatedPlatform*> raw = {platforms_[0].get(),
+                                         platforms_[1].get()};
+  DemarcationEngine engine(raw, &both, &ordering_);
+  ASSERT_TRUE(engine.ValidateRegulations().ok());
+  ASSERT_TRUE(engine.SubmitVia(0, MakeWorklogUpdate("t1", "w1", 8, kDay)).ok());
+  EXPECT_EQ(engine.SubmitVia(1, MakeWorklogUpdate("t2", "w1", 8, kDay)).code(),
+            StatusCode::kConstraintViolation);
+  EXPECT_EQ(engine.budgets().size(), 2u);
+}
+
 }  // namespace
 }  // namespace prever::core

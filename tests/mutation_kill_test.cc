@@ -1787,6 +1787,30 @@ std::map<std::string, Detector> BuildDetectors(
     return applied ? Killed("applied an update the ledger does not hold")
                    : Survived("unledgered update still left unapplied");
   };
+  d["RESTART_JOURNAL_NOT_REPLAYED"] = [] {
+    // A backup commits past its first durable checkpoint, crashes and
+    // restarts: before consensus re-delivers anything, its durable record
+    // alone must rebuild the ledger it had at the crash.
+    const std::string dir = RecoveryScratchDir("restart_journal");
+    core::PbftOrdering ordering(4, net::SimNetConfig{}, "pbft-mutation",
+                                core::OrderingPipelineConfig(),
+                                /*checkpoint_interval=*/4, dir);
+    for (int k = 0; k < 6; ++k) {
+      if (!ordering.Append(ToBytes("r" + std::to_string(k)), 0).ok()) {
+        return Killed("append failed");
+      }
+    }
+    ordering.network().RunUntil(ordering.network().Now() + kSecond);
+    const ledger::LedgerDigest at_crash = ordering.ReplicaLedger(3).Digest();
+    if (!ordering.CrashReplica(3).ok() || !ordering.RestartReplica(3).ok()) {
+      return Killed("crash/restart failed");
+    }
+    const bool rebuilt = ordering.ReplicaLedger(3).Digest() == at_crash;
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    return rebuilt ? Survived("the journal suffix is still replayed")
+                   : Killed("restart lost the commits past the checkpoint");
+  };
 
   return d;
 }

@@ -1,6 +1,7 @@
 #include "consensus/pbft.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/serial.h"
 #include "crypto/sha256.h"
@@ -121,10 +122,9 @@ Result<Certificate> DecodeCertificate(const Bytes& payload) {
   return c;
 }
 
-/// Full state behind a certificate: [cert][u64 n][n digests][app state].
+/// Full state behind a certificate: [cert][app state].
 struct StableState {
   Bytes cert;
-  std::vector<Bytes> digests;  // Execution order.
   Bytes app_state;
 };
 
@@ -132,11 +132,6 @@ Result<StableState> DecodeStableState(const Bytes& blob) {
   BinaryReader r(blob);
   StableState st;
   PREVER_ASSIGN_OR_RETURN(st.cert, r.ReadBytes());
-  PREVER_ASSIGN_OR_RETURN(uint64_t n, r.ReadU64());
-  for (uint64_t i = 0; i < n; ++i) {  // No reserve(n): n is untrusted input.
-    PREVER_ASSIGN_OR_RETURN(Bytes d, r.ReadBytes());
-    st.digests.push_back(std::move(d));
-  }
   PREVER_ASSIGN_OR_RETURN(st.app_state, r.ReadBytes());
   return st;
 }
@@ -204,20 +199,18 @@ void PbftReplica::OnMessage(const net::Message& msg) {
 void PbftReplica::OnClientRequest(const Bytes& command) {
   if (crashed_ || fault_mode_ == PbftFaultMode::kSilent) return;
   Bytes digest = DigestOf(command);
-  if (executed_digests_.count(digest)) return;
-  pending_requests_[digest] = command;
+  PendingRequest& request = pending_requests_[digest];
+  request.command = command;
   if (IsPrimary() && !view_changing_) {
-    if (seen_requests_.count(digest)) return;
+    if (request.proposed) return;
     if (next_seq_ > last_executed_ + config_.high_watermark_window) {
       // Window full: defer until execution advances the low watermark.
       // Backups armed timers when this request was broadcast, so liveness
       // does not depend on the drain happening.
-      if (deferred_digests_.insert(digest).second) {
-        deferred_.push_back(command);
-      }
+      if (!std::exchange(request.deferred, true)) deferred_.push_back(digest);
       return;
     }
-    seen_requests_.insert(digest);
+    request.proposed = true;
     Propose(command);
   } else {
     ArmRequestTimer(digest);
@@ -365,15 +358,13 @@ void PbftReplica::DrainDeferred() {
   if (!IsPrimary() || view_changing_) return;
   while (!deferred_.empty() &&
          next_seq_ <= last_executed_ + config_.high_watermark_window) {
-    Bytes command = std::move(deferred_.front());
+    auto request = pending_requests_.find(deferred_.front());
     deferred_.pop_front();
-    Bytes digest = DigestOf(command);
-    deferred_digests_.erase(digest);
-    if (executed_digests_.count(digest) || seen_requests_.count(digest)) {
-      continue;
+    if (request == pending_requests_.end() || request->second.proposed) {
+      continue;  // Executed meanwhile, or already proposed.
     }
-    seen_requests_.insert(digest);
-    Propose(command);
+    request->second.proposed = true;
+    Propose(request->second.command);
   }
 }
 
@@ -395,17 +386,6 @@ void PbftReplica::ExecuteLoop() {
     }
     slot.executed = true;
     ++last_executed_;
-    if (PREVER_MUTATION(PBFT_EXEC_DEDUP_SKIP,
-                        executed_digests_.count(slot.digest) != 0, false)) {
-      // Reply-cache analogue (PBFT §4.4): a request the new primary
-      // re-assigned to a second sequence number across a view change (its
-      // log had no trace of the original assignment) commits twice but must
-      // execute only once.
-      pending_requests_.erase(slot.digest);
-      pending_timers_.erase(slot.digest);
-      MaybeCreateCheckpoint();
-      continue;
-    }
     RecordExecution(slot.digest);
     if (commit_cb_) commit_cb_(last_executed_, slot.command);
     MaybeCreateCheckpoint();
@@ -413,7 +393,7 @@ void PbftReplica::ExecuteLoop() {
 }
 
 void PbftReplica::RecordExecution(const Bytes& digest) {
-  executed_digests_.emplace(digest, num_executed_++);
+  ++num_executed_;
   exec_chain_ = ChainDigest(exec_chain_, digest);
   pending_requests_.erase(digest);
   pending_timers_.erase(digest);
@@ -428,19 +408,8 @@ Bytes PbftReplica::EncodeStableState() const {
     app = state_encode_(cert->app_summary);
     if (app.empty()) return {};
   }
-  // The digests executed up to the certificate are the first
-  // `num_executed` ordinals.
-  std::vector<const Bytes*> ordered(cert->num_executed, nullptr);
-  for (const auto& [digest, ordinal] : executed_digests_) {
-    if (ordinal < ordered.size()) ordered[ordinal] = &digest;
-  }
   BinaryWriter w;
   w.WriteBytes(stable_cert_);
-  w.WriteU64(ordered.size());
-  for (const Bytes* d : ordered) {
-    if (d == nullptr) return {};
-    w.WriteBytes(*d);
-  }
   w.WriteBytes(app);
   return w.Take();
 }
@@ -449,16 +418,9 @@ bool PbftReplica::InstallStableState(const Bytes& blob) {
   auto st = DecodeStableState(blob);
   if (!st.ok()) return false;
   auto cert = DecodeCertificate(st->cert);
-  if (!cert.ok() || st->digests.size() != cert->num_executed) return false;
-  // The digests must reproduce the certificate's running hash, and the
-  // application state its summary; either mismatch changes nothing.
-  std::map<Bytes, uint64_t> executed;
-  Bytes chain = ChainSeed();
-  for (const Bytes& d : st->digests) {
-    if (!executed.emplace(d, executed.size()).second) return false;
-    chain = ChainDigest(chain, d);
-  }
-  if (chain != cert->exec_chain) return false;
+  if (!cert.ok()) return false;
+  // The application state must reproduce the certificate's summary; a
+  // mismatch changes nothing.
   if (state_install_ &&
       !state_install_(cert->seq, cert->app_summary, st->app_state)) {
     return false;
@@ -466,21 +428,19 @@ bool PbftReplica::InstallStableState(const Bytes& blob) {
 
   last_executed_ = cert->seq;
   num_executed_ = cert->num_executed;
-  executed_digests_ = std::move(executed);
-  exec_chain_ = std::move(chain);
+  exec_chain_ = std::move(cert->exec_chain);
   if (next_seq_ <= cert->seq) next_seq_ = cert->seq + 1;
   stable_seq_ = cert->seq;
   stable_cert_ = std::move(st->cert);
   // Everything at or below the installed point is reflected in the
-  // installed state; drop those slots (and any pending executions they
-  // held).
+  // installed state; drop those slots. Which pending requests it executed
+  // is the application's to know, so drop them all rather than let their
+  // timers start view changes: clients re-send what is still uncommitted.
   for (auto it = log_.begin(); it != log_.end() && it->first <= cert->seq;) {
     it = log_.erase(it);
   }
-  for (const auto& [d, ordinal] : executed_digests_) {
-    pending_requests_.erase(d);
-    pending_timers_.erase(d);
-  }
+  pending_requests_.clear();
+  pending_timers_.clear();
   return true;
 }
 
@@ -713,10 +673,8 @@ void PbftReplica::ExecuteCertifiedSuffix() {
     last_executed_ = seq;
     PbftStateTransferBytesCounter().Inc(command->size());
     if (next_seq_ <= seq) next_seq_ = seq + 1;
-    if (executed_digests_.count(digest) == 0) {
-      RecordExecution(digest);
-      if (commit_cb_) commit_cb_(last_executed_, *command);
-    }
+    RecordExecution(digest);
+    if (commit_cb_) commit_cb_(last_executed_, *command);
     MaybeCreateCheckpoint();
   }
 }
@@ -727,10 +685,7 @@ void PbftReplica::Crash() {
   // and the application recovers its part from checkpoint + journal.
   log_.clear();
   stashed_.clear();
-  seen_requests_.clear();
   deferred_.clear();
-  deferred_digests_.clear();
-  executed_digests_.clear();
   exec_chain_ = ChainSeed();
   pending_timers_.clear();
   pending_requests_.clear();
@@ -764,8 +719,7 @@ void PbftReplica::ArmRequestTimer(const Bytes& digest) {
   uint64_t armed_view = view_;
   net_->ScheduleAfter(config_.view_change_timeout, [this, digest, armed_view] {
     if (crashed_ || fault_mode_ == PbftFaultMode::kSilent) return;
-    if (executed_digests_.count(digest)) return;
-    if (!pending_timers_.count(digest)) return;
+    if (!pending_timers_.count(digest)) return;  // Executed meanwhile.
     if (view_ != armed_view) return;  // Already moved on; a fresh timer runs.
     if (MissedCommittedSeq()) {
       // The cluster committed a sequence number this replica cannot execute
@@ -886,7 +840,7 @@ void PbftReplica::InstallNewView(uint64_t new_view,
   // Deferred requests are still in pending_requests_; the new primary
   // re-proposes them below, so drop the stale per-view queue.
   deferred_.clear();
-  deferred_digests_.clear();
+  for (auto& [digest, request] : pending_requests_) request.deferred = false;
   // Re-run the protocol for carried-over prepared entries in the new view.
   for (const PreparedEntry& e : entries) {
     SlotState& slot = Slot(e.seq);
@@ -906,30 +860,21 @@ void PbftReplica::InstallNewView(uint64_t new_view,
   }
   // The new primary re-proposes pending requests that were never prepared.
   if (IsPrimary()) {
-    for (auto& [digest, command] : pending_requests_) {
-      bool already_in_log = false;
-      for (auto& [seq, slot] : log_) {
-        if (slot.pre_prepared && slot.digest == digest && !slot.executed) {
-          already_in_log = true;
-          break;
-        }
-        if (slot.executed && slot.digest == digest) {
-          already_in_log = true;
-          break;
-        }
-      }
-      if (!already_in_log) {
-        seen_requests_.insert(digest);
-        Propose(command);
+    for (auto& [digest, request] : pending_requests_) {
+      // Executed slots are pre-prepared too.
+      const bool in_log = std::any_of(log_.begin(), log_.end(), [&](auto& e) {
+        return e.second.pre_prepared && e.second.digest == digest;
+      });
+      if (!in_log) {
+        request.proposed = true;
+        Propose(request.command);
       }
     }
   } else {
     // Backups re-arm timers for still-pending requests in the new view.
-    std::vector<Bytes> digests;
-    for (auto& [digest, command] : pending_requests_) digests.push_back(digest);
-    for (const Bytes& d : digests) {
-      pending_timers_.erase(d);
-      ArmRequestTimer(d);
+    for (auto& [digest, request] : pending_requests_) {
+      pending_timers_.erase(digest);
+      ArmRequestTimer(digest);
     }
   }
   // Replay messages that raced ahead of this installation.

@@ -15,8 +15,11 @@
 
 namespace prever::consensus {
 
-/// Invoked on every replica, in sequence order, exactly once per committed
-/// command.
+/// Invoked on every replica, in sequence order, once per committed sequence
+/// number. A request committed at two sequence numbers (re-proposed across
+/// a view change, or re-sent by its client) is delivered at both: replicas
+/// form a total-order broadcast, and exactly-once is the application's
+/// (core::ReplicatedOrdering's BatchWindow).
 using CommitCallback =
     std::function<void(uint64_t sequence, const Bytes& command)>;
 
@@ -58,8 +61,8 @@ struct PbftConfig {
 /// state transfer. A checkpoint certificate is fixed-size: the sequence
 /// number, the number of executed requests, a running hash over their
 /// digests in execution order, and the application's fixed-size state
-/// summary. The full state behind a stable certificate (executed digests
-/// plus application state) is encoded only when a peer fetches it or a
+/// summary. The full state behind a stable certificate (the certificate
+/// plus the application state) is encoded only when a peer fetches it or a
 /// caller saves it; a replica fetches on restart and when f+1 peers have
 /// checkpointed a full interval past its own execution point. Commands
 /// travel in full rather than digest-only.
@@ -97,10 +100,10 @@ class PbftReplica {
   size_t pending_checkpoints() const { return checkpoints_.size(); }
   bool HasSlot(uint64_t seq) const { return log_.count(seq) != 0; }
 
-  /// The full state behind the stable certificate: the certificate, the
-  /// executed request digests up to it in execution order, and the
-  /// application state as of it. Empty before the first stable checkpoint.
-  /// This is what state transfer ships and what Restart installs.
+  /// The full state behind the stable certificate: [cert][application
+  /// state as of it]. Empty before the first stable checkpoint. This is
+  /// what state transfer ships and what Restart installs; its size does not
+  /// grow with the executed history beyond the application state's.
   Bytes EncodeStableState() const;
 
   void SetCommitCallback(CommitCallback cb) { commit_cb_ = std::move(cb); }
@@ -215,19 +218,22 @@ class PbftReplica {
   uint64_t last_executed_ = 0;  // Highest contiguously executed seq.
   uint64_t num_executed_ = 0;
   std::map<uint64_t, SlotState> log_;
-  std::set<Bytes> seen_requests_;    // Digests proposed (primary dedup).
-  /// Requests this primary received while its watermark window was full,
-  /// in arrival order; drained after each execution. Cleared on view change
-  /// (the commands stay in pending_requests_, so the new primary re-proposes
-  /// them).
+  /// A client request from arrival until this replica executes it;
+  /// `proposed` keeps a primary from proposing a re-sent request twice, and
+  /// `deferred` from queueing it twice in deferred_.
+  struct PendingRequest {
+    Bytes command;
+    bool proposed = false;
+    bool deferred = false;
+  };
+  /// Digests of the requests this primary received while its watermark
+  /// window was full, in arrival order; drained after each execution.
+  /// Cleared on view change, with every `deferred` flag: a replica that
+  /// becomes primary re-proposes every pending request its log lacks.
   std::deque<Bytes> deferred_;
-  std::set<Bytes> deferred_digests_;  // Dedup for deferred_.
-  /// Executed request digest -> its execution ordinal (0, 1, ...): the
-  /// reply cache, and the order the running hash below consumed them in.
-  std::map<Bytes, uint64_t> executed_digests_;
   Bytes exec_chain_;  // Running hash over executed digests, in order.
   std::map<Bytes, bool> pending_timers_;  // digest -> armed.
-  std::map<Bytes, Bytes> pending_requests_;  // digest -> command.
+  std::map<Bytes, PendingRequest> pending_requests_;  // By digest.
   // View-change bookkeeping: new_view -> sender -> prepared entries.
   std::map<uint64_t, std::map<net::NodeId, std::vector<PreparedEntry>>>
       view_change_entries_;

@@ -91,7 +91,7 @@ class RaftReplica {
   /// re-apply committed entries above `applied_floor` (the highest index the
   /// caller's durable state already covers; clamped to [snapshot, commit]).
   /// Re-delivery above the floor is at-least-once — the apply callback must
-  /// deduplicate, which the ordering layer's batch-id set does.
+  /// deduplicate, which the ordering layer's BatchWindow does.
   void Recover(uint64_t applied_floor);
 
   /// App-driven log compaction (§7 snapshotting): drops entries at or below

@@ -39,14 +39,14 @@ void WriteLedgerEntries(const ledger::LedgerDb& ledger, uint64_t n,
 
 /// PbftOrdering's state summary, decoded.
 struct PbftSummary {
-  uint64_t applied_seq = 0;
+  BatchWindow window;
   ledger::LedgerDigest ledger;
 };
 
-Result<PbftSummary> DecodePbftSummary(const Bytes& summary) {
+Result<PbftSummary> DecodePbftSummary(const Bytes& summary, size_t width) {
   BinaryReader r(summary);
   PbftSummary out;
-  PREVER_ASSIGN_OR_RETURN(out.applied_seq, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(out.window, BatchWindow::Decode(r, width));
   PREVER_ASSIGN_OR_RETURN(out.ledger.size, r.ReadU64());
   PREVER_ASSIGN_OR_RETURN(out.ledger.root, r.ReadBytes());
   return out;
@@ -97,6 +97,44 @@ Status OrderThenApply(OrderingService& ordering, const Bytes& payload,
   return applied.ok() ? appended
                       : Status::Internal("ordered payload failed to apply: " +
                                          applied.ToString());
+}
+
+// -------------------------------------------------------------- BatchWindow
+
+bool BatchWindow::Admit(uint64_t id) {
+  const uint64_t width = bits_.size();
+  if (id < low_) return false;
+  if (id - low_ >= width) {
+    // Slide the mark to id - width + 1: the ids entering the bitmap reuse
+    // the slots of the ids leaving it.
+    for (uint64_t k = std::max(low_ + width, id + 1 - width); k <= id; ++k) {
+      bits_[k % width] = false;
+    }
+    low_ = id + 1 - width;
+  }
+  const bool held = bits_[id % width];
+  bits_[id % width] = true;
+  return !PREVER_MUTATION(ORDERING_WINDOW_DUPLICATE_ACCEPT, held, false);
+}
+
+void BatchWindow::Encode(BinaryWriter& w) const {
+  Bytes packed((bits_.size() + 7) / 8, 0);
+  for (size_t k = 0; k < bits_.size(); ++k) packed[k / 8] |= bits_[k] << k % 8;
+  w.WriteU64(low_);
+  w.WriteBytes(packed);
+}
+
+Result<BatchWindow> BatchWindow::Decode(BinaryReader& r, size_t width) {
+  BatchWindow out(width);
+  PREVER_ASSIGN_OR_RETURN(out.low_, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(Bytes packed, r.ReadBytes());
+  if (packed.size() != (out.bits_.size() + 7) / 8) {
+    return Status::InvalidArgument("batch window of the wrong width");
+  }
+  for (size_t k = 0; k < out.bits_.size(); ++k) {
+    out.bits_[k] = (packed[k / 8] >> k % 8) & 1;
+  }
+  return out;
 }
 
 // ------------------------------------------------------ GroupCommitPipeline
@@ -157,7 +195,6 @@ void GroupCommitPipeline::SealOpen() {
   w.WriteU32(static_cast<uint32_t>(size));
   for (const Bytes& p : open_payloads_) w.WriteBytes(p);
   batch.envelope = w.Take();
-  batch.end_ticket = next_ticket_;  // Every issued ticket is now sealed.
   batch.submit_times = std::move(open_times_);
   // Close every payload's queue-wait span; the envelope's consensus span
   // becomes a child of the first sampled one, and the other sampled
@@ -201,9 +238,14 @@ void GroupCommitPipeline::CloseOpenBatch() {
   PumpSubmissions();
 }
 
-void GroupCommitPipeline::OnProgress(uint64_t committed) {
+void GroupCommitPipeline::OnProgress(const BatchWindow& applied) {
   SimTime now = net_->Now();
-  while (!inflight_.empty() && inflight_.front().end_ticket <= committed) {
+  // Retire by id, never by payload count: retiring a head that a later batch
+  // overtook would let the windows slide past the head before it commits.
+  while (!inflight_.empty() &&
+         applied.Holds(PREVER_MUTATION(PIPELINE_RETIRE_UNCOMMITTED,
+                                       inflight_.front().batch_id,
+                                       inflight_.back().batch_id))) {
     for (SimTime t : inflight_.front().submit_times) {
       commit_latency_us_->Record(now - t);
     }
@@ -226,9 +268,6 @@ void GroupCommitPipeline::ResubmitUncommitted() {
 obs::TraceContext GroupCommitPipeline::ContextForBatch(
     uint64_t batch_id) const {
   for (const Batch& batch : inflight_) {
-    if (batch.batch_id == batch_id) return batch.trace;
-  }
-  for (const Batch& batch : queued_) {
     if (batch.batch_id == batch_id) return batch.trace;
   }
   return {};
@@ -269,7 +308,8 @@ ReplicatedOrdering::ReplicatedOrdering(
       checkpoint_interval_(std::max<uint64_t>(checkpoint_interval, 1)),
       pipeline_(std::make_unique<GroupCommitPipeline>(
           net_.get(), pipeline, proto_label,
-          [this](const Bytes& env) { return SubmitEnvelope(env); })) {
+          [this](const Bytes& env) { return SubmitEnvelope(env); })),
+      windows_(num_replicas, BatchWindow(window_width())) {
   if (data_dir.empty()) return;
   for (size_t i = 0; i < num_replicas; ++i) {
     files_.push_back(std::make_unique<ReplicaFiles>(data_dir + "/r" +
@@ -288,9 +328,8 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
   auto batch_id = r.ReadU64();
   auto count = r.ReadU32();
   if (!batch_id.ok() || !count.ok()) return;  // Not an envelope: skip.
-  if (!MarkApplied(replica, position, *batch_id)) return;
-  // Decode the whole envelope before touching the ledger: a malformed one
-  // appends nothing.
+  // Decode the whole envelope before touching the ledger or the window: a
+  // malformed one appends nothing.
   std::vector<Bytes> payloads;
   payloads.reserve(*count);
   for (uint32_t i = 0; i < *count; ++i) {
@@ -298,6 +337,7 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
     if (!payload.ok()) return;
     payloads.push_back(std::move(*payload));
   }
+  if (!MarkApplied(replica, *batch_id)) return;
   // Durability closure: the canonical replica's ledger append, parented to
   // the envelope's consensus span (other replicas stay untraced).
   obs::Tracer& tracer = obs::Tracer::Get();
@@ -312,7 +352,7 @@ void ReplicatedOrdering::ApplyEnvelope(size_t replica, uint64_t position,
   tracer.EndSpan(span, obs::TraceStage::kLedgerAppend, payloads.size());
   if (replica == 0) {
     committed_ = ledgers_[0].size();
-    pipeline_->OnProgress(committed_);
+    pipeline_->OnProgress(windows_[0]);
   }
   // Last: a Raft checkpoint compacts the log that `envelope` lives in.
   if (durable()) Persist(replica, position, *batch_id, payloads.size());
@@ -334,12 +374,16 @@ void ReplicatedOrdering::SaveCheckpoint(size_t replica, uint64_t position) {
   recovery::CheckpointContents contents;
   contents.ledger = &ledgers_[replica];
   contents.consensus_seq = position;
-  contents.app_state = CheckpointState(replica);
+  const Bytes protocol_state = CheckpointState(replica);
+  BinaryWriter w;
+  windows_[replica].Encode(w);
+  w.WriteBytes(protocol_state);
+  contents.app_state = w.Take();
   if (!f.store.Save(contents).ok()) return;
   f.prev_checkpoint = f.last_checkpoint;
   f.last_checkpoint = position;
   f.store.GarbageCollect(2);
-  OnCheckpointSaved(replica, contents.app_state);
+  OnCheckpointSaved(replica, protocol_state);
   (void)f.journal.TruncateBelow(f.prev_checkpoint);
 }
 
@@ -351,9 +395,11 @@ void ReplicatedOrdering::PersistInstalledState(size_t replica,
   SaveCheckpoint(replica, floor);
 }
 
-Status ReplicatedOrdering::InstallLedger(size_t i, ledger::LedgerDb ledger) {
+Status ReplicatedOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
+                                          BatchWindow window) {
   if (i >= ledgers_.size()) return Status::InvalidArgument("bad replica");
   ledgers_[i] = std::move(ledger);
+  windows_[i] = std::move(window);
   if (i == 0) committed_ = ledgers_[0].size();
   return Status::Ok();
 }
@@ -377,7 +423,7 @@ Status ReplicatedOrdering::RestartReplica(size_t i) {
     return Status::InvalidArgument("replica is not crashed");
   }
   const auto start = std::chrono::steady_clock::now();
-  DurableState state;
+  DurableState state(window_width());
   if (durable()) {
     PREVER_ASSIGN_OR_RETURN(state, LoadDurable(i));
   }
@@ -392,14 +438,17 @@ Status ReplicatedOrdering::RestartReplica(size_t i) {
 Result<ReplicatedOrdering::DurableState> ReplicatedOrdering::LoadDurable(
     size_t replica) {
   ReplicaFiles& f = *files_[replica];
-  DurableState out;
+  DurableState out(window_width());
   uint64_t checkpoint_seq = 0;
   auto checkpoint = f.store.LoadLatest();
   if (checkpoint.ok()) {
     out.ledger = std::move(checkpoint->ledger);
     checkpoint_seq = checkpoint->manifest.consensus_seq;
     out.floor = checkpoint_seq;
-    out.protocol_state = std::move(checkpoint->app_state);
+    BinaryReader r(checkpoint->app_state);
+    PREVER_ASSIGN_OR_RETURN(
+        out.window, BatchWindow::Decode(r, window_width()));
+    PREVER_ASSIGN_OR_RETURN(out.protocol_state, r.ReadBytes());
   } else if (checkpoint.status().code() != StatusCode::kNotFound) {
     return checkpoint.status();
   }
@@ -416,7 +465,7 @@ Result<ReplicatedOrdering::DurableState> ReplicatedOrdering::LoadDurable(
     // install replaced the ledger wholesale) was lost to corruption. Keep
     // the longest contiguous prefix; consensus re-delivers the rest.
     if (!recovery::ReplayLedgerSuffix(event.entries, &out.ledger).ok()) break;
-    out.batch_ids.push_back(event.batch_id);
+    (void)out.window.Admit(event.batch_id);
     out.floor = std::max(out.floor, event.position);
     replayed.push_back(std::move(event));
   }
@@ -434,9 +483,8 @@ Status ReplicatedOrdering::Flush() {
   PREVER_RETURN_IF_ERROR(files_status_);
   pipeline_->CloseOpenBatch();
   const uint64_t target = pipeline_->TicketCount();
-  const OrderingPipelineConfig& cfg = pipeline_->config();
-  const SimTime deadline = net_->Now() + cfg.flush_timeout;
-  SimTime next_retry = net_->Now() + cfg.retry_interval;
+  const SimTime deadline = net_->Now() + kFlushTimeout;
+  SimTime next_retry = net_->Now() + kRetryInterval;
   while (committed_ < target && net_->Now() < deadline) {
     if (!net_->Step()) {
       // Idle network: re-submission is the only way forward. If that also
@@ -446,10 +494,10 @@ Status ReplicatedOrdering::Flush() {
     }
     if (net_->Now() >= next_retry) {
       pipeline_->ResubmitUncommitted();
-      next_retry = net_->Now() + cfg.retry_interval;
+      next_retry = net_->Now() + kRetryInterval;
     }
   }
-  pipeline_->OnProgress(committed_);
+  pipeline_->OnProgress(windows_[0]);
   if (committed_ < target) {
     return Status::Unavailable(std::string(proto_name_) +
                                " ordering did not commit within the flush "
@@ -466,8 +514,7 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            uint64_t checkpoint_interval,
                            const std::string& data_dir)
     : ReplicatedOrdering(num_replicas, net_config, pipeline, proto_label,
-                         "PBFT", checkpoint_interval, data_dir),
-      applied_seq_(num_replicas, 0) {
+                         "PBFT", checkpoint_interval, data_dir) {
   consensus::PbftConfig config;
   config.num_replicas = num_replicas;
   // Protocol window >= pipeline window, so W instances can run the three
@@ -483,10 +530,12 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
         [this, i](uint64_t, const Bytes& summary, const Bytes& state) {
           if (!InstallState(i, summary, state)) return false;
           // The replica adopts the installed stable state only once this
-          // returns, so the checkpoint holding it is saved as the next event.
+          // returns, so the checkpoint holding it is saved as the next event,
+          // at the position the replica has executed through by then.
           if (durable()) {
-            network().ScheduleAfter(
-                0, [this, i] { PersistInstalledState(i, applied_seq_[i]); });
+            network().ScheduleAfter(0, [this, i] {
+              PersistInstalledState(i, cluster_->replica(i).last_executed());
+            });
           }
           return true;
         });
@@ -500,45 +549,43 @@ PbftOrdering::PbftOrdering(size_t num_replicas, net::SimNetConfig net_config,
 Bytes PbftOrdering::StateSummary(size_t i) const {
   ledger::LedgerDigest digest = ReplicaLedger(i).Digest();
   BinaryWriter w;
-  w.WriteU64(applied_seq_[i]);
+  Window(i).Encode(w);
   w.WriteU64(digest.size);
   w.WriteBytes(digest.root);
   return w.Take();
 }
 
 Bytes PbftOrdering::EncodeStateAt(size_t i, const Bytes& summary) const {
-  auto s = DecodePbftSummary(summary);
+  auto s = DecodePbftSummary(summary, window_width());
   if (!s.ok()) return {};
   const ledger::LedgerDb& ledger = ReplicaLedger(i);
   // The ledger only grows, so the summarized state is its prefix; DigestAt
-  // confirms it still is before anything ships.
+  // confirms it still is before anything ships. The window moves on, so
+  // the summarized one ships as certified.
   auto at = ledger.DigestAt(s->ledger.size);
   if (!at.ok() || !(*at == s->ledger)) return {};
   BinaryWriter w;
+  s->window.Encode(w);
   WriteLedgerEntries(ledger, s->ledger.size, w);
   return w.Take();
 }
 
 bool PbftOrdering::InstallState(size_t i, const Bytes& summary,
                                 const Bytes& state) {
-  auto s = DecodePbftSummary(summary);
+  auto s = DecodePbftSummary(summary, window_width());
   if (!s.ok()) return false;
   BinaryReader r(state);
+  auto window = BatchWindow::Decode(r, window_width());
+  if (!window.ok() || !(*window == s->window)) return false;
   auto restored = ReadLedgerEntries(r);
   if (!restored.ok() || !(restored->Digest() == s->ledger)) return false;
-  return RestoreReplica(i, std::move(*restored), s->applied_seq).ok();
-}
-
-Status PbftOrdering::RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                                    uint64_t applied_seq) {
-  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(ledger)));
-  applied_seq_[i] = applied_seq;
-  return Status::Ok();
+  return RestoreReplica(i, std::move(*restored), std::move(*window)).ok();
 }
 
 Status PbftOrdering::Rejoin(size_t replica, DurableState state) {
   cluster_->replica(replica).Restart(state.protocol_state);
-  return RestoreReplica(replica, std::move(state.ledger), state.floor);
+  return RestoreReplica(replica, std::move(state.ledger),
+                        std::move(state.window));
 }
 
 // ----------------------------------------------------- ShardedPbftOrdering
@@ -571,20 +618,11 @@ Status ShardedPbftOrdering::AppendRouted(const std::string& routing_key,
   return shards_[ShardOf(routing_key)]->Append(payload, timestamp);
 }
 
-Status ShardedPbftOrdering::Append(const Bytes& payload, SimTime timestamp) {
-  return AppendRouted(ToString(payload), payload, timestamp);
-}
-
 Result<OrderingService::Ticket> ShardedPbftOrdering::SubmitRoutedAsync(
     const std::string& routing_key, const Bytes& payload, SimTime timestamp) {
   PREVER_RETURN_IF_ERROR(
       shards_[ShardOf(routing_key)]->SubmitAsync(payload, timestamp).status());
   return next_ticket_++;
-}
-
-Result<OrderingService::Ticket> ShardedPbftOrdering::SubmitAsync(
-    const Bytes& payload, SimTime timestamp) {
-  return SubmitRoutedAsync(ToString(payload), payload, timestamp);
 }
 
 Status ShardedPbftOrdering::Flush() {
@@ -618,7 +656,6 @@ RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
                            const std::string& data_dir)
     : ReplicatedOrdering(num_replicas, net_config, pipeline, "raft", "Raft",
                          checkpoint_interval, data_dir),
-      applied_batches_(num_replicas),
       applied_floor_(num_replicas, 0) {
   consensus::RaftConfig config;
   config.num_replicas = num_replicas;
@@ -645,28 +682,19 @@ RaftOrdering::RaftOrdering(size_t num_replicas, net::SimNetConfig net_config,
 Bytes RaftOrdering::EncodeReplicaState(size_t i) const {
   BinaryWriter w;
   w.WriteU64(applied_floor_[i]);
-  w.WriteU64(applied_batches_[i].size());
-  for (uint64_t id : applied_batches_[i]) w.WriteU64(id);
+  Window(i).Encode(w);
   WriteLedgerEntries(ReplicaLedger(i), ReplicaLedger(i).size(), w);
   return w.Take();
 }
 
 Status RaftOrdering::RestoreReplicaState(size_t i, const Bytes& blob) {
-  uint64_t floor = 0;
-  std::set<uint64_t> ids;
-  ledger::LedgerDb restored;
-  if (!blob.empty()) {
-    BinaryReader r(blob);
-    PREVER_ASSIGN_OR_RETURN(floor, r.ReadU64());
-    PREVER_ASSIGN_OR_RETURN(uint64_t n_ids, r.ReadU64());
-    for (uint64_t k = 0; k < n_ids; ++k) {
-      PREVER_ASSIGN_OR_RETURN(uint64_t id, r.ReadU64());
-      ids.insert(id);
-    }
-    PREVER_ASSIGN_OR_RETURN(restored, ReadLedgerEntries(r));
-  }
-  PREVER_RETURN_IF_ERROR(InstallLedger(i, std::move(restored)));
-  applied_batches_[i] = std::move(ids);
+  BinaryReader r(blob);
+  PREVER_ASSIGN_OR_RETURN(uint64_t floor, r.ReadU64());
+  PREVER_ASSIGN_OR_RETURN(BatchWindow window,
+                          BatchWindow::Decode(r, window_width()));
+  PREVER_ASSIGN_OR_RETURN(ledger::LedgerDb restored, ReadLedgerEntries(r));
+  PREVER_RETURN_IF_ERROR(
+      RestoreReplica(i, std::move(restored), std::move(window)));
   applied_floor_[i] = floor;
   return Status::Ok();
 }
@@ -682,12 +710,9 @@ Status RaftOrdering::Rejoin(size_t replica, DurableState state) {
     PersistInstalledState(replica, applied_floor_[replica]);
     return Status::Ok();
   }
-  // The checkpoint's state (its batch-id dedup set included), overlaid
-  // with the journal-extended ledger and the journal's batch ids.
-  PREVER_RETURN_IF_ERROR(RestoreReplicaState(replica, state.protocol_state));
-  PREVER_RETURN_IF_ERROR(InstallLedger(replica, std::move(state.ledger)));
-  applied_batches_[replica].insert(state.batch_ids.begin(),
-                                   state.batch_ids.end());
+  // The checkpoint's ledger and window, extended by the journal.
+  PREVER_RETURN_IF_ERROR(RestoreReplica(replica, std::move(state.ledger),
+                                        std::move(state.window)));
   applied_floor_[replica] = state.floor;
   raft.Recover(state.floor);
   return Status::Ok();

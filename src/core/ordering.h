@@ -1,13 +1,14 @@
 #ifndef PREVER_CORE_ORDERING_H_
 #define PREVER_CORE_ORDERING_H_
 
+#include <algorithm>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/serial.h"
 #include "common/sim_clock.h"
 #include "common/status.h"
 #include "consensus/pbft.h"
@@ -23,19 +24,21 @@ namespace prever::core {
 /// ordering services (see DESIGN.md "Pipelined ordering"). An open batch is
 /// closed when it holds `max_batch` payloads or `max_delay` sim-time after
 /// its first payload, whichever comes first; up to `max_inflight` closed
-/// batches run consensus concurrently.
+/// batches run consensus concurrently, and `max_inflight` is also the width
+/// of each replica's BatchWindow.
 struct OrderingPipelineConfig {
   size_t max_batch = 64;
   SimTime max_delay = 2 * kMillisecond;
   size_t max_inflight = 4;
-  /// Flush gives up (Unavailable) after this much sim-time without full
-  /// commitment — liveness bugs surface as errors instead of hangs.
-  SimTime flush_timeout = 60 * kSecond;
-  /// Flush re-submits not-yet-committed batches at this period, recovering
-  /// envelopes lost to crashes, drops, or leader changes (commit-side dedup
-  /// makes re-submission idempotent).
-  SimTime retry_interval = 500 * kMillisecond;
 };
+
+/// Flush gives up (Unavailable) after this much sim-time without full
+/// commitment — liveness bugs surface as errors instead of hangs.
+inline constexpr SimTime kFlushTimeout = 60 * kSecond;
+/// Flush re-submits not-yet-committed batches at this period, recovering
+/// envelopes lost to crashes, drops, or leader changes (the BatchWindow
+/// makes re-submission idempotent).
+inline constexpr SimTime kRetryInterval = 500 * kMillisecond;
 
 /// Ledger timestamps for batch envelopes encode (consensus position,
 /// intra-batch index) so they are deterministic across replicas and
@@ -93,14 +96,43 @@ Status OrderThenApply(OrderingService& ordering, const Bytes& payload,
                       SimTime timestamp, const std::function<Status()>& apply,
                       bool* unledgered = nullptr);
 
+/// Exactly-once filter over the pipeline's monotone batch ids, one per
+/// replica (DESIGN.md "One apply tail"): a low-water mark plus a bitmap of
+/// the `width` ids from it. A new id past the bitmap slides the mark up to
+/// it. That never passes an unapplied id, because the pipeline submits
+/// batch b only once replica 0 holds batch b - width.
+class BatchWindow {
+ public:
+  explicit BatchWindow(size_t width = 1) : bits_(std::max<size_t>(width, 1)) {}
+
+  /// True when `id` was admitted, or lies below the low-water mark.
+  bool Holds(uint64_t id) const {
+    return id < low_ || (id - low_ < bits_.size() && bits_[id % bits_.size()]);
+  }
+  /// Records `id`; false, with nothing changed, when it is already held.
+  bool Admit(uint64_t id);
+
+  /// Fixed-size encoding: [u64 low-water mark][bytes packed bitmap].
+  void Encode(BinaryWriter& w) const;
+  static Result<BatchWindow> Decode(BinaryReader& r, size_t width);
+
+  bool operator==(const BatchWindow& o) const {
+    return low_ == o.low_ && bits_ == o.bits_;
+  }
+
+ private:
+  uint64_t low_ = 0;
+  std::vector<bool> bits_;  ///< Slot id % width for each id from low_ on.
+};
+
 /// Adaptive batcher + in-flight window shared by the consensus-backed
 /// ordering services. Payloads accumulate in an open batch; closed batches
 /// are sealed into batch envelopes ([u64 batch id][u32 count][payloads]) and
 /// handed to `submit` while fewer than `max_inflight` envelopes await
 /// commitment. The owner reports commit progress via OnProgress, which
-/// retires completed envelopes (recording per-payload commit latency) and
-/// submits queued ones — so the window refills from inside the event loop,
-/// not just from Flush.
+/// retires committed envelopes in submission order (recording per-payload
+/// commit latency) and submits queued ones — so the window refills from
+/// inside the event loop, not just from Flush.
 class GroupCommitPipeline {
  public:
   /// `submit` hands one sealed envelope to consensus; a failure (e.g. no
@@ -118,12 +150,12 @@ class GroupCommitPipeline {
   /// allows.
   void CloseOpenBatch();
 
-  /// Commit progress: `committed` is the total payloads the owner has
-  /// applied. Retires fully committed envelopes and refills the window.
-  void OnProgress(uint64_t committed);
+  /// Commit progress: retires envelopes from the front while `applied`,
+  /// replica 0's window, holds their ids, then refills the window.
+  void OnProgress(const BatchWindow& applied);
 
   /// Re-submits every submitted-but-uncommitted envelope (fault recovery;
-  /// the consensus layers dedup), then refills the window.
+  /// the replicas' BatchWindows dedup), then refills the window.
   void ResubmitUncommitted();
 
   /// Tickets issued so far == payloads a full Flush must see committed.
@@ -131,7 +163,7 @@ class GroupCommitPipeline {
 
   const OrderingPipelineConfig& config() const { return config_; }
 
-  /// Causal context of a sealed-but-unretired batch (null if the batch is
+  /// Causal context of an in-flight batch (null if the batch is
   /// unknown, already retired, or its trace unsampled). The owner's commit
   /// callback uses this to parent the replica-0 ledger-append span.
   obs::TraceContext ContextForBatch(uint64_t batch_id) const;
@@ -140,7 +172,6 @@ class GroupCommitPipeline {
   struct Batch {
     Bytes envelope;
     uint64_t batch_id = 0;    ///< Envelope id (first u64 of the encoding).
-    uint64_t end_ticket = 0;  ///< Cumulative payload count through this batch.
     std::vector<SimTime> submit_times;  ///< Enqueue sim-time per payload.
     /// Consensus span for the envelope: child of the first sampled
     /// payload's queue-wait span, opened at seal, closed at retirement.
@@ -181,9 +212,12 @@ class CentralizedOrdering : public OrderingService {
 /// owns the simulated network, one ledger per replica, the group-commit
 /// pipeline and, with a data directory, each replica's durable record.
 /// Protocols feed every committed command to ApplyEnvelope, which unpacks
-/// the batch envelope into one stamped ledger entry per payload; a subclass
-/// contributes its cluster (SubmitEnvelope), its dedup rule (MarkApplied)
-/// and its side of a checkpoint and a restart.
+/// the batch envelope into one stamped ledger entry per payload unless the
+/// replica's BatchWindow already holds its batch id. Both protocols are
+/// thus plain total-order broadcasts: a batch committed at two positions
+/// (a re-submission, a cross-view re-proposal) is applied once. A subclass
+/// contributes its cluster (SubmitEnvelope) and its side of a checkpoint
+/// and a restart.
 ///
 /// Durability (DESIGN.md "Crash recovery & state transfer"): with a
 /// non-empty `data_dir`, replica i keeps `<data_dir>/r<i>/journal.wal`, a
@@ -191,9 +225,10 @@ class CentralizedOrdering : public OrderingService {
 /// `<data_dir>/r<i>/ckpt/`, a recovery::CheckpointStore written every
 /// `checkpoint_interval` consensus positions and whenever a consensus-level
 /// install (Raft InstallSnapshot, PBFT state transfer) replaces the
-/// replica's state. RestartReplica rebuilds a replica from exactly that
-/// record. With an empty `data_dir` the ordering writes no file, and a
-/// restarted replica starts empty and catches up through consensus alone.
+/// replica's state; it holds [window][bytes protocol blob]. RestartReplica
+/// rebuilds a replica from exactly that record. With an empty `data_dir`
+/// the ordering writes no file, and a restarted replica starts empty and
+/// catches up through consensus alone.
 class ReplicatedOrdering : public OrderingService {
  public:
   ~ReplicatedOrdering() override;
@@ -211,8 +246,8 @@ class ReplicatedOrdering : public OrderingService {
     return pipeline_->Enqueue(payload);
   }
   /// Steps the simulated network until replica 0 has committed every issued
-  /// ticket, re-submitting uncommitted envelopes every `retry_interval`
-  /// (commit-side dedup keeps that idempotent); Unavailable on timeout.
+  /// ticket, re-submitting uncommitted envelopes every kRetryInterval (the
+  /// BatchWindow keeps that idempotent); Unavailable after kFlushTimeout.
   /// Fails with the error when the data directory could not be set up.
   Status Flush() override;
 
@@ -239,10 +274,11 @@ class ReplicatedOrdering : public OrderingService {
  protected:
   /// What RestartReplica rebuilt from one replica's durable record.
   struct DurableState {
+    explicit DurableState(size_t window_width) : window(window_width) {}
     ledger::LedgerDb ledger;
+    BatchWindow window;  ///< The checkpoint's, plus the journal's batch ids.
     uint64_t floor = 0;    ///< Highest consensus position the ledger covers.
     Bytes protocol_state;  ///< The loaded checkpoint's CheckpointState blob.
-    std::vector<uint64_t> batch_ids;  ///< Batches of the replayed journal.
   };
 
   /// `proto_label` tags pipeline histograms; `proto_name` prefixes errors.
@@ -254,11 +290,6 @@ class ReplicatedOrdering : public OrderingService {
 
   /// Hands one sealed envelope to the protocol's cluster.
   virtual Status SubmitEnvelope(const Bytes& envelope) = 0;
-  /// The protocol's dedup rule: false when the envelope committed at
-  /// `position` is already reflected in `replica`'s ledger; otherwise
-  /// records it as applied and returns true.
-  virtual bool MarkApplied(size_t replica, uint64_t position,
-                           uint64_t batch_id) = 0;
   /// The protocol's blob in every durable checkpoint of `replica`.
   virtual Bytes CheckpointState(size_t replica) const = 0;
   /// Runs once a checkpoint holding `state` is durable.
@@ -269,14 +300,20 @@ class ReplicatedOrdering : public OrderingService {
   virtual Status Rejoin(size_t replica, DurableState state) = 0;
 
   /// Appends one committed envelope to `replica`'s ledger, entry i stamped
-  /// BatchEntryStamp(position, i) so replicas stay digest-identical.
-  /// Replica 0 is the commit counter: its append is traced under the
-  /// batch's consensus span and advances the pipeline. With a data
-  /// directory the commit is journaled, then checkpointed on cadence.
+  /// BatchEntryStamp(position, i) so replicas stay digest-identical, if
+  /// MarkApplied admits its batch id. Replica 0 is the commit counter: its
+  /// append is traced under the batch's consensus span and advances the
+  /// pipeline. With a data directory the commit is journaled, then
+  /// checkpointed on cadence.
   void ApplyEnvelope(size_t replica, uint64_t position, const Bytes& envelope);
 
-  /// Replaces replica i's ledger, keeping replica 0's commit counter in step.
-  Status InstallLedger(size_t i, ledger::LedgerDb ledger);
+  /// Replaces replica i's ledger and window, keeping replica 0's commit
+  /// counter in step.
+  Status RestoreReplica(size_t i, ledger::LedgerDb ledger, BatchWindow window);
+
+  const BatchWindow& Window(size_t i) const { return windows_[i]; }
+  /// Every replica's window width: the pipeline's `max_inflight`.
+  size_t window_width() const { return pipeline_->config().max_inflight; }
 
   /// Makes a consensus-level install on `replica` durable: a checkpoint at
   /// `floor` keeps the on-disk chain contiguous where the journal has a
@@ -290,6 +327,10 @@ class ReplicatedOrdering : public OrderingService {
  private:
   struct ReplicaFiles;  // One replica's journal and checkpoint store.
 
+  /// The one dedup rule: false when `replica`'s window already holds it.
+  bool MarkApplied(size_t replica, uint64_t batch_id) {
+    return windows_[replica].Admit(batch_id);
+  }
   /// Journals one commit event and checkpoints on cadence.
   void Persist(size_t replica, uint64_t position, uint64_t batch_id,
                size_t appended);
@@ -304,6 +345,7 @@ class ReplicatedOrdering : public OrderingService {
   std::vector<std::unique_ptr<ReplicaFiles>> files_;  // Empty in memory.
   Status files_status_;  // Why the data directory could not be set up.
   std::unique_ptr<GroupCommitPipeline> pipeline_;
+  std::vector<BatchWindow> windows_;  // One per replica.
 };
 
 /// PBFT-replicated ordering for mutually distrustful managers. One consensus
@@ -330,27 +372,22 @@ class PbftOrdering : public ReplicatedOrdering {
   consensus::PbftCluster& cluster() { return *cluster_; }
 
   /// Fixed-size summary of replica i's state, embedded in its checkpoint
-  /// certificates: [u64 applied_seq][u64 ledger size][ledger Merkle root].
+  /// certificates: [window][u64 ledger size][ledger Merkle root].
   Bytes StateSummary(size_t i) const;
-  /// Replica i's state as of an earlier StateSummary: the ledger prefix of
-  /// the summarized size ([u64 n][entries...]), checked against the
-  /// summary's root with LedgerDb::DigestAt. Empty when it does not match.
+  /// Replica i's state as of an earlier StateSummary: the summary's window
+  /// and the ledger prefix of the summarized size ([window][u64 n]
+  /// [entries...]), the prefix checked against the summary's root with
+  /// LedgerDb::DigestAt. Empty when it does not match.
   Bytes EncodeStateAt(size_t i, const Bytes& summary) const;
   /// Installs an EncodeStateAt blob on replica i if it rebuilds to exactly
-  /// `summary` (size, root); false with nothing changed otherwise.
+  /// `summary` (window, ledger size, root); false with nothing changed
+  /// otherwise.
   bool InstallState(size_t i, const Bytes& summary, const Bytes& state);
 
  protected:
   Status SubmitEnvelope(const Bytes& envelope) override {
     cluster_->Submit(envelope);
     return Status::Ok();
-  }
-  /// Commit events at or below the applied watermark are already in the
-  /// (checkpoint-restored) ledger; re-appending would duplicate.
-  bool MarkApplied(size_t replica, uint64_t position, uint64_t) override {
-    if (position <= applied_seq_[replica]) return false;
-    applied_seq_[replica] = position;
-    return true;
   }
   /// The full state behind the replica's stable certificate.
   Bytes CheckpointState(size_t replica) const override {
@@ -360,17 +397,12 @@ class PbftOrdering : public ReplicatedOrdering {
     cluster_->replica(replica).Crash();
   }
   /// PbftReplica::Restart installs the saved stable state and fetches peer
-  /// state; the fuller journal-replayed ledger then goes on top, so commits
-  /// at or below its floor are not appended again.
+  /// state; the fuller journal-replayed ledger and its window then go on
+  /// top, so re-delivered commits the journal holds are not appended again.
   Status Rejoin(size_t replica, DurableState state) override;
 
  private:
-  /// Replaces replica i's ledger and applied watermark.
-  Status RestoreReplica(size_t i, ledger::LedgerDb ledger,
-                        uint64_t applied_seq);
-
   std::unique_ptr<consensus::PbftCluster> cluster_;
-  std::vector<uint64_t> applied_seq_;
 };
 
 /// SharPer/Qanaat-style sharded ordering (§4 RC4: "Qanaat further provides
@@ -379,8 +411,9 @@ class PbftOrdering : public ReplicatedOrdering {
 /// in parallel (independent simulated networks), so aggregate throughput
 /// scales with the shard count for single-shard updates. Cross-shard
 /// transactions are out of scope (they need SharPer's cross-cluster
-/// protocol; see DESIGN.md §6).
-class ShardedPbftOrdering : public OrderingService {
+/// protocol; see DESIGN.md §6). Not an OrderingService: it has no single
+/// ledger, so every call names its routing key.
+class ShardedPbftOrdering {
  public:
   ShardedPbftOrdering(size_t num_shards, size_t replicas_per_shard,
                       net::SimNetConfig net_config,
@@ -390,21 +423,15 @@ class ShardedPbftOrdering : public OrderingService {
   /// Routes by FNV hash of `routing_key`.
   Status AppendRouted(const std::string& routing_key, const Bytes& payload,
                       SimTime timestamp);
-  /// OrderingService::Append routes by hashing the payload itself.
-  Status Append(const Bytes& payload, SimTime timestamp) override;
 
   /// Async window across shards: routes like AppendRouted but through the
   /// target shard's pipeline. Flush drains every shard.
-  Result<Ticket> SubmitRoutedAsync(const std::string& routing_key,
-                                   const Bytes& payload, SimTime timestamp);
-  Result<Ticket> SubmitAsync(const Bytes& payload, SimTime timestamp) override;
-  Status Flush() override;
+  Result<OrderingService::Ticket> SubmitRoutedAsync(
+      const std::string& routing_key, const Bytes& payload, SimTime timestamp);
+  Status Flush();
 
-  /// Shard 0's replica-0 ledger (use Shard(i) for the rest).
-  const ledger::LedgerDb& Ledger() const override {
-    return shards_[0]->Ledger();
-  }
-  uint64_t CommittedCount() const override;
+  /// Committed entries summed over the shards.
+  uint64_t CommittedCount() const;
 
   size_t num_shards() const { return shards_.size(); }
   PbftOrdering& Shard(size_t i) { return *shards_[i]; }
@@ -438,13 +465,6 @@ class RaftOrdering : public ReplicatedOrdering {
   Status SubmitEnvelope(const Bytes& envelope) override {
     return cluster_->Submit(envelope);
   }
-  /// Raft has no digest-level dedup and a batch re-submitted after a leader
-  /// change can land at a second log index; every replica applies the same
-  /// log, so skipping by batch id keeps the ledgers identical AND
-  /// duplicate-free.
-  bool MarkApplied(size_t replica, uint64_t, uint64_t batch_id) override {
-    return applied_batches_[replica].insert(batch_id).second;
-  }
   Bytes CheckpointState(size_t replica) const override {
     return EncodeReplicaState(replica);
   }
@@ -457,21 +477,18 @@ class RaftOrdering : public ReplicatedOrdering {
     cluster_->replica(replica).Crash();
   }
   /// Restores the durable state, then RaftReplica::Recover re-delivers the
-  /// committed suffix above its floor (batch-id dedup absorbs the rest).
+  /// committed suffix above its floor (the window absorbs the rest).
   Status Rejoin(size_t replica, DurableState state) override;
 
  private:
   /// Self-contained replica state for Raft snapshots ([u64 applied floor]
-  /// [u64 n_ids][ids...][u64 n][entries...]): the checkpoint blob, handed
-  /// to CompactTo as the snapshot and installed on followers via
-  /// InstallSnapshot.
+  /// [window][u64 n][entries...]): the checkpoint blob, handed to CompactTo
+  /// as the snapshot and installed on followers via InstallSnapshot.
   Bytes EncodeReplicaState(size_t i) const;
-  /// Installs an EncodeReplicaState blob. An empty blob restores the
-  /// initial state: empty ledger, floor 0, no batch ids.
+  /// Installs an EncodeReplicaState blob.
   Status RestoreReplicaState(size_t i, const Bytes& blob);
 
   std::unique_ptr<consensus::RaftCluster> cluster_;
-  std::vector<std::set<uint64_t>> applied_batches_;  // MarkApplied's dedup.
   /// Highest log index each replica has had delivered (ledger-reflected).
   std::vector<uint64_t> applied_floor_;
 };

@@ -168,13 +168,17 @@ Status PbftInvariantChecker::OnCommit(net::NodeId replica, uint64_t seq,
   if (replica >= last_seq_.size()) {
     return Status::InvalidArgument("unknown replica");
   }
-  // Sequence numbers are 1-based and must strictly increase per replica;
-  // gaps are allowed (execution-level dedup skips re-assigned slots).
-  if (seq <= last_seq_[replica]) {
+  // Sequence numbers are 1-based and contiguous per replica: every
+  // committed slot is delivered, duplicates included (the application
+  // dedups). The one jump is past a state install, to the seq right above
+  // the installed stable checkpoint.
+  const uint64_t installed = cluster_->replica(replica).stable_checkpoint_seq();
+  if (seq != last_seq_[replica] + 1 &&
+      !(installed > last_seq_[replica] && seq == installed + 1)) {
     Status bad = Status::IntegrityViolation(
         "replica " + std::to_string(replica) + " executed seq " +
         std::to_string(seq) + " after seq " +
-        std::to_string(last_seq_[replica]));
+        std::to_string(last_seq_[replica]) + " (gap or re-execution)");
     if (first_violation_.empty()) first_violation_ = bad.message();
     return bad;
   }
@@ -187,7 +191,9 @@ Status PbftInvariantChecker::OnCommit(net::NodeId replica, uint64_t seq,
   }
   if (!byzantine_primary_possible_ &&
       checker_.history().size() > history_before) {
-    // New history entry: an honest primary never proposes a command twice.
+    // New history entry: the scenario's client re-sends only commands no
+    // replica executed yet, and an honest primary proposes a pending
+    // request once.
     if (!seen_commands_.insert(command).second) {
       Status dup = Status::IntegrityViolation(
           "command \"" + Preview(command) +

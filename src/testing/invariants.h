@@ -66,18 +66,19 @@ class RaftInvariantChecker {
 
 /// PBFT safety: agreement + total order are delegated to a SingleCopyChecker
 /// fed from the commit callback; this wrapper adds view-change sanity
-/// (executed sequences only grow) and a no-duplicate-command check that is
-/// valid when no replica equivocates.
+/// (executed sequences only grow), per-replica contiguity of the delivered
+/// sequence numbers, and a no-duplicate-command check that is valid when no
+/// replica equivocates and the client re-sends only unexecuted commands
+/// (PBFT itself is a total-order broadcast; exactly-once for the ordering
+/// service is core::ReplicatedOrdering's BatchWindow).
 class PbftInvariantChecker {
  public:
   explicit PbftInvariantChecker(consensus::PbftCluster* cluster,
                                 bool byzantine_primary_possible);
 
   /// Wire this into PbftCluster::SetCommitCallback. Positions come from
-  /// per-replica execution order, not raw sequence numbers: execution-level
-  /// dedup may skip a slot (see PbftReplica::TryExecute), which leaves a
-  /// legitimate gap in the callback's sequence numbers. Sequence numbers
-  /// are still required to be strictly increasing per replica.
+  /// per-replica execution order. Sequence numbers must be contiguous per
+  /// replica, except for the jump past a state install.
   Status OnCommit(net::NodeId replica, uint64_t seq, const Bytes& command);
 
   /// Executed counters must never move backwards (view changes must not

@@ -241,8 +241,8 @@ RunOutcome RunPbftOnce(uint64_t seed, const FaultSchedule& schedule,
   InstallSchedule(&net, schedule, hooks, tr);
 
   // Client: submit each command once, then keep re-broadcasting the lowest
-  // unexecuted command (executed-digest dedup makes this safe) so the run
-  // makes progress once the quiet tail begins.
+  // unexecuted command so the run makes progress once the quiet tail
+  // begins (a primary proposes a pending request once).
   size_t sent = 0;
   std::function<void()> pump = [&] {
     if (net.Now() > o.horizon) return;

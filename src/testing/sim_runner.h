@@ -71,8 +71,8 @@ struct OrderingSimOptions {
   size_t num_payloads = 40;
   SimTime submit_interval = 25 * kMillisecond;
   /// Fault + submission phase length (measured from scenario start, which
-  /// is after initial leader election for Raft); Flush then gets the
-  /// pipeline's own flush_timeout on a fully healed network.
+  /// is after initial leader election for Raft); Flush then gets
+  /// core::kFlushTimeout on a fully healed network.
   SimTime horizon = 15 * kSecond;
   size_t max_actions = 8;
   size_t max_concurrent_crashed = 1;

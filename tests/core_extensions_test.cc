@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -134,7 +135,8 @@ TEST(BatchedOrderingTest, BatchYieldsOneEntryPerPayload) {
 
 TEST(BatchedOrderingTest, IdenticalBatchesBothCommit) {
   // The batch counter makes equal payload sets distinct consensus commands
-  // (PBFT dedups by digest).
+  // (a PBFT primary proposes a pending digest once) and distinct ids for
+  // the replicas' BatchWindows.
   PbftOrdering ordering(4, net::SimNetConfig{}, "pbft", BatchOf(1));
   ASSERT_TRUE(OrderBatch(ordering, {ToBytes("same")}).ok());
   ASSERT_TRUE(OrderBatch(ordering, {ToBytes("same")}).ok());
@@ -367,6 +369,63 @@ TEST(PipelinedOrderingTest, ShardedAsyncRoutesAndFlushes) {
   EXPECT_EQ(ordering.CommittedCount(), 20u);
 }
 
+// Batch b+1 commits before batch b, with as many payloads, so replica 0's
+// ledger already counts as many payloads as batches up to b hold. b must
+// stay in flight, and be re-submitted, until its own id is applied:
+// retiring it would let the window slide past b before b commits.
+TEST(PipelinedOrderingTest, LaterBatchCommittingFirstRetiresNothing) {
+  net::SimNetwork net;
+  OrderingPipelineConfig pipeline;
+  pipeline.max_batch = 1;
+  pipeline.max_inflight = 2;
+  std::vector<uint64_t> submitted;  // Batch ids, in submission order.
+  GroupCommitPipeline group(&net, pipeline, "pipeline-retire-test",
+                            [&submitted](const Bytes& envelope) {
+                              submitted.push_back(
+                                  *BinaryReader(envelope).ReadU64());
+                              return Status::Ok();
+                            });
+  group.Enqueue(ToBytes("b0"));
+  group.Enqueue(ToBytes("b1"));
+  ASSERT_EQ(submitted, (std::vector<uint64_t>{0, 1}));
+  BatchWindow applied(pipeline.max_inflight);
+  ASSERT_TRUE(applied.Admit(1));
+  group.OnProgress(applied);
+  group.Enqueue(ToBytes("b2"));  // The window is still full.
+  submitted.clear();
+  group.ResubmitUncommitted();
+  EXPECT_EQ(submitted, (std::vector<uint64_t>{0, 1}));
+  ASSERT_TRUE(applied.Admit(0));
+  group.OnProgress(applied);
+  EXPECT_EQ(submitted, (std::vector<uint64_t>{0, 1, 2}));
+}
+
+TEST(BatchWindowTest, AdmitsEachIdOnceAndSlides) {
+  BatchWindow window(4);
+  EXPECT_TRUE(window.Admit(1));
+  EXPECT_FALSE(window.Admit(1));
+  EXPECT_FALSE(window.Holds(0));
+  EXPECT_TRUE(window.Admit(0));
+  EXPECT_TRUE(window.Admit(3));
+  EXPECT_TRUE(window.Admit(6));  // Slides the mark to 3.
+  EXPECT_TRUE(window.Holds(2));  // Below the mark.
+  EXPECT_FALSE(window.Admit(2));
+  EXPECT_FALSE(window.Holds(4));
+  EXPECT_TRUE(window.Admit(4));
+  EXPECT_FALSE(window.Admit(6));
+  EXPECT_TRUE(window.Admit(100));  // Slides past every slot.
+  EXPECT_FALSE(window.Holds(98));
+  EXPECT_TRUE(window.Holds(96));
+  BinaryWriter w;
+  window.Encode(w);
+  BinaryReader r(w.bytes());
+  auto decoded = BatchWindow::Decode(r, 4);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_TRUE(*decoded == window);
+  BinaryReader narrow(w.bytes());
+  EXPECT_FALSE(BatchWindow::Decode(narrow, 16).ok());
+}
+
 // ------------------------------------------------ Replicated apply tail --
 
 template <typename T>
@@ -375,9 +434,15 @@ class ReplicatedApplyTest : public ::testing::Test {};
 using ReplicatedOrderings = ::testing::Types<RaftOrdering, PbftOrdering>;
 TYPED_TEST_SUITE(ReplicatedApplyTest, ReplicatedOrderings);
 
-/// A fresh data directory for one test.
+/// A fresh data directory for one test. The typed suite's name ("Suite/0",
+/// "Suite/1") is part of it, so ctest -j can run both protocols at once.
 std::string FreshDataDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "prever_ordering_" + tag;
+  const ::testing::TestInfo* test =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string suite = test->test_suite_name();
+  std::replace(suite.begin(), suite.end(), '/', '_');
+  const std::string dir =
+      ::testing::TempDir() + "prever_ordering_" + tag + "_" + suite;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -461,6 +526,26 @@ Bytes EncodeEnvelope(uint64_t batch_id, uint32_t count,
   w.WriteU32(count);
   for (const Bytes& p : payloads) w.WriteBytes(p);
   return w.Take();
+}
+
+// Exactly-once lives in the apply tail: one envelope committed at two
+// consensus positions (a re-submission, or a request re-proposed across a
+// view change) is appended once on every replica, for both protocols.
+TYPED_TEST(ReplicatedApplyTest, EnvelopeAtTwoPositionsAppendsOnce) {
+  ApplyProbe<TypeParam> ordering(4, net::SimNetConfig{});
+  const std::vector<Bytes> two = {ToBytes("x"), ToBytes("yz")};
+  const Bytes envelope = EncodeEnvelope(0, 2, two);
+  for (size_t r = 0; r < ordering.num_replicas(); ++r) {
+    ordering.ApplyEnvelope(r, 1, envelope);
+    ordering.ApplyEnvelope(r, 2, envelope);
+    ASSERT_EQ(ordering.ReplicaLedger(r).size(), 2u) << r;
+    for (uint32_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(ordering.ReplicaLedger(r).GetEntry(i)->timestamp,
+                BatchEntryStamp(1, i))
+          << r;
+    }
+  }
+  EXPECT_EQ(ordering.CommittedCount(), 2u);
 }
 
 // ApplyEnvelope decodes the whole envelope before it appends: a malformed
@@ -634,7 +719,7 @@ TEST(PbftStateTransferTest, LaggingReplicasInstallCertifiedState) {
 }
 
 // The full state behind a certificate installs only if it reproduces the
-// certificate: the executed digests its running hash, the ledger prefix its
+// certificate's summary: the batch window exactly, the ledger prefix its
 // size and Merkle root. A tampered state changes nothing.
 TEST(PbftStateTransferTest, StateMustMatchItsCertificate) {
   constexpr uint64_t kInterval = 4;
@@ -654,23 +739,27 @@ TEST(PbftStateTransferTest, StateMustMatchItsCertificate) {
   const ledger::LedgerDigest before = ordering.ReplicaLedger(3).Digest();
   EXPECT_FALSE(ordering.InstallState(3, summary, tampered));
   EXPECT_TRUE(ordering.ReplicaLedger(3).Digest() == before);
+  Bytes wrong_window = state;
+  wrong_window[0] ^= 0x01;  // First byte of the window's low-water mark.
+  EXPECT_FALSE(ordering.InstallState(3, summary, wrong_window));
+  EXPECT_TRUE(ordering.ReplicaLedger(3).Digest() == before);
   EXPECT_TRUE(ordering.InstallState(3, summary, state));
   Bytes wrong_root = summary;
   wrong_root.back() ^= 0x01;  // Last byte of the Merkle root.
   EXPECT_TRUE(ordering.EncodeStateAt(0, wrong_root).empty());
 
   // Protocol level: a saved stable state restores a crashed replica; the
-  // same state with one executed digest flipped does not.
+  // same state with its batch window tampered does not.
   consensus::PbftReplica& replica = ordering.cluster().replica(3);
   const Bytes blob = ordering.cluster().replica(1).EncodeStableState();
   ASSERT_FALSE(blob.empty());
   const size_t cert_bytes = replica.stable_checkpoint_cert().size();
   ASSERT_GT(cert_bytes, 0u);
-  Bytes bad_digest = blob;
-  // [u32 len][cert][u64 n][u32 len][first digest]...
-  bad_digest[4 + cert_bytes + 8 + 4] ^= 0x01;
+  Bytes bad_window = blob;
+  // [u32 len][cert][u32 len][app state: [u64 window low]...]
+  bad_window[4 + cert_bytes + 4] ^= 0x01;
   replica.Crash();
-  replica.Restart(bad_digest);
+  replica.Restart(bad_window);
   EXPECT_EQ(replica.stable_checkpoint_seq(), 0u);
   EXPECT_EQ(replica.last_executed(), 0u);
   replica.Crash();

@@ -572,6 +572,13 @@ std::string RecoveryScratchDir(const std::string& tag) {
   return dir;
 }
 
+/// Exposes the replicated apply tail so a probe can hand it raw envelopes.
+class WindowProbe : public core::PbftOrdering {
+ public:
+  using core::PbftOrdering::PbftOrdering;
+  using core::PbftOrdering::ApplyEnvelope;
+};
+
 // ===================================================================
 // Engine fixtures (shared; expensive keys generated once).
 // ===================================================================
@@ -1311,25 +1318,6 @@ std::map<std::string, Detector> BuildDetectors(
     }
     return Survived("no execution below the 2f+1 commit quorum");
   };
-  d["PBFT_EXEC_DEDUP_SKIP"] = [] {
-    PbftRig rig;
-    Bytes cmd = ToBytes("cmd");
-    Bytes digest = crypto::Sha256::Hash(cmd);
-    for (uint64_t seq = 1; seq <= 2; ++seq) {  // Same command, two slots.
-      rig.SendPrePrepare(0, 0, seq, cmd);
-      rig.Run(8 * kMillisecond);
-      rig.SendPrepare(2, 0, seq, digest);
-      rig.SendPrepare(3, 0, seq, digest);
-      rig.Run(8 * kMillisecond);
-      rig.SendCommit(0, 0, seq, digest);
-      rig.SendCommit(2, 0, seq, digest);
-      rig.Run(8 * kMillisecond);
-    }
-    if (rig.replica->num_executed() >= 2) {
-      return Killed("duplicate request digest executed twice");
-    }
-    return Survived("duplicate digest still executed once");
-  };
   d["PBFT_VIEWCHANGE_STALE_ACCEPT"] = [] {
     PbftRig rig;
     rig.SendNewView(0, 8);  // 8 % 4 == 0: node 0 may install view 8.
@@ -1507,16 +1495,15 @@ std::map<std::string, Detector> BuildDetectors(
   };
   d["PBFT_STATE_MATCH_QUORUM_MINUS_ONE"] = [] {
     PbftRig rig;  // f = 1: state install requires f+1 = 2 vouchers.
-    // A self-consistent stable state at seq 4 with nothing executed: the
-    // certificate's running hash over zero digests is its 32-byte seed.
+    // A stable state at seq 4 ([cert][app state]); with no application
+    // callbacks set, any certificate installs once vouched for.
     BinaryWriter cert;
     cert.WriteU64(4);  // Claimed stable sequence.
-    cert.WriteU64(0);  // No executed digests...
-    cert.WriteBytes(Bytes(32, 0));  // ...so the running hash is the seed.
+    cert.WriteU64(0);  // Executed requests.
+    cert.WriteBytes(Bytes(32, 0));  // Their running hash.
     cert.WriteBytes(Bytes{});       // No app-summary callback set.
     BinaryWriter state;
     state.WriteBytes(cert.bytes());
-    state.WriteU64(0);         // Digest list.
     state.WriteBytes(Bytes{});  // Empty app state.
     BinaryWriter w;
     w.WriteU64(0);  // view
@@ -1810,6 +1797,51 @@ std::map<std::string, Detector> BuildDetectors(
     std::filesystem::remove_all(dir, ec);
     return rebuilt ? Survived("the journal suffix is still replayed")
                    : Killed("restart lost the commits past the checkpoint");
+  };
+
+  d["ORDERING_WINDOW_DUPLICATE_ACCEPT"] = [] {
+    // One envelope committed at two consensus positions (a re-submission,
+    // or a re-proposal across a view change) must be appended once.
+    WindowProbe ordering(4, net::SimNetConfig{}, "pbft-mutation");
+    BinaryWriter w;
+    w.WriteU64(0);  // Batch id.
+    w.WriteU32(1);
+    w.WriteBytes(ToBytes("once"));
+    for (size_t r = 0; r < ordering.num_replicas(); ++r) {
+      ordering.ApplyEnvelope(r, 1, w.bytes());
+      ordering.ApplyEnvelope(r, 2, w.bytes());
+      if (ordering.ReplicaLedger(r).size() != 1) {
+        return Killed("a batch committed twice was appended twice");
+      }
+    }
+    return Survived("the window still applies each batch once");
+  };
+  d["PIPELINE_RETIRE_UNCOMMITTED"] = [] {
+    // Batch 1 commits before batch 0 with as many payloads: batch 0 must
+    // stay in flight, and be re-submitted, until its own id is applied.
+    net::SimNetwork net;
+    core::OrderingPipelineConfig config;
+    config.max_batch = 1;
+    config.max_inflight = 2;
+    std::set<uint64_t> resubmitted;
+    bool resubmitting = false;
+    core::GroupCommitPipeline pipeline(
+        &net, config, "pipeline-mutation", [&](const Bytes& envelope) {
+          if (resubmitting) {
+            resubmitted.insert(*BinaryReader(envelope).ReadU64());
+          }
+          return Status::Ok();
+        });
+    pipeline.Enqueue(ToBytes("b0"));
+    pipeline.Enqueue(ToBytes("b1"));
+    core::BatchWindow applied(config.max_inflight);
+    (void)applied.Admit(1);
+    pipeline.OnProgress(applied);
+    resubmitting = true;
+    pipeline.ResubmitUncommitted();
+    return resubmitted.count(0) != 0
+               ? Survived("the uncommitted head is still re-submitted")
+               : Killed("batch 0 retired before it committed");
   };
 
   return d;

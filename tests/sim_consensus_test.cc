@@ -20,6 +20,19 @@ namespace {
 //   PREVER_SIM_SEED=<seed> ./tests/sim_consensus_test
 constexpr uint64_t kNumSeeds = 200;
 
+/// Bytes of the ledger section ([u64 n][u32 len][entry]...) that a replica
+/// state blob taken at consensus `position` holds: the entries `ledger`
+/// committed at or below `position`.
+size_t LedgerSectionBytes(const ledger::LedgerDb& ledger, uint64_t position) {
+  size_t bytes = 8;
+  for (uint64_t seq = 0; seq < ledger.size(); ++seq) {
+    auto entry = ledger.GetEntry(seq);
+    if ((entry->timestamp >> core::kBatchStampIndexBits) > position) break;
+    bytes += 4 + entry->Encode().size();
+  }
+  return bytes;
+}
+
 /// PREVER_SIM_SEED narrows a sweep to one seed (replay/debug mode).
 bool SingleSeed(uint64_t* seed) {
   const char* env = std::getenv("PREVER_SIM_SEED");
@@ -245,14 +258,20 @@ TEST(SimConsensusTest, RaftLogBoundedByCheckpointInterval) {
   core::OrderingPipelineConfig pipeline;
   pipeline.max_batch = 512;  // One envelope per Flush below.
   pipeline.max_inflight = 8;
-  constexpr uint64_t kPayloads = 100000;
-  constexpr uint64_t kInterval = 256;  // Positions between compactions.
+  constexpr uint64_t kPayloads = 100000;  // ~196 log positions.
+  constexpr uint64_t kInterval = 16;  // Positions between compactions.
   // Raft compacts at every durable checkpoint, so the ordering needs a
   // data directory.
   const std::string dir = ::testing::TempDir() + "prever_raft_log_bound";
   std::filesystem::remove_all(dir);
   core::RaftOrdering ordering(3, net_config, pipeline, kInterval, dir);
   size_t max_physical = 0;
+  // Replica 0's snapshots: how many, and the non-ledger bytes (floor and
+  // batch window) of the first and the latest.
+  uint64_t snapshot_index = 0;
+  size_t compactions = 0;
+  size_t first_state_bytes = 0;
+  size_t last_state_bytes = 0;
   for (uint64_t k = 0; k < kPayloads; ++k) {
     Bytes payload{static_cast<uint8_t>(k), static_cast<uint8_t>(k >> 8),
                   static_cast<uint8_t>(k >> 16)};
@@ -263,13 +282,30 @@ TEST(SimConsensusTest, RaftLogBoundedByCheckpointInterval) {
         max_physical = std::max(
             max_physical, ordering.cluster().replica(i).physical_log_entries());
       }
+      const consensus::RaftReplica& r0 = ordering.cluster().replica(0);
+      if (r0.snapshot_index() != snapshot_index) {
+        snapshot_index = r0.snapshot_index();
+        ++compactions;
+        last_state_bytes =
+            r0.snapshot_blob().size() -
+            LedgerSectionBytes(ordering.ReplicaLedger(0), snapshot_index);
+        if (first_state_bytes == 0) first_state_bytes = last_state_bytes;
+      }
     }
   }
   EXPECT_EQ(ordering.ReplicaLedger(0).size(), kPayloads);
+  EXPECT_GE(compactions, 5u);
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_GT(ordering.cluster().replica(i).snapshot_index(), 0u) << i;
+  }
   // Between compactions at most kInterval applied entries accumulate, plus
   // the in-flight window of uncompacted batches.
   EXPECT_LE(max_physical, kInterval + 2 * pipeline.max_inflight + 16)
       << "Raft physical log grew unboundedly";
+  // The snapshot's dedup state is one fixed-size batch window, whatever
+  // the number of batches applied.
+  EXPECT_EQ(last_state_bytes, first_state_bytes)
+      << "Raft snapshot state beyond the ledger grew with history";
   std::filesystem::remove_all(dir);
 }
 
@@ -311,8 +347,8 @@ TEST(SimConsensusTest, PbftMessageLogBoundedByCheckpointInterval) {
 // kDefaultCheckpointInterval executions) driven by blocking appends over 11
 // intervals without faults. Checkpoints must stabilize everywhere, bound the
 // message log, never trigger a state fetch (no replica lags a full
-// interval), and vote on a certificate whose size does not grow with
-// history.
+// interval), and vote on a certificate, and keep a stable state beyond the
+// ledger, whose size does not grow with history.
 TEST(SimConsensusTest, PbftDefaultCheckpointsFaultFree) {
   constexpr uint64_t kInterval = consensus::kDefaultCheckpointInterval;
   constexpr uint64_t kAppends = 11 * kInterval;
@@ -329,6 +365,11 @@ TEST(SimConsensusTest, PbftDefaultCheckpointsFaultFree) {
   // The checkpoint message payload is the certificate itself.
   size_t first_cert_bytes = 0;
   size_t max_slots = 0;
+  // Per replica: EncodeStableState() minus its ledger section, at the first
+  // and at the latest stable checkpoint.
+  std::vector<uint64_t> stable_seq(4, 0);
+  std::vector<size_t> first_state_bytes(4, 0);
+  std::vector<size_t> last_state_bytes(4, 0);
   for (uint64_t k = 0; k < kAppends; ++k) {
     ASSERT_TRUE(ordering.Append(ToBytes("pay-" + std::to_string(k)), k).ok());
     for (size_t i = 0; i < 4; ++i) {
@@ -336,6 +377,15 @@ TEST(SimConsensusTest, PbftDefaultCheckpointsFaultFree) {
       max_slots = std::max(max_slots, r.log_slots());
       if (first_cert_bytes == 0 && r.stable_checkpoint_seq() > 0) {
         first_cert_bytes = r.stable_checkpoint_cert().size();
+      }
+      if (r.stable_checkpoint_seq() != stable_seq[i]) {
+        stable_seq[i] = r.stable_checkpoint_seq();
+        last_state_bytes[i] =
+            r.EncodeStableState().size() -
+            LedgerSectionBytes(ordering.ReplicaLedger(i), stable_seq[i]);
+        if (first_state_bytes[i] == 0) {
+          first_state_bytes[i] = last_state_bytes[i];
+        }
       }
     }
   }
@@ -347,6 +397,8 @@ TEST(SimConsensusTest, PbftDefaultCheckpointsFaultFree) {
     EXPECT_GE(r.stable_checkpoint_seq(), 10 * kInterval) << "replica " << i;
     EXPECT_EQ(r.stable_checkpoint_cert().size(), first_cert_bytes)
         << "checkpoint certificate grew with history on replica " << i;
+    EXPECT_EQ(last_state_bytes[i], first_state_bytes[i])
+        << "stable state beyond the ledger grew with history on replica " << i;
   }
   EXPECT_LE(max_slots, kInterval + 2 * pipeline.max_inflight + 16)
       << "PBFT message log grew past the checkpoint interval";
